@@ -347,9 +347,13 @@ def machine_from_dict(data) -> CloningMachine:
         probe = QubitState(np.asarray(data["probe_bloch"], dtype=float))
         cls = class_from_dict(data["class"])
         gains = data.get("gains")
+        if gains is not None:
+            if not isinstance(gains, list):
+                raise TypeError("gains must be a list of two reals or null")
+            gains = tuple(float(g) for g in gains)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed machine document: {exc}") from exc
-    return CloningMachine(u, probe, cls, None if gains is None else tuple(gains))
+    return CloningMachine(u, probe, cls, gains)
 
 
 def report_to_dict(r: VerificationReport) -> dict:

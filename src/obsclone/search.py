@@ -8,40 +8,31 @@ family up to relabeling, and a restarted simplex descent over it either
 produces an explicit machine witness or, for classes that admit none, a
 strictly positive defect floor that certifies the failure numerically
 (evidence, not a proof).
+
+The optimizer never builds a unitary: with the probe pinned, each output
+branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
+entries are closed forms in the 12 angles (see _objective).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import qmc
 
 from .classes import ObservableClass
-from .linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, QubitState, pauli_rotation, tensor
-from .machines import (
-    CloningMachine,
-    entangling_kernel,
-    heisenberg_lift,
-    lift_defect,
-    verify_approximate,
-    verify_exact,
-)
+from .linalg import SIGMA0, QubitState, pauli_rotation, tensor
+from .machines import CloningMachine, entangling_kernel, verify_approximate, verify_exact
 
 MODES = ("exact", "approximate")
 GAIN_BOUNDS = (1.0, 100.0)
 
-# Defect floor for the {sigma1, sigma2} noncommuting pair found by
-# no_cloning_scan at grid density 12, frozen as a regression reference.
-# It matches (sqrt(2) - 1): the best exact machine shrinks both branch
-# copies by 1/sqrt(2), leaving ||(1 - 1/sqrt(2)) sigma||_F behind.
-X_NC_DEFECT_FLOOR = 0.4142135623793277
-
-_XX = tensor(SIGMA1, SIGMA1)
-_YY = tensor(SIGMA2, SIGMA2)
-_ZZ = tensor(SIGMA3, SIGMA3)
-_EYE4 = np.eye(4, dtype=complex)
+# Defect floor for the {sigma1, sigma2} noncommuting pair: the best exact
+# machine shrinks both branch copies by 1/sqrt(2), leaving
+# ||(1 - 1/sqrt(2)) sigma||_F = sqrt(2) - 1 behind on each.
+X_NC_DEFECT_FLOOR = math.sqrt(2.0) - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,60 +141,67 @@ def cloning_defect(p: SearchSpacePoint, cls: ObservableClass, mode: str) -> floa
     return verify_exact(m, tol=np.inf).max_defect
 
 
-def _kron22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = a[0, 0] * b
-    out[:2, 2:] = a[0, 1] * b
-    out[2:, :2] = a[1, 0] * b
-    out[2:, 2:] = a[1, 1] * b
-    return out
+def _conjugation(a: float, b: float, c: float) -> tuple:
+    """Row-major Q with W† sigma_j W = sum_k Q[j, k] sigma_k, W = exp(i v.sigma).
 
-
-def _unitary_from_angles(x: np.ndarray) -> np.ndarray:
-    pre = pauli_rotation(x[0:3])
-    c1, s1 = np.cos(x[3] / 2.0), np.sin(x[3] / 2.0)
-    c2, s2 = np.cos(x[4] / 2.0), np.sin(x[4] / 2.0)
-    c3, s3 = np.cos(x[5] / 2.0), np.sin(x[5] / 2.0)
-    kern = (
-        (c1 * _EYE4 + 1j * s1 * _XX)
-        @ (c2 * _EYE4 + 1j * s2 * _YY)
-        @ (c3 * _EYE4 + 1j * s3 * _ZZ)
+    Q is the transpose of the rotation by 2|v| about v; 1 - cos as 2 sin^2 avoids cancellation.
+    """
+    t = math.sqrt(a * a + b * b + c * c)
+    if t == 0.0:
+        return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    s = math.sin(t)
+    cp = 1.0 - 2.0 * s * s
+    sp = 2.0 * s * math.cos(t) / t
+    k = 2.0 * s * s / (t * t)
+    return (
+        cp + k * a * a, k * a * b + sp * c, k * a * c - sp * b,
+        k * a * b - sp * c, cp + k * b * b, k * b * c + sp * a,
+        k * a * c + sp * b, k * b * c - sp * a, cp + k * c * c,
     )
-    post = _kron22(pauli_rotation(x[6:9]), pauli_rotation(x[9:12]))
-    return post @ kern @ _kron22(pre, SIGMA0)
 
 
 def _objective(cls: ObservableClass, mode: str):
     """Defect as a plain function of the coordinate vector (hot path).
 
-    With the probe pinned to |0><0| the lift is just the probe-row-zero
-    submatrix of U† M U, so no partial-trace machinery is needed here.
+    Branch b maps the traceless part a of a generator to the lift
+    coefficients a . T_b, where T_b = Q(post_b) K_b diag(1, Q(pre)) is a
+    real 3x4 transfer matrix (columns I, sigma1, sigma2, sigma3) and K_b
+    holds the entangling kernel's closed form under probe |0><0|:
+
+        K_1 = [[0, c2 c3, c2 s3, 0], [0, -c1 s3, c1 c3, 0], [s1 s2, 0, 0, c1 c2]]
+        K_2 = [[0, s2 s3, -s2 c3, 0], [0, s1 c3, s1 s3, 0], [c1 c2, 0, 0, s1 s2]]
+
+    with c_l, s_l the cosine and sine of entangling angle l; the identity
+    part lifts to itself. Plain floats, because numpy's per-call cost
+    dwarfs arithmetic on arrays this small.
     """
-    gens = [
-        (g.coeffs, tensor(g.matrix, SIGMA0), tensor(SIGMA0, g.matrix))
-        for g in cls.generators
-    ]
+    gens = [tuple(float(v) for v in g.coeffs[1:]) for g in cls.generators]
     approximate = mode == "approximate"
 
     def defect(x: np.ndarray) -> float:
-        u = _unitary_from_angles(x)
-        cols = u[:, ::2]
-        colsh = cols.conj().T
-        g1 = x[12] if approximate else 1.0
-        g2 = x[13] if approximate else 1.0
+        x = x.tolist()
+        p = _conjugation(x[0], x[1], x[2])
+        c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
+        s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
+        g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
         worst = 0.0
-        for coeffs, m1, m2 in gens:
-            for m, gain in ((m1, g1), (m2, g2)):
-                sub = colsh @ (m @ cols)
-                a0 = 0.5 * (sub[0, 0].real + sub[1, 1].real)
-                a1 = sub[0, 1].real
-                a2 = -sub[0, 1].imag
-                a3 = 0.5 * (sub[0, 0].real - sub[1, 1].real)
-                r0 = a0 - coeffs[0]
-                r1 = gain * a1 - coeffs[1]
-                r2 = gain * a2 - coeffs[2]
-                r3 = gain * a3 - coeffs[3]
-                val = np.sqrt(2.0 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+        for q, kern, gain in (
+            (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+            (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
+        ):
+            k20, k01, k02, k11, k12, k23 = kern
+            for a1, a2, a3 in gens:
+                u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
+                u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
+                u3 = a1 * q[2] + a2 * q[5] + a3 * q[8]
+                w1 = u1 * k01 + u2 * k11
+                w2 = u1 * k02 + u2 * k12
+                w3 = u3 * k23
+                r0 = u3 * k20
+                r1 = gain * (w1 * p[0] + w2 * p[3] + w3 * p[6]) - a1
+                r2 = gain * (w1 * p[1] + w2 * p[4] + w3 * p[7]) - a2
+                r3 = gain * (w1 * p[2] + w2 * p[5] + w3 * p[8]) - a3
+                val = math.sqrt(2.0 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
                 if val > worst:
                     worst = val
         return worst
@@ -332,6 +330,8 @@ def no_cloning_scan(cls: ObservableClass, grid_density: int) -> float:
     """
     if grid_density < 8:
         raise ValueError("grid_density must be at least 8")
+    from scipy.stats import qmc  # deferred: slow to import, and only the scan needs it
+
     fun = _objective(cls, "exact")
     sampler = qmc.Halton(d=12, scramble=False)
     angles = (sampler.random(int(grid_density) ** 3) - 0.5) * (2.0 * np.pi)

@@ -162,6 +162,21 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gains", 5), ("gains", [1]), ("gains", ["a", 1]), ("probe_bloch", "x")],
+    )
+    def test_malformed_machine_document_exits_2(self, capsys, tmp_path, field, value):
+        doc = machine_to_dict(cnot_machine())
+        doc[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
 
 class TestScan:
     def test_csv_shape_and_header(self, capsys):
