@@ -18,8 +18,6 @@ from .pauli import Observable, commutes, observable_from_list, observable_to_lis
 
 INDEPENDENCE_TOL = 1e-10
 
-_KIND_SIZES = {}
-
 
 class ClassKind(enum.Enum):
     ONE_PARAM = "one-param"
@@ -48,15 +46,18 @@ class ObservableClass:
         if len(gens) != expected:
             raise ValueError(f"{self.kind.value} classes take {expected} generator(s), got {len(gens)}")
         rows = np.stack([g.coeffs for g in gens])
-        norms = np.linalg.norm(rows, axis=1)
-        if norms.min() <= 0.0:
+        # Rows scaled to a largest |coefficient| of 1 cannot overflow or underflow below.
+        scale = np.abs(rows).max(axis=1)
+        if scale.min() <= 0.0:
             raise ValueError("generators must be nonzero")
-        sv = np.linalg.svd(rows / norms[:, None], compute_uv=False)
+        rows = rows / scale[:, None]
+        sv = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None], compute_uv=False)
         if sv.min() <= INDEPENDENCE_TOL:
             raise ValueError("generators must be linearly independent as 4-vectors")
-        if self.kind is ClassKind.TWO_PARAM_COMMUTING and not commutes(*gens):
+        pair = tuple(Observable(r) for r in rows[:2])
+        if self.kind is ClassKind.TWO_PARAM_COMMUTING and not commutes(*pair):
             raise ValueError("two-param-commuting generators must commute")
-        if self.kind is ClassKind.TWO_PARAM_NONCOMMUTING and commutes(*gens):
+        if self.kind is ClassKind.TWO_PARAM_NONCOMMUTING and commutes(*pair):
             raise ValueError("two-param-noncommuting generators must not commute")
 
 
@@ -119,7 +120,9 @@ def class_to_dict(cls: ObservableClass) -> dict:
 def class_from_dict(data) -> ObservableClass:
     try:
         kind = ClassKind(data["kind"])
-        gens = tuple(observable_from_list(g) for g in data["generators"])
+        gens = data["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed class document: {exc}") from exc
-    return ObservableClass(kind, gens)
+    if not isinstance(gens, list):
+        raise ValueError("malformed class document: generators must be a list")
+    return ObservableClass(kind, tuple(observable_from_list(g, f"generators[{i}]") for i, g in enumerate(gens)))

@@ -9,13 +9,13 @@ against the intrinsic spreads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .classes import ClassKind
-from .linalg import QubitState, partial_trace
-from .machines import CloningMachine, output_state
+from .linalg import QubitState
+from .machines import CloningMachine, transfer_matrices
 from .pauli import Observable
 
 UNIVERSAL_SHRINK = 2.0 / 3.0
@@ -40,17 +40,7 @@ class UncertaintyReport:
     optimal_theta: float
 
     def __post_init__(self):
-        vals = [
-            self.delta_i1,
-            self.delta_i2,
-            self.delta_m1,
-            self.delta_m2,
-            self.product,
-            self.lower_bound,
-            self.theta,
-            self.optimal_theta,
-        ]
-        if not np.isfinite(vals).all():
+        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
             raise ValueError("report entries must be finite")
         if min(self.delta_i1, self.delta_i2) < -1e-12 or max(self.delta_i1, self.delta_i2) > 1.0 + 1e-12:
             raise ValueError("intrinsic variances of unit Pauli observables lie in [0, 1]")
@@ -60,13 +50,23 @@ class UncertaintyReport:
             raise ValueError("measured product violates the joint-measurement bound")
 
 
+def _variance(x: Observable, r: np.ndarray) -> float:
+    """Tr[rho X^2] - Tr[rho X]^2 at Bloch vector r, from X^2 = (a0^2 + |a|^2) I + 2 a0 a.sigma."""
+    a0 = float(x.coeffs[0])
+    ar = float(x.bloch @ r)
+    mean = a0 + ar
+    second = a0 * a0 + float(x.bloch @ x.bloch) + 2.0 * a0 * ar
+    return second - mean * mean
+
+
 def intrinsic_variance(state: QubitState, x: Observable) -> float:
     """Tr[rho X^2] - Tr[rho X]^2 on the bare input state."""
-    rho = state.density
-    m = x.matrix
-    mean = float(np.trace(rho @ m).real)
-    second = float(np.trace(rho @ m @ m).real)
-    return second - mean * mean
+    return _variance(x, state.bloch)
+
+
+def _estimator_variance(r_branch: np.ndarray, gain: float, state: QubitState, x: Observable) -> float:
+    # The branch's reduced Bloch vector is R[1:, 0] + R[1:, 1:] s.
+    return gain * gain * _variance(x, r_branch[1:, 0] + r_branch[1:, 1:] @ state.bloch)
 
 
 def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branch: int) -> float:
@@ -80,12 +80,8 @@ def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branc
         raise ValueError("measured variance needs a machine with gains")
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    g = m.gains[branch - 1]
-    rho = partial_trace(output_state(m, state), branch).density
-    xm = x.matrix
-    mean = float(np.trace(rho @ xm).real)
-    second = float(np.trace(rho @ xm @ xm).real)
-    return g * g * second - (g * mean) ** 2
+    r = transfer_matrices(m.unitary, m.probe)[branch - 1]
+    return _estimator_variance(r, m.gains[branch - 1], state, x)
 
 
 def _check_unit_traceless(x: Observable) -> None:
@@ -109,19 +105,25 @@ def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyRepo
     _check_unit_traceless(g2)
     di1 = intrinsic_variance(state, g1)
     di2 = intrinsic_variance(state, g2)
-    dm1 = measured_variance(m, state, g1, 1)
-    dm2 = measured_variance(m, state, g2, 2)
-    bound = (np.sqrt(max(di1, 0.0) * max(di2, 0.0)) + 1.0) ** 2
+    r = transfer_matrices(m.unitary, m.probe)
+    dm1 = _estimator_variance(r[0], m.gains[0], state, g1)
+    dm2 = _estimator_variance(r[1], m.gains[1], state, g2)
+    return _report(di1, di2, dm1, dm2, m.gains)
+
+
+def _report(di1, di2, dm1, dm2, gains) -> UncertaintyReport:
+    """Report with the bound (sqrt(di1*di2) + 1)^2 and the balancing angle tan(theta)^4 = di1/di2."""
+    di1c, di2c = max(di1, 0.0), max(di2, 0.0)
     with np.errstate(divide="ignore"):
-        ratio = np.divide(max(di1, 0.0), max(di2, 0.0))
+        ratio = np.divide(di1c, di2c)
     return UncertaintyReport(
         delta_i1=di1,
         delta_i2=di2,
         delta_m1=dm1,
         delta_m2=dm2,
         product=dm1 * dm2,
-        lower_bound=float(bound),
-        theta=float(np.arctan2(m.gains[0], m.gains[1])),
+        lower_bound=float((np.sqrt(di1c * di2c) + 1.0) ** 2),
+        theta=float(np.arctan2(gains[0], gains[1])),
         optimal_theta=float(np.arctan(ratio**0.25)),
     )
 
@@ -145,29 +147,8 @@ def universal_clone_product(state: QubitState) -> UncertaintyReport:
     di2 = 1.0 - s[1] ** 2
     dm1 = g * g - s[0] ** 2
     dm2 = g * g - s[1] ** 2
-    bound = (np.sqrt(di1 * di2) + 1.0) ** 2
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(di1, di2)
-    return UncertaintyReport(
-        delta_i1=di1,
-        delta_i2=di2,
-        delta_m1=dm1,
-        delta_m2=dm2,
-        product=dm1 * dm2,
-        lower_bound=float(bound),
-        theta=float(np.arctan2(g, g)),
-        optimal_theta=float(np.arctan(ratio**0.25)),
-    )
+    return _report(di1, di2, dm1, dm2, (g, g))
 
 
 def uncertainty_to_dict(r: UncertaintyReport) -> dict:
-    return {
-        "delta_i1": r.delta_i1,
-        "delta_i2": r.delta_i2,
-        "delta_m1": r.delta_m1,
-        "delta_m2": r.delta_m2,
-        "product": r.product,
-        "lower_bound": r.lower_bound,
-        "theta": r.theta,
-        "optimal_theta": r.optimal_theta,
-    }
+    return {f.name: getattr(r, f.name) for f in fields(r)}

@@ -7,6 +7,7 @@ small frozen wrappers so downstream code never mutates them by accident.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,28 @@ def matrix_to_nested(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def matrix_from_nested(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(re, im) for re, im in row])
-    return as_matrix(np.array(rows, dtype=complex))
+def _is_real(v) -> bool:
+    # bool is an int subclass; a huge JSON integer would overflow float().
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def reals_from_json(data, name: str, n: int) -> list[float]:
+    """n floats from a decoded JSON list; a bad entry raises ValueError naming name[i]."""
+    if not isinstance(data, list) or len(data) != n:
+        raise ValueError(f"{name} must be a list of {n} real numbers")
+    for i, v in enumerate(data):
+        if not _is_real(v):
+            raise ValueError(f"{name}[{i}] must be a finite real number")
+    return [float(v) for v in data]
+
+
+def matrix_from_nested(data, name: str = "matrix") -> np.ndarray:
+    """Inverse of matrix_to_nested; a malformed entry raises ValueError naming name[i][j]."""
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) and len(r) == len(data) for r in data):
+        raise ValueError(f"{name} must be a square list of rows of [re, im] pairs")
+    for i, row in enumerate(data):
+        for j, z in enumerate(row):
+            if not (isinstance(z, list) and len(z) == 2 and _is_real(z[0]) and _is_real(z[1])):
+                raise ValueError(f"{name}[{i}][{j}] must be a [re, im] pair of finite real numbers")
+    pairs = np.array(data, dtype=float)
+    return as_matrix(pairs[..., 0] + 1j * pairs[..., 1])

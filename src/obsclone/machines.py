@@ -17,6 +17,7 @@ import numpy as np
 
 from .classes import ClassKind, ObservableClass, class_from_dict, class_to_dict
 from .linalg import (
+    PAULIS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -28,12 +29,11 @@ from .linalg import (
     is_unitary,
     matrix_from_nested,
     matrix_to_nested,
-    pauli_exponential,
     pauli_rotation,
-    ptrace,
+    reals_from_json,
     tensor,
 )
-from .pauli import Observable, conjugate, decompose
+from .pauli import Observable, conjugate
 
 # Controlled-NOT with the signal (left factor) as control. Acting on
 # |psi> (x) |0> it copies the sigma3 statistics of the signal onto the probe.
@@ -51,6 +51,17 @@ CNOT.setflags(write=False)
 # Unitary that exchanges sigma1 and sigma2 under conjugation.
 PAULI_FLIP = (1j / np.sqrt(2.0)) * (SIGMA1 + SIGMA2)
 PAULI_FLIP.setflags(write=False)
+
+_COUPLINGS = (tensor(SIGMA1, SIGMA1), tensor(SIGMA2, SIGMA2), tensor(SIGMA3, SIGMA3))
+_EYE4 = np.eye(4, dtype=complex)
+_FLIP_ON_PROBE = tensor(SIGMA0, PAULI_FLIP)
+
+# M[b, j]: sigma_j read on output branch b + 1 (sigma_j (x) I, then I (x) sigma_j).
+_BRANCH_OPS = np.array([[tensor(s, SIGMA0) for s in PAULIS], [tensor(SIGMA0, s) for s in PAULIS]])
+_PAULI_STACK = np.array(PAULIS)
+
+_KET0 = QubitState.ket0()
+_SIGMA_XY = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2])))
 
 SINGULAR_ANGLE_TOL = 1e-6
 
@@ -101,6 +112,16 @@ class VerificationReport:
             raise ValueError("passed flag is inconsistent with max_defect and tolerance")
 
 
+def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
+    """Real Pauli transfer matrices of both output branches; unvalidated, u must be unitary.
+
+    R[b, j, k] = tr[(sigma_k (x) rho_probe) U† M U] / 2 with M = sigma_j (x) I on branch 1
+    (b = 0) and I (x) sigma_j on branch 2, so the lift of X on branch b + 1 is X.coeffs @ R[b].
+    """
+    k = (u.conj().T @ _BRANCH_OPS @ u).reshape(2, 4, 2, 2, 2, 2)
+    return 0.5 * np.einsum("kxy,pq,bjyqxp->bjk", _PAULI_STACK, probe.density, k).real
+
+
 def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observable:
     """Pull a branch observable back to the input side of the interaction.
 
@@ -113,9 +134,14 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
         raise ValueError("u must be unitary")
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    m = tensor(x.matrix, SIGMA0) if branch == 1 else tensor(SIGMA0, x.matrix)
-    k = dagger(u) @ m @ u
-    return decompose(ptrace(tensor(SIGMA0, probe.density) @ k, keep=1))
+    return Observable(x.coeffs @ transfer_matrices(u, probe)[branch - 1])
+
+
+def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
+    """lift_defect over coefficient arrays (Pauli index last), gains broadcast per row."""
+    r0 = lifts[..., 0] - targets[..., 0]
+    rb = np.asarray(gains, dtype=float)[..., None] * lifts[..., 1:] - targets[..., 1:]
+    return np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1)))
 
 
 def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> float:
@@ -125,21 +151,17 @@ def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> f
     identity components must match unscaled, since every machine copies
     the identity exactly. With gain 1 this is just ||lift - generator||_F.
     """
-    r0 = lift.coeffs[0] - generator.coeffs[0]
-    rb = gain * lift.bloch - generator.bloch
-    return float(np.sqrt(2.0 * (r0 * r0 + rb @ rb)))
+    return float(_defects(lift.coeffs, generator.coeffs, gain))
 
 
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
-    defects = []
-    for g in m.observables.generators:
-        pair = tuple(
-            lift_defect(heisenberg_lift(m.unitary, m.probe, g, b), g, gains[b - 1])
-            for b in (1, 2)
-        )
-        defects.append(pair)
+    gens = np.array([g.coeffs for g in m.observables.generators])
+    # lifts[b, i] is generator i pulled back through branch b + 1.
+    lifts = gens @ transfer_matrices(m.unitary, m.probe)
+    per_branch = _defects(lifts, gens, np.array(gains)[:, None])
+    defects = tuple(zip(*per_branch.tolist()))
     worst = max(max(pair) for pair in defects)
-    return VerificationReport(tuple(defects), worst, gains, worst < tol, float(tol))
+    return VerificationReport(defects, worst, gains, worst < tol, float(tol))
 
 
 def verify_exact(m: CloningMachine, tol: float = 1e-10) -> VerificationReport:
@@ -163,7 +185,7 @@ def output_state(m: CloningMachine, state: QubitState) -> TwoQubitState:
 def cnot_machine() -> CloningMachine:
     """Exact cloner for the sigma3 line: C-NOT with probe |0><0|."""
     cls = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 0.0, 0.0, 1.0])),))
-    return CloningMachine(CNOT, QubitState.ket0(), cls)
+    return CloningMachine(CNOT, _KET0, cls)
 
 
 def axis_rotation(a: Observable) -> np.ndarray:
@@ -200,7 +222,7 @@ def one_param_machine(a: Observable) -> CloningMachine:
     """
     w = axis_rotation(a)
     cls = ObservableClass(ClassKind.ONE_PARAM, (a,))
-    return CloningMachine(_dressed_cnot(w), QubitState.ket0(), cls)
+    return CloningMachine(_dressed_cnot(w), _KET0, cls)
 
 
 def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
@@ -217,32 +239,19 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     axis = a.bloch / np.linalg.norm(a.bloch)
     partner = Observable(np.array([float(b0), b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
     cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
-    return CloningMachine(_dressed_cnot(w), QubitState.ket0(), cls)
+    return CloningMachine(_dressed_cnot(w), _KET0, cls)
 
 
 def entangling_kernel(t1: float, t2: float, t3: float) -> np.ndarray:
     """exp[(i/2)(t1 s1(x)s1 + t2 s2(x)s2 + t3 s3(x)s3)].
 
     The three generators commute and square to the identity, so the
-    exponential factors into closed forms.
+    exponential is the product of cos(t/2) I + i sin(t/2) G over them.
     """
-    return pauli_exponential(
-        [
-            (t1 / 2.0, tensor(SIGMA1, SIGMA1)),
-            (t2 / 2.0, tensor(SIGMA2, SIGMA2)),
-            (t3 / 2.0, tensor(SIGMA3, SIGMA3)),
-        ]
-    )
-
-
-def _noncommuting_class() -> ObservableClass:
-    return ObservableClass(
-        ClassKind.TWO_PARAM_NONCOMMUTING,
-        (
-            Observable(np.array([0.0, 1.0, 0.0, 0.0])),
-            Observable(np.array([0.0, 0.0, 1.0, 0.0])),
-        ),
-    )
+    out = _EYE4
+    for t, g in zip((t1, t2, t3), _COUPLINGS):
+        out = out @ (np.cos(0.5 * t) * _EYE4 + 1j * np.sin(0.5 * t) * g)
+    return out
 
 
 def _gain_angles(theta: float) -> tuple[float, float]:
@@ -262,8 +271,8 @@ def t_machine(theta: float) -> CloningMachine:
     (1/cos, 1/sin) undo the shrink in the mean.
     """
     c, s = _gain_angles(theta)
-    u = tensor(SIGMA0, PAULI_FLIP) @ entangling_kernel(theta, -theta, 0.0)
-    return CloningMachine(u, QubitState.ket0(), _noncommuting_class(), (1.0 / c, 1.0 / s))
+    u = _FLIP_ON_PROBE @ entangling_kernel(theta, -theta, 0.0)
+    return CloningMachine(u, _KET0, _SIGMA_XY, (1.0 / c, 1.0 / s))
 
 
 def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> float:
@@ -276,24 +285,13 @@ def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> floa
     With that convention (theta/2, -theta/2, 0, 1/cos theta, 1/sin theta)
     zeroes all four residuals.
     """
-    ue = pauli_exponential(
-        [
-            (float(t1), tensor(SIGMA1, SIGMA1)),
-            (float(t2), tensor(SIGMA2, SIGMA2)),
-            (float(t3), tensor(SIGMA3, SIGMA3)),
-        ]
-    )
-    probe = QubitState.ket0()
-    s1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
-    s2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
-    g1 = float(g1)
-    g2 = float(g2)
-    return (
-        lift_defect(heisenberg_lift(ue, probe, s1, 1), s1, g1)
-        + lift_defect(heisenberg_lift(ue, probe, s2, 1), s2, g1)
-        + lift_defect(heisenberg_lift(ue, probe, s2, 2), s1, g2)
-        + lift_defect(heisenberg_lift(ue, probe, s1, 2), s2, g2)
-    )
+    r = transfer_matrices(entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3), _KET0)
+    # Conditions in order: (branch, lifted sigma, target sigma) = (1, s1, s1),
+    # (1, s2, s2), (2, s2, s1), (2, s1, s2).
+    lifts = r[[0, 0, 1, 1], [1, 2, 2, 1]]
+    targets = np.eye(4)[[1, 2, 1, 2]]
+    gains = [float(g1), float(g1), float(g2), float(g2)]
+    return float(_defects(lifts, targets, gains).sum())
 
 
 def covariant_transport(m: CloningMachine, w) -> CloningMachine:
@@ -329,7 +327,7 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
         ],
         dtype=complex,
     )
-    return CloningMachine(u, QubitState.ket0(), _noncommuting_class(), (1.0 / c, 1.0 / s))
+    return CloningMachine(u, _KET0, _SIGMA_XY, (1.0 / c, 1.0 / s))
 
 
 def machine_to_dict(m: CloningMachine) -> dict:
@@ -342,17 +340,17 @@ def machine_to_dict(m: CloningMachine) -> dict:
 
 
 def machine_from_dict(data) -> CloningMachine:
-    try:
-        u = matrix_from_nested(data["unitary"])
-        probe = QubitState(np.asarray(data["probe_bloch"], dtype=float))
-        cls = class_from_dict(data["class"])
-        gains = data.get("gains")
-        if gains is not None:
-            if not isinstance(gains, list):
-                raise TypeError("gains must be a list of two reals or null")
-            gains = tuple(float(g) for g in gains)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed machine document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("malformed machine document: expected a JSON object")
+    missing = [key for key in ("unitary", "probe_bloch", "class") if key not in data]
+    if missing:
+        raise ValueError(f"malformed machine document: missing {', '.join(missing)}")
+    u = matrix_from_nested(data["unitary"], "unitary")
+    probe = QubitState(reals_from_json(data["probe_bloch"], "probe_bloch", 3))
+    cls = class_from_dict(data["class"])
+    gains = data.get("gains")
+    if gains is not None:
+        gains = tuple(reals_from_json(gains, "gains", 2))
     return CloningMachine(u, probe, cls, gains)
 
 

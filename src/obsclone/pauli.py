@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, as_matrix, dagger, frob, is_unitary
+from .linalg import PAULIS, as_matrix, dagger, frob, is_unitary, reals_from_json
 
 
 class DegenerateFrameError(ValueError):
@@ -60,11 +60,6 @@ def decompose(m) -> Observable:
     if frob(m - dagger(m)) > 1e-10:
         raise ValueError("only Hermitian matrices decompose into real Pauli coefficients")
     return Observable(np.array([0.5 * np.trace(m @ s).real for s in PAULIS]))
-
-
-def compose(x: Observable) -> np.ndarray:
-    """Dense 2x2 matrix of an observable (inverse of decompose)."""
-    return x.matrix
 
 
 def commutes(a: Observable, b: Observable, tol: float = 1e-10) -> bool:
@@ -141,5 +136,5 @@ def observable_to_list(x: Observable) -> list[float]:
     return [float(c) for c in x.coeffs]
 
 
-def observable_from_list(data) -> Observable:
-    return Observable(np.asarray(data, dtype=float))
+def observable_from_list(data, name: str = "observable") -> Observable:
+    return Observable(reals_from_json(data, name, 4))

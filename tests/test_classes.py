@@ -1,5 +1,7 @@
 """Tests for observable class construction and canonicalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ def test_generators_must_be_independent():
 def test_generators_must_be_nonzero():
     with pytest.raises(ValueError):
         ObservableClass(ClassKind.ONE_PARAM, (obs(0, 0, 0, 0),))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_validation_is_scale_safe(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ObservableClass(ClassKind.ONE_PARAM, (obs(0, scale, 0, 0),))
+        ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (obs(0, scale, 0, 0), obs(0, 0, scale, 0)))
+        ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (obs(0, 0, 0, scale), obs(scale, 0, 0, 2 * scale)))
+        with pytest.raises(ValueError, match="linearly independent"):
+            ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (obs(0, 0, 0, scale), obs(0, 0, 0, -2 * scale)))
+        with pytest.raises(ValueError, match="must commute"):
+            ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (obs(0, scale, 0, 0), obs(0, 0, scale, 0)))
 
 
 def test_commutation_must_match_kind():

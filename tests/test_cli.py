@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsclone.cli import _fmt, dumps, main
-from obsclone.machines import machine_from_dict, machine_to_dict, cnot_machine
+from obsclone.machines import machine_from_dict, machine_to_dict, cnot_machine, t_machine
 from obsclone.classes import class_to_dict
 from obsclone.pauli import Observable
 
@@ -176,6 +180,91 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert field in err
+
+    @pytest.mark.parametrize("entry", [[1, 2, 3], ["a", 0], [0, None], 7, [10**400, 0]])
+    def test_malformed_unitary_entry_is_named(self, capsys, tmp_path, entry):
+        doc = machine_to_dict(cnot_machine())
+        doc["unitary"][1][2] = entry
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unitary[1][2]")
+        assert err.count("\n") == 1
+
+    # Entries near 1e308 overflow numpy intermediates; only the exit code matters here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_documents_keep_the_exit_code_contract(self, tmp_path_factory, data):
+        """Exit 0, 1 or 2 on any document; 1 only for a document that loaded."""
+        doc = data.draw(st.sampled_from([cnot_machine(), t_machine(0.7)]).map(machine_to_dict))
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(doc, data)
+        text = json.dumps(doc)
+        try:
+            machine_from_dict(json.loads(text))
+            loaded = True
+        except ValueError:
+            loaded = False
+        path = tmp_path_factory.mktemp("fuzz") / "machine.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        assert code in (0, 1, 2)
+        if not loaded:
+            assert code == 2
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a decoded JSON document, the root included."""
+    yield prefix
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        yield from _paths(node[k], prefix + (k,))
+
+
+def _mutate(doc, data):
+    """One drawn edit of doc: drop a key or entry, retype a value, set it to
+    a non-finite or out-of-range number, or grow or shrink a list."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["drop", "retype", "extreme", "resize"]))
+    if not path:
+        return data.draw(JSON_VALUES)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "extreme":
+        parent[key] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, 10**400]))
+    elif op == "resize" and isinstance(parent[key], list):
+        if parent[key] and data.draw(st.booleans()):
+            parent[key].pop()
+        else:
+            parent[key].append(data.draw(JSON_VALUES))
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return doc
 
 
 class TestScan:

@@ -18,7 +18,7 @@ from obsclone.jointmeas import (
 from obsclone.linalg import QubitState, SIGMA0, ptrace, tensor
 from obsclone.machines import output_state, t_machine
 from obsclone.pauli import Observable
-from support import random_state
+from support import random_observable, random_state, random_unitary
 
 S1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
 S2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
@@ -55,6 +55,34 @@ def test_measured_variance_matches_joint_picture(rng):
             expected = np.trace(joint @ m @ m).real - np.trace(joint @ m).real ** 2
             got = measured_variance(machine, state, gen, branch)
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_measured_variance_matches_joint_picture_on_haar_machines(rng):
+    """Haar unitaries, mixed probes, random gains, and observables that are
+    neither unit nor traceless, against dense evolution of the joint state."""
+    from obsclone.machines import CloningMachine
+
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (S1, S2))
+    eye = np.eye(2)
+    for _ in range(20):
+        u = random_unitary(rng, 4)
+        probe = random_state(rng)
+        gains = tuple(rng.uniform(0.5, 3.0, 2) * rng.choice([-1.0, 1.0], 2))
+        machine = CloningMachine(u, probe, cls, gains)
+        state = random_state(rng)
+        x = random_observable(rng, scale=2.0)
+        xm = x.matrix
+        rho = state.density
+        assert intrinsic_variance(state, x) == pytest.approx(
+            np.trace(rho @ xm @ xm).real - np.trace(rho @ xm).real ** 2, abs=1e-12
+        )
+        joint = u @ np.kron(rho, probe.density) @ u.conj().T
+        for branch in (1, 2):
+            g = gains[branch - 1]
+            m = g * (np.kron(xm, eye) if branch == 1 else np.kron(eye, xm))
+            expected = np.trace(joint @ m @ m).real - np.trace(joint @ m).real ** 2
+            got = measured_variance(machine, state, x, branch)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_measured_variance_with_unit_gains_is_the_intrinsic_variance(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from obsclone.classes import ClassKind, ObservableClass, sample_members
 from obsclone.linalg import (
+    PAULIS,
     SIGMA0,
     SIGMA1,
     SIGMA2,
@@ -36,12 +37,14 @@ from obsclone.machines import (
     phase_covariant_machine,
     report_to_dict,
     t_machine,
+    transfer_matrices,
     verify_approximate,
     verify_exact,
 )
 from obsclone.pauli import Observable, commutes, decompose
 from support import (
     expm_oracle,
+    ptrace_loop,
     random_observable,
     random_state,
     random_su2,
@@ -69,6 +72,23 @@ def test_cnot_matrix_is_the_signal_controlled_flip():
 def test_pauli_flip_exchanges_sigma1_and_sigma2():
     assert np.allclose(dagger(PAULI_FLIP) @ SIGMA1 @ PAULI_FLIP, SIGMA2, atol=1e-15)
     assert np.allclose(dagger(PAULI_FLIP) @ SIGMA2 @ PAULI_FLIP, SIGMA1, atol=1e-15)
+
+
+def test_transfer_matrices_match_an_independent_oracle(rng):
+    """R[b, j, k] = tr[sigma_k L] / 2, with L the probe-traced lift of sigma_j on
+    branch b + 1 computed from dense Kronecker products and a loop partial trace."""
+    eye = np.eye(2)
+    for _ in range(25):
+        u = random_unitary(rng, 4)
+        probe = random_state(rng)
+        expected = np.empty((2, 4, 4))
+        for b in range(2):
+            for j, sj in enumerate(PAULIS):
+                m = np.kron(sj, eye) if b == 0 else np.kron(eye, sj)
+                k = u.conj().T @ m @ u
+                lift = ptrace_loop(np.kron(eye, probe.density) @ k, keep=1)
+                expected[b, j] = [0.5 * np.trace(sk @ lift).real for sk in PAULIS]
+        assert np.allclose(transfer_matrices(u, probe), expected, rtol=0.0, atol=1e-12)
 
 
 class TestHeisenbergLift:
