@@ -11,6 +11,7 @@ equivalent to matching means on every input state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ _SIGMA_XY = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye
 
 SINGULAR_ANGLE_TOL = 1e-6
 
+# Copying residuals stay below a quarter of the float range (see overflowing_generator),
+# so rounding cannot carry a computed defect to inf.
+RESIDUAL_LIMIT = 2.0**1022
+OVERFLOW_MESSAGE = "a copying residual could exceed the float range"
+
 
 class SingularAngleError(ValueError):
     """The requested angle makes a gain unbounded."""
@@ -92,6 +98,31 @@ class CloningMachine:
             if len(g) != 2 or not all(np.isfinite(g)) or any(x == 0.0 for x in g):
                 raise ValueError("gains must be two finite nonzero reals")
             object.__setattr__(self, "gains", g)
+        i = overflowing_generator(self.observables, max(map(abs, self.gains or (1.0,))))
+        if i is not None:
+            where = "" if self.gains is None else f" under gains {list(self.gains)}"
+            raise ValueError(f"generators[{i}]{where}: {OVERFLOW_MESSAGE}")
+
+
+def overflowing_generator(cls: ObservableClass, gain: float, bloch_only: bool = False) -> int | None:
+    """Index of the first generator whose copying residual under gains up to |gain| could reach RESIDUAL_LIMIT.
+
+    The lift of a traceless A = a.sigma is r0 I + w.sigma with |r0| + |w| <= |a|,
+    because each branch's dual channel is unital and positive. The residual
+    r0 I + (g w - a).sigma therefore has Frobenius norm at most
+    sqrt(2) (max(|g|, 1) + 1) |a|, whatever the machine. By default the bound
+    takes the whole coefficient vector in place of a: the computed lift of the
+    identity part carries rounding that the gain amplifies. The lift's sums,
+    at most twice that norm, then stay in range too. bloch_only bounds a
+    alone, for a computation that never lifts the identity part (the search
+    objective). None when every generator stays below the limit.
+    """
+    factor = math.sqrt(2.0) * (max(abs(gain), 1.0) + 1.0)
+    for i, g in enumerate(cls.generators):
+        coeffs = g.coeffs[1:] if bloch_only else g.coeffs
+        if not factor * math.hypot(*coeffs.tolist()) < RESIDUAL_LIMIT:
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -138,10 +169,17 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
 
 
 def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
-    """lift_defect over coefficient arrays (Pauli index last), gains broadcast per row."""
+    """lift_defect over coefficient arrays (Pauli index last), gains broadcast per row.
+
+    Each residual row is squared after dividing it by the power of two of its
+    largest entry. The division is exact, so ordinary residuals come out bit for
+    bit as without it, and residuals whose squares leave the float range stay finite.
+    """
     r0 = lifts[..., 0] - targets[..., 0]
     rb = np.asarray(gains, dtype=float)[..., None] * lifts[..., 1:] - targets[..., 1:]
-    return np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1)))
+    _, e = np.frexp(np.maximum(np.abs(r0), np.abs(rb).max(axis=-1)))
+    r0, rb = np.ldexp(r0, -e), np.ldexp(rb, -e[..., None])
+    return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)
 
 
 def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> float:

@@ -11,7 +11,10 @@ strictly positive defect floor that certifies the failure numerically
 
 The optimizer never builds a unitary: with the probe pinned, each output
 branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
-entries are closed forms in the 12 angles (see _objective).
+entries are closed forms in the 12 angles (see _objective). The descent
+is obsclone.optimize, scipy's adaptive Nelder-Mead transcribed to plain
+floats, and the scan's low-discrepancy points come from an unscrambled
+Halton generator, so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,11 +23,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .classes import ObservableClass
 from .linalg import SIGMA0, QubitState, pauli_rotation, tensor
-from .machines import CloningMachine, entangling_kernel, verify_approximate, verify_exact
+from .machines import (
+    OVERFLOW_MESSAGE,
+    CloningMachine,
+    entangling_kernel,
+    overflowing_generator,
+    verify_approximate,
+    verify_exact,
+)
 
 MODES = ("exact", "approximate")
 GAIN_BOUNDS = (1.0, 100.0)
@@ -173,13 +183,24 @@ def _objective(cls: ObservableClass, mode: str):
 
     with c_l, s_l the cosine and sine of entangling angle l; the identity
     part lifts to itself. Plain floats, because numpy's per-call cost
-    dwarfs arithmetic on arrays this small.
+    dwarfs arithmetic on arrays this small. Each generator enters divided
+    by the power of two of its largest entry and its defect is multiplied
+    back: exact, so ordinary classes give the same bits, while rows near
+    either end of the float range neither overflow nor underflow to zero.
+    A class whose traceless parts could carry a defect past the float range
+    is refused; identity parts never enter, whatever their size.
     """
-    gens = [tuple(float(v) for v in g.coeffs[1:]) for g in cls.generators]
     approximate = mode == "approximate"
+    i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
+    if i is not None:
+        raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
+    gens = []
+    for g in cls.generators:
+        a = g.coeffs[1:].tolist()
+        e = math.frexp(max(map(abs, a)))[1]
+        gens.append((*(math.ldexp(v, -e) for v in a), 2.0**e))
 
-    def defect(x: np.ndarray) -> float:
-        x = x.tolist()
+    def defect(x) -> float:
         p = _conjugation(x[0], x[1], x[2])
         c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
         s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
@@ -190,7 +211,7 @@ def _objective(cls: ObservableClass, mode: str):
             (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
         ):
             k20, k01, k02, k11, k12, k23 = kern
-            for a1, a2, a3 in gens:
+            for a1, a2, a3, scale in gens:
                 u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
                 u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
                 u3 = a1 * q[2] + a2 * q[5] + a3 * q[8]
@@ -201,49 +222,12 @@ def _objective(cls: ObservableClass, mode: str):
                 r1 = gain * (w1 * p[0] + w2 * p[3] + w3 * p[6]) - a1
                 r2 = gain * (w1 * p[1] + w2 * p[4] + w3 * p[7]) - a2
                 r3 = gain * (w1 * p[2] + w2 * p[5] + w3 * p[8]) - a3
-                val = math.sqrt(2.0 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+                val = math.sqrt(2.0 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)) * scale
                 if val > worst:
                     worst = val
         return worst
 
     return defect
-
-
-def _descend(fun, x0, max_evals, bounds, ftarget=None):
-    """One Nelder-Mead descent returning the best point actually evaluated.
-
-    When ftarget is given the descent stops as soon as some evaluation
-    drops below it, which keeps converging searches cheap.
-    """
-    seen = {"f": np.inf, "x": np.asarray(x0, dtype=float)}
-
-    def wrapped(x):
-        v = fun(x)
-        if v < seen["f"]:
-            seen["f"] = v
-            seen["x"] = np.array(x, dtype=float)
-        return v
-
-    callback = None
-    if ftarget is not None:
-        def callback(xk):
-            if seen["f"] < ftarget:
-                raise StopIteration
-
-    res = optimize.minimize(
-        wrapped,
-        x0,
-        method="Nelder-Mead",
-        bounds=bounds,
-        callback=callback,
-        options={
-            "maxfev": int(max_evals),
-            "xatol": 1e-10,
-            "fatol": 1e-14,
-            "adaptive": True,
-        },
-    )
-    return seen["x"], float(seen["f"]), int(res.nfev)
 
 
 def _bounds(approximate: bool):
@@ -256,8 +240,10 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     """Minimize the cloning defect from seeded random starts.
 
     Deterministic for a fixed config: restarts draw their starting
-    vectors from one seeded stream, descend with Nelder-Mead, and stop
-    early once the defect passes below tol. Whenever a restart improves
+    vectors from one seeded stream, descend with Nelder-Mead (a descent
+    ends after the first iteration that scores below tol * 1e-3, which
+    keeps converging searches cheap), and stop early once the defect
+    passes below tol. Whenever a restart improves
     on the best defect so far, its endpoint gets one extra polishing
     descent, so reported floors sit at the bottom of their basin.
     """
@@ -276,7 +262,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         x0 = rng.uniform(-np.pi, np.pi, 12)
         if approximate:
             x0 = np.concatenate([x0, rng.uniform(1.0, 4.0, 2)])
-        x, f, n = _descend(fun, x0, config.max_evals, bounds, ftarget=ftarget)
+        x, f, n = optimize.minimize(fun, x0, config.max_evals, bounds, ftarget)
         evals += n
         performed += 1
         if f < best_f:
@@ -287,6 +273,8 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
                 best_x, best_f = x, f
         if best_f < config.tol:
             break
+    if best_x is None:
+        raise ValueError("no start gave a finite defect")
     point = SearchSpacePoint.from_vector(best_x)
     return SearchResult(
         best_point=point,
@@ -311,7 +299,7 @@ def _polish(fun, x, f, max_evals, bounds, ftarget=None):
     for _ in range(10):
         if ftarget is not None and f < ftarget:
             break
-        x2, f2, n = _descend(fun, x, max_evals, bounds, ftarget=ftarget)
+        x2, f2, n = optimize.minimize(fun, x, max_evals, bounds, ftarget)
         total += n
         if f2 >= f - 1e-13:
             break
@@ -330,20 +318,37 @@ def no_cloning_scan(cls: ObservableClass, grid_density: int) -> float:
     """
     if grid_density < 8:
         raise ValueError("grid_density must be at least 8")
-    from scipy.stats import qmc  # deferred: slow to import, and only the scan needs it
-
     fun = _objective(cls, "exact")
-    sampler = qmc.Halton(d=12, scramble=False)
-    angles = (sampler.random(int(grid_density) ** 3) - 0.5) * (2.0 * np.pi)
+    angles = ((_halton(int(grid_density) ** 3) - 0.5) * (2.0 * np.pi)).tolist()
     values = np.array([fun(a) for a in angles])
     best = float(values.min())
     order = np.argsort(values, kind="stable")[:5]
     for idx in order:
-        x, f, _ = _descend(fun, angles[idx], 6000, None)
+        x, f, _ = optimize.minimize(fun, angles[idx], 6000)
         x, f, _ = _polish(fun, x, f, 6000, None)
         if f < best:
             best = f
     return best
+
+
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _halton(n: int) -> np.ndarray:
+    """First n points of the unscrambled 12-dimensional Halton sequence, starting at 0.
+
+    Column d holds the radical inverse of 0, 1, ..., n - 1 in the d-th prime
+    base, accumulated digit by digit as scipy's unscrambled Halton does.
+    """
+    columns = []
+    for base in _HALTON_BASES:
+        k, s, f = np.arange(n), np.zeros(n), 1.0 / base
+        while k.any():
+            k, r = np.divmod(k, base)
+            s += r * f
+            f /= base
+        columns.append(s)
+    return np.stack(columns, axis=1)
 
 
 def result_to_dict(r: SearchResult) -> dict:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,11 @@ from hypothesis import strategies as st
 
 from obsclone.cli import _fmt, dumps, main
 from obsclone.machines import machine_from_dict, machine_to_dict, cnot_machine, t_machine
-from obsclone.classes import class_to_dict
+from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
+from obsclone.search import SearchConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -168,7 +175,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("gains", 5), ("gains", [1]), ("gains", ["a", 1]), ("probe_bloch", "x")],
+        [("gains", 5), ("gains", [1]), ("gains", ["a", 1]), ("gains", [1e308, 1e308]), ("probe_bloch", "x")],
     )
     def test_malformed_machine_document_exits_2(self, capsys, tmp_path, field, value):
         doc = machine_to_dict(cnot_machine())
@@ -372,6 +379,92 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "generators, scale", [([[0, 1e200, 0, 0]], 1e200), ([[0, 1e-300, 0, 0], [0, 0, 1e300, 0]], 1e300)]
+    )
+    def test_classes_with_extreme_coefficients_are_searched(self, capsys, tmp_path, generators, scale):
+        kind = "one-param" if len(generators) == 1 else "two-param-noncommuting"
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"kind": kind, "generators": generators}))
+        code, out, _ = run_cli(capsys, "search", str(path), "--restarts", "3", "--max-evals", "1000")
+        assert code in (0, 1)
+        result = json.loads(out)
+        assert result["converged"] is (code == 0)
+        assert 0.0 <= result["best_defect"] < 1e-6 * scale
+
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_large_identity_part_does_not_block_the_search(self, capsys, tmp_path, mode):
+        """The objective lifts only the traceless part, so only that part is range-checked."""
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"kind": "one-param", "generators": [[1e306, 1, 0, 0]]}))
+        code, out, _ = run_cli(capsys, "search", str(path), "--mode", mode, "--restarts", "3", "--max-evals", "1000")
+        assert code in (0, 1)
+        result = json.loads(out)
+        assert result["converged"] is (code == 0)
+        assert 0.0 <= result["best_defect"] < 1e-3
+
+    def test_class_whose_residuals_leave_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"kind": "one-param", "generators": [[0, 1e308, 1e308, 0]]}))
+        code, out, err = run_cli(capsys, "search", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: generators[0] in exact mode: a copying residual could exceed the float range\n"
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_class_documents_keep_the_exit_code_contract(self, tmp_path_factory, data):
+        """Exit 0, 1 or 2 for any class document and argument values; 0 and 1 only
+        with the payload of a search that ran."""
+        doc = json.loads(json.dumps(data.draw(st.sampled_from(SEARCH_CLASSES))))
+        for _ in range(data.draw(st.integers(0, 3))):
+            doc = _mutate(doc, data)
+        options = {
+            "--mode": data.draw(st.sampled_from(["exact", "approximate"])),
+            "--restarts": data.draw(st.sampled_from([1, 1, 2, 0, -1])),
+            "--max-evals": data.draw(st.sampled_from([50, 50, 1, 13, 0, -3])),
+            "--seed": data.draw(st.sampled_from([0, 7, 2**64, -1])),
+            "--tol": data.draw(st.sampled_from([1e-6, 1.0, 1e308, 1e-300, 0.0, -1.0, float("nan"), float("inf")])),
+        }
+        text = json.dumps(doc)
+        try:
+            class_from_dict(json.loads(text))
+            SearchConfig(options["--restarts"], options["--max-evals"], options["--seed"], options["--tol"])
+            valid = True
+        except ValueError:
+            valid = False
+        path = tmp_path_factory.mktemp("fuzz") / "class.json"
+        path.write_text(text)
+        argv = ["search", str(path)] + [str(v) for item in options.items() for v in item]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if not valid:
+            assert code == 2
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
+        else:
+            result = json.loads(out.getvalue())
+            assert result["converged"] is (code == 0)
+            assert result["evaluations"] >= 1
+
+
+SEARCH_CLASSES = [
+    {"kind": "one-param", "generators": [[0.0, 0.0, 0.0, 1.0]]},
+    {"kind": "two-param-noncommuting", "generators": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]},
+    {"kind": "general", "generators": np.eye(4).tolist()},
+]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, obsclone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCompare:

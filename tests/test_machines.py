@@ -156,6 +156,42 @@ def test_cloning_machine_validation():
         CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, np.inf))
 
 
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_defects_scale_exactly_with_a_power_of_two(rng, k):
+    """Scaling the class by 2**k scales every defect by exactly 2**k, also where
+    squared residuals would leave the float range."""
+    for _ in range(5):
+        a, b = random_observable(rng), random_observable(rng)
+        cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (a, b))
+        big = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, tuple(Observable(np.ldexp(g.coeffs, k)) for g in (a, b)))
+        u, probe, gains = random_unitary(rng, 4), random_state(rng), tuple(rng.uniform(0.5, 3.0, 2))
+        for verify in (verify_exact, verify_approximate):
+            want = verify(CloningMachine(u, probe, cls, gains), tol=np.inf).per_generator_defects
+            got = verify(CloningMachine(u, probe, big, gains), tol=np.inf).per_generator_defects
+            assert np.array_equal(got, np.ldexp(want, k))
+        gain = float(gains[0])
+        assert lift_defect(Observable(np.ldexp(a.coeffs, k)), Observable(np.ldexp(b.coeffs, k)), gain) == np.ldexp(
+            lift_defect(a, b, gain), k
+        )
+
+
+def test_residuals_beyond_the_float_range_are_refused():
+    """Huge gains or generators that could push a residual past the float range
+    are refused when the machine is built, naming the generator and the gains;
+    a large identity part counts, since the gain amplifies the rounding of its lift."""
+    cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
+    with pytest.raises(ValueError, match=r"generators\[0\] under gains \[1\.0, 1e\+308\]"):
+        CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, 1e308))
+    big = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 1e308, 1e308, 0.0])),))
+    with pytest.raises(ValueError, match=r"generators\[0\]: a copying residual"):
+        CloningMachine(CNOT, QubitState.ket0(), big)
+    heavy = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([1e300, 0.0, 0.0, 1e-10])),))
+    with pytest.raises(ValueError, match=r"generators\[0\] under gains"):
+        CloningMachine(t_machine(0.7).unitary, QubitState.ket0(), heavy, gains=(1e308, 1e308))
+    report = verify_approximate(CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, 1e300)), tol=np.inf)
+    assert report.max_defect == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-12)
+
+
 def test_verification_report_consistency_is_enforced():
     with pytest.raises(ValueError):
         VerificationReport(((0.0, 0.5),), 0.1, (1.0, 1.0), True, 1e-10)

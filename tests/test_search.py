@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import optimize as scipy_optimize
+from scipy.stats import qmc
+
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary
+from obsclone.optimize import minimize
 from obsclone.pauli import Observable
 from obsclone.search import (
     GAIN_BOUNDS,
@@ -14,6 +18,8 @@ from obsclone.search import (
     SearchConfig,
     SearchResult,
     SearchSpacePoint,
+    _bounds,
+    _halton,
     _objective,
     cloning_defect,
     machine_from_point,
@@ -174,6 +180,138 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
             if mode == "approximate":
                 x = np.concatenate([x, rng.uniform(1.0, 3.0, 2)])
             assert fun(x) == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
+
+
+def scipy_descent(fun, x0, maxfev, bounds=None, ftarget=None):
+    """Reference descent: scipy's adaptive Nelder-Mead, keeping the best point it
+    evaluated and halting through a callback once that drops below ftarget."""
+    seen = {"f": np.inf, "x": np.asarray(x0, dtype=float)}
+
+    def tracked(x):
+        v = fun(x.tolist())
+        if v < seen["f"]:
+            seen["f"], seen["x"] = v, np.array(x)
+        return v
+
+    def halt(xk):
+        if seen["f"] < ftarget:
+            raise StopIteration
+
+    res = scipy_optimize.minimize(
+        tracked, x0, method="Nelder-Mead", bounds=bounds, callback=None if ftarget is None else halt,
+        options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
+    )
+    return seen["x"].tolist(), seen["f"], res.nfev
+
+
+def logged(fun, log):
+    def f(x):
+        log.append([float(v) for v in x])
+        return fun(x)
+
+    return f
+
+
+def assert_same_descent(fun, x0, maxfev, bounds=None, ftarget=None):
+    ours, theirs = [], []
+    got = minimize(logged(fun, ours), x0, maxfev, bounds, ftarget)
+    want = scipy_descent(logged(fun, theirs), x0, maxfev, bounds, ftarget)
+    assert got == want
+    assert ours == theirs
+    return got
+
+
+@pytest.mark.parametrize("cls", [ONE_PARAM, X_NC, GENERAL], ids=["one-param", "sigma-x-y", "pauli-basis"])
+@pytest.mark.parametrize("mode", ["exact", "approximate"])
+def test_nelder_mead_matches_scipy_evaluation_for_evaluation(rng, cls, mode):
+    """Same best point, value, evaluation count and sequence of evaluated points
+    as scipy, unbounded and with the approximate mode's bounds, with and without
+    a target; the target runs must stop before the budget."""
+    fun = _objective(cls, mode)
+    bounds = _bounds(mode == "approximate")
+    for _ in range(2):
+        x0 = rng.uniform(-np.pi, np.pi, 12)
+        if mode == "approximate":
+            x0 = np.concatenate([x0, rng.uniform(1.0, 4.0, 2)])
+        assert_same_descent(fun, x0, 1500, bounds)
+        _, f, nfev = assert_same_descent(fun, x0, 1500, bounds, ftarget=0.75 * fun(x0.tolist()))
+        assert nfev < 1500
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("tied", [False, True])
+def test_nelder_mead_matches_scipy_when_the_budget_ends_inside_a_shrink(bounded, tied):
+    """Every trial point scores worse than the initial simplex, so the first
+    iteration reflects, contracts inside and then shrinks the 12 other vertices;
+    the budgets cut that shrink after each vertex. Equal initial values exercise
+    numpy's order for ties. The bounds clip one initial vertex from below and
+    reflect one from above."""
+    x0 = np.linspace(-1.0, 1.0, 12)
+    bounds = [(-1.0, 1.02)] * 12 if bounded else None
+    simplex = []
+    minimize(logged(lambda x: 0.0, simplex), x0, 13, bounds)
+    table = {tuple(v): 1.0 if tied else float(i) for i, v in enumerate(simplex)}
+
+    def fun(x):
+        return table.get(tuple(float(v) for v in x), 100.0)
+
+    for maxfev in range(13, 13 + 2 + 12 + 2):
+        assert_same_descent(fun, x0, maxfev, bounds)
+    if not tied:
+        theirs = []
+        scipy_descent(logged(fun, theirs), x0, 27, bounds)
+        low = np.array(simplex[0])
+        shrunk = [low + (1.0 - 1.0 / 12) * (np.array(v) - low) for v in simplex[1:]]
+        if bounded:
+            shrunk = [np.clip(v, -1.0, 1.02) for v in shrunk]
+        assert theirs[15:] == [v.tolist() for v in shrunk]
+
+
+def test_nelder_mead_matches_scipy_when_new_points_tie_old_ones():
+    """Every trial point scores 5, the value of one initial vertex, so accepted
+    points tie existing ones and numpy's order among them steers the descent."""
+    x0 = np.linspace(-1.0, 1.0, 12)
+    simplex = []
+    minimize(logged(lambda x: 0.0, simplex), x0, 13)
+    table = {tuple(v): float(i) for i, v in enumerate(simplex)}
+
+    def fun(x):
+        return table.get(tuple(float(v) for v in x), 5.0)
+
+    for maxfev in (14, 20, 60, 400):
+        assert_same_descent(fun, x0, maxfev)
+
+
+def test_halton_points_match_scipy():
+    for n in (512, 8000):
+        assert np.array_equal(_halton(n), qmc.Halton(d=12, scramble=False).random(n))
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_objective_scales_exactly_with_a_power_of_two(rng, k):
+    """A class scaled by 2**k scores exactly 2**k times the defect: its rows
+    neither overflow nor underflow to a false zero."""
+    pair = (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-1.1, 0.3, 0.5, -0.6])))
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, pair)
+    big = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, tuple(Observable(np.ldexp(g.coeffs, k)) for g in pair))
+    for mode in ("exact", "approximate"):
+        fun, scaled = _objective(cls, mode), _objective(big, mode)
+        for _ in range(20):
+            x = random_point(rng, with_gains=mode == "approximate").to_vector().tolist()
+            assert scaled(x) == fun(x) * 2.0**k
+
+
+def test_search_refuses_classes_whose_residuals_leave_the_float_range():
+    huge = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 1e306, 0.0, 0.0])),))
+    assert np.isfinite(search_machine(huge, "exact", SearchConfig(restarts=1, max_evals=50)).best_defect)
+    with pytest.raises(ValueError, match=r"generators\[0\] in approximate mode"):
+        search_machine(huge, "approximate", SearchConfig(restarts=1, max_evals=50))
+
+
+def test_search_without_a_finite_defect_raises(monkeypatch):
+    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x: np.inf)
+    with pytest.raises(ValueError, match="finite defect"):
+        search_machine(ONE_PARAM, "exact", SearchConfig(restarts=2, max_evals=30))
 
 
 def test_search_converges_on_a_one_param_class():
