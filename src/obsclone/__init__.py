@@ -7,142 +7,4 @@ classes and up to known gains for the noncommuting pair, plus the
 joint-measurement noise accounting that goes with the approximate case.
 """
 
-from .classes import (
-    ClassKind,
-    ObservableClass,
-    canonicalize,
-    class_from_dict,
-    class_to_dict,
-    sample_members,
-)
-from .jointmeas import (
-    UNIVERSAL_SHRINK,
-    UncertaintyReport,
-    intrinsic_variance,
-    measured_variance,
-    uncertainty_product,
-    universal_clone_product,
-    universal_clone_state,
-)
-from .linalg import (
-    PAULIS,
-    SIGMA0,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    QubitState,
-    TwoQubitState,
-    partial_trace,
-    pauli_exponential,
-    pauli_rotation,
-    tensor,
-)
-from .machines import (
-    CNOT,
-    CloningMachine,
-    SingularAngleError,
-    VerificationReport,
-    axis_rotation,
-    cnot_machine,
-    commuting_machine,
-    covariant_transport,
-    entangling_kernel,
-    heisenberg_lift,
-    lift_defect,
-    machine_from_dict,
-    machine_to_dict,
-    nccm_residual,
-    one_param_machine,
-    output_state,
-    phase_covariant_machine,
-    t_machine,
-    verify_approximate,
-    verify_exact,
-)
-from .pauli import (
-    DegenerateFrameError,
-    DegenerateSpectrumError,
-    Observable,
-    TwoOutcomeStatistics,
-    commutes,
-    commuting_partner,
-    conjugate,
-    decompose,
-    statistics_from_mean,
-)
-from .search import (
-    X_NC_DEFECT_FLOOR,
-    SearchConfig,
-    SearchResult,
-    SearchSpacePoint,
-    cloning_defect,
-    machine_from_point,
-    no_cloning_scan,
-    search_machine,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CNOT",
-    "ClassKind",
-    "CloningMachine",
-    "DegenerateFrameError",
-    "DegenerateSpectrumError",
-    "Observable",
-    "ObservableClass",
-    "PAULIS",
-    "QubitState",
-    "SIGMA0",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    "SearchConfig",
-    "SearchResult",
-    "SearchSpacePoint",
-    "SingularAngleError",
-    "TwoOutcomeStatistics",
-    "TwoQubitState",
-    "UNIVERSAL_SHRINK",
-    "UncertaintyReport",
-    "VerificationReport",
-    "X_NC_DEFECT_FLOOR",
-    "axis_rotation",
-    "canonicalize",
-    "class_from_dict",
-    "class_to_dict",
-    "cloning_defect",
-    "cnot_machine",
-    "commutes",
-    "commuting_machine",
-    "commuting_partner",
-    "conjugate",
-    "covariant_transport",
-    "decompose",
-    "entangling_kernel",
-    "heisenberg_lift",
-    "intrinsic_variance",
-    "lift_defect",
-    "machine_from_dict",
-    "machine_from_point",
-    "machine_to_dict",
-    "measured_variance",
-    "nccm_residual",
-    "no_cloning_scan",
-    "one_param_machine",
-    "output_state",
-    "partial_trace",
-    "pauli_exponential",
-    "pauli_rotation",
-    "phase_covariant_machine",
-    "sample_members",
-    "search_machine",
-    "statistics_from_mean",
-    "t_machine",
-    "tensor",
-    "uncertainty_product",
-    "universal_clone_product",
-    "universal_clone_state",
-    "verify_approximate",
-    "verify_exact",
-]

@@ -21,8 +21,6 @@ for _s in PAULIS:
     _s.setflags(write=False)
 
 UNITARY_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
-STATE_EIG_FLOOR = -1e-10
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
@@ -48,23 +46,14 @@ def frob(m: np.ndarray) -> float:
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     m = as_matrix(m)
-    return frob(dagger(m) @ m - np.eye(m.shape[0])) < tol
+    # Huge entries overflow the product; the non-finite norm compares false.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frob(dagger(m) @ m - np.eye(m.shape[0])) < tol
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators, signal on the left."""
     return np.kron(as_matrix(a, 2), as_matrix(b, 2))
-
-
-def ptrace(m, keep: int) -> np.ndarray:
-    """Partial trace of a 4x4 operator down to the kept qubit (1 = signal)."""
-    m = as_matrix(m, 4)
-    t = m.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ijkj->ik", t)
-    if keep == 2:
-        return np.einsum("ijil->jl", t)
-    raise ValueError("keep must be 1 (signal) or 2 (probe)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,74 +78,10 @@ class QubitState:
         """The |0><0| state, Bloch vector (0, 0, 1)."""
         return cls(np.array([0.0, 0.0, 1.0]))
 
-    @classmethod
-    def from_density(cls, m) -> "QubitState":
-        m = as_matrix(m, 2)
-        if frob(m - dagger(m)) > HERMITIAN_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace")
-        b = np.array([np.trace(m @ s).real for s in (SIGMA1, SIGMA2, SIGMA3)])
-        return cls(b)
-
     @property
     def density(self) -> np.ndarray:
         b = self.bloch
         return 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
-    """Validated 4x4 density matrix of the signal-probe pair."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, 4).copy()
-        if frob(m - dagger(m)) > HERMITIAN_TOL:
-            raise ValueError("two-qubit state must be Hermitian")
-        if abs(complex(np.trace(m)) - 1.0) > 1e-12:
-            raise ValueError("two-qubit state must have unit trace")
-        if np.linalg.eigvalsh(m).min() < STATE_EIG_FLOOR:
-            raise ValueError("two-qubit state must be positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def partial_trace(state: TwoQubitState, keep: int) -> QubitState:
-    """Reduced state of the kept qubit (1 = signal, 2 = probe)."""
-    if not isinstance(state, TwoQubitState):
-        state = TwoQubitState(state)
-    return QubitState.from_density(ptrace(state.matrix, keep))
-
-
-def pauli_exponential(terms) -> np.ndarray:
-    """exp(i * sum_k a_k G_k) as a product of cos/sin closed forms.
-
-    Each generator must square to the identity and all generators must
-    commute pairwise; otherwise the factored form would be wrong, so the
-    call fails instead. Factors multiply in input order.
-    """
-    prepared = [(float(a), as_matrix(g)) for a, g in terms]
-    if not prepared:
-        raise ValueError("at least one (angle, generator) term is required")
-    dim = prepared[0][1].shape[0]
-    eye = np.eye(dim)
-    for _, g in prepared:
-        if g.shape != (dim, dim):
-            raise ValueError("all generators must share one dimension")
-        if frob(g @ g - eye) > 1e-12:
-            raise ValueError("generator is not involutory (G @ G != I)")
-    for i in range(len(prepared)):
-        for j in range(i + 1, len(prepared)):
-            gi, gj = prepared[i][1], prepared[j][1]
-            if frob(gi @ gj - gj @ gi) > 1e-12:
-                raise ValueError("generators must commute; split non-commuting exponents explicitly")
-    out = np.eye(dim, dtype=complex)
-    for a, g in prepared:
-        out = out @ (np.cos(a) * eye + 1j * np.sin(a) * g)
-    return out
 
 
 def pauli_rotation(v) -> np.ndarray:

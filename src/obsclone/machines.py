@@ -24,7 +24,6 @@ from .linalg import (
     SIGMA2,
     SIGMA3,
     QubitState,
-    TwoQubitState,
     as_matrix,
     dagger,
     is_unitary,
@@ -192,11 +191,15 @@ def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> f
     return float(_defects(lift.coeffs, generator.coeffs, gain))
 
 
+def _copying_defects(u: np.ndarray, probe: QubitState, gens: np.ndarray, gains) -> np.ndarray:
+    """D[b, i]: residual of generator row i on branch b + 1, its lift scaled by gains[b]; unvalidated."""
+    lifts = gens @ transfer_matrices(u, probe)
+    return _defects(lifts, gens, np.asarray(gains, dtype=float)[:, None])
+
+
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
     gens = np.array([g.coeffs for g in m.observables.generators])
-    # lifts[b, i] is generator i pulled back through branch b + 1.
-    lifts = gens @ transfer_matrices(m.unitary, m.probe)
-    per_branch = _defects(lifts, gens, np.array(gains)[:, None])
+    per_branch = _copying_defects(m.unitary, m.probe, gens, gains)
     defects = tuple(zip(*per_branch.tolist()))
     worst = max(max(pair) for pair in defects)
     return VerificationReport(defects, worst, gains, worst < tol, float(tol))
@@ -212,12 +215,6 @@ def verify_approximate(m: CloningMachine, tol: float = 1e-10) -> VerificationRep
     if m.gains is None:
         raise ValueError("machine has no gains; use verify_exact for exact machines")
     return _verify(m, m.gains, tol)
-
-
-def output_state(m: CloningMachine, state: QubitState) -> TwoQubitState:
-    """Joint output U (rho (x) probe) U† for a signal input."""
-    joint = tensor(state.density, m.probe.density)
-    return TwoQubitState(m.unitary @ joint @ dagger(m.unitary))
 
 
 def cnot_machine() -> CloningMachine:
@@ -269,9 +266,8 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     The second generator is b0*I + b3*A_hat with A_hat the unit Bloch
     axis of a: the rotated-frame image of b0*I + b3*sigma3, which is the
     general commutant of a up to the (b0, b3) freedom. Works for any a
-    with a nonzero traceless part, including a3 = 0 where the closed-form
-    commuting partner is unavailable. (b0, b3) must not be proportional
-    to (a0, |bloch(a)|) or the span collapses to one parameter.
+    with a nonzero traceless part, including a3 = 0. (b0, b3) must not be
+    proportional to (a0, |bloch(a)|) or the span collapses to one parameter.
     """
     w = axis_rotation(a)
     axis = a.bloch / np.linalg.norm(a.bloch)
@@ -316,20 +312,15 @@ def t_machine(theta: float) -> CloningMachine:
 def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> float:
     """Total residual of the gain-scaled copying system for {sigma1, sigma2}.
 
-    The kernel here is exp[i (t1 s1s1 + t2 s2s2 + t3 s3s3)], i.e. the
-    angles enter without the 1/2 prefactor of entangling_kernel, and the
-    probe branch reads each copy through the sigma1/sigma2 exchange: its
-    two conditions pair the lift of sigma2 with sigma1 and vice versa.
-    With that convention (theta/2, -theta/2, 0, 1/cos theta, 1/sin theta)
-    zeroes all four residuals.
+    The machine is entangling_kernel(2 t1, 2 t2, 2 t3) followed by the
+    sigma1/sigma2 exchange on the probe, i.e. the t_machine family with the
+    angles entering without the 1/2 prefactor, and branch b reads both
+    generators under gain g_b. (theta/2, -theta/2, 0, 1/cos theta,
+    1/sin theta) zeroes all four residuals.
     """
-    r = transfer_matrices(entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3), _KET0)
-    # Conditions in order: (branch, lifted sigma, target sigma) = (1, s1, s1),
-    # (1, s2, s2), (2, s2, s1), (2, s1, s2).
-    lifts = r[[0, 0, 1, 1], [1, 2, 2, 1]]
-    targets = np.eye(4)[[1, 2, 1, 2]]
-    gains = [float(g1), float(g1), float(g2), float(g2)]
-    return float(_defects(lifts, targets, gains).sum())
+    u = _FLIP_ON_PROBE @ entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3)
+    sigma12 = np.eye(4)[1:3]
+    return float(_copying_defects(u, _KET0, sigma12, (float(g1), float(g2))).sum())
 
 
 def covariant_transport(m: CloningMachine, w) -> CloningMachine:

@@ -15,10 +15,6 @@ import numpy as np
 from .linalg import PAULIS, as_matrix, dagger, frob, is_unitary, reals_from_json
 
 
-class DegenerateFrameError(ValueError):
-    """The closed-form commuting partner needs a nonzero sigma3 component."""
-
-
 class DegenerateSpectrumError(ValueError):
     """The observable has a single eigenvalue, so outcome statistics are trivial."""
 
@@ -65,26 +61,6 @@ def decompose(m) -> Observable:
 def commutes(a: Observable, b: Observable, tol: float = 1e-10) -> bool:
     """True when [A, B] = 0, i.e. the Bloch parts are parallel."""
     return float(np.linalg.norm(np.cross(a.bloch, b.bloch))) < tol
-
-
-def commuting_partner(a: Observable, b0: float, b3: float) -> Observable:
-    """Most general observable commuting with a, parameterized by (b0, b3).
-
-    Requires a nonzero sigma3 component: the remaining coefficients are
-    b1 = a1*b3/a3 and b2 = a2*b3/a3. When a3 vanishes, build the class in
-    a rotated frame through machines.commuting_machine instead.
-    """
-    a3 = float(a.coeffs[3])
-    if abs(a3) <= 1e-12:
-        raise DegenerateFrameError(
-            "a3 vanishes, so the closed-form partner is undefined; "
-            "machines.commuting_machine builds the commuting class in a rotated frame"
-        )
-    b0 = float(b0)
-    b3 = float(b3)
-    return Observable(
-        np.array([b0, a.coeffs[1] * b3 / a3, a.coeffs[2] * b3 / a3, b3])
-    )
 
 
 def conjugate(x: Observable, w) -> Observable:

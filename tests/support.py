@@ -9,7 +9,8 @@ different algorithm rather than against themselves.
 import numpy as np
 from scipy.linalg import expm
 
-from obsclone import Observable, QubitState, pauli_rotation
+from obsclone.linalg import QubitState, pauli_rotation
+from obsclone.pauli import Observable
 
 
 def random_bloch(rng, radius=1.0):
@@ -50,6 +51,12 @@ def random_unitary(rng, dim):
 def expm_oracle(h):
     """Reference exp(i h) through scipy (Pade, nothing closed form)."""
     return expm(1j * np.asarray(h, dtype=complex))
+
+
+def dense_output(machine, state):
+    """Joint output U (rho (x) probe) U† of a machine, as a dense 4x4 matrix."""
+    u = machine.unitary
+    return u @ np.kron(state.density, machine.probe.density) @ u.conj().T
 
 
 def ptrace_loop(m, keep):

@@ -201,6 +201,18 @@ class TestVerify:
         assert err.startswith("error: unitary[1][2]")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_unitary_entry_is_refused_without_warnings(self, capsys, tmp_path):
+        doc = machine_to_dict(t_machine(0.7))
+        doc["unitary"][0][0] = [1e308, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     # Entries near 1e308 overflow numpy intermediates; only the exit code matters here.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(st.data())
@@ -460,10 +472,43 @@ SEARCH_CLASSES = [
 ]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    code = "import sys, obsclone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def run_python(code, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = run_python("import sys, obsclone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# perfbench/spans.py patches every layer module by name, and perfbench/workloads.py
+# binds these names; a rename or a dropped import would otherwise only show there.
+BENCHMARK_LAYERS = ("cli", "search", "machines", "jointmeas", "classes", "pauli", "linalg")
+BENCHMARK_NAMES = (
+    "machines.heisenberg_lift",
+    "search.optimize.minimize",
+    "search.SearchSpacePoint.from_dict",
+    "search.cloning_defect",
+    "machines.machine_from_dict",
+    "machines.t_machine",
+    "jointmeas.uncertainty_product",
+    "classes.class_from_dict",
+)
+
+
+def test_importing_the_cli_loads_every_name_the_benchmark_binds():
+    code = (
+        "import functools, sys, obsclone.cli\n"
+        "layers, names = sys.argv[1].split(','), sys.argv[2].split(',')\n"
+        "print(sorted(l for l in layers if 'obsclone.' + l not in sys.modules))\n"
+        "for name in names:\n"
+        "    layer, *attrs = name.split('.')\n"
+        "    functools.reduce(getattr, attrs, sys.modules['obsclone.' + layer])\n"
+    )
+    proc = run_python(code, ",".join(BENCHMARK_LAYERS), ",".join(BENCHMARK_NAMES))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 

@@ -15,10 +15,10 @@ from obsclone.jointmeas import (
     universal_clone_product,
     universal_clone_state,
 )
-from obsclone.linalg import QubitState, SIGMA0, ptrace, tensor
-from obsclone.machines import output_state, t_machine
+from obsclone.linalg import QubitState, SIGMA0, tensor
+from obsclone.machines import t_machine
 from obsclone.pauli import Observable
-from support import random_observable, random_state, random_unitary
+from support import dense_output, ptrace_loop, random_observable, random_state, random_unitary
 
 S1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
 S2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
@@ -48,7 +48,7 @@ def test_measured_variance_matches_joint_picture(rng):
     machine = t_machine(0.7)
     for _ in range(10):
         state = random_state(rng)
-        joint = output_state(machine, state).matrix
+        joint = dense_output(machine, state)
         for gen, branch in ((S1, 1), (S2, 2)):
             g = machine.gains[branch - 1]
             m = g * (tensor(gen.matrix, SIGMA0) if branch == 1 else tensor(SIGMA0, gen.matrix))
@@ -195,7 +195,7 @@ def test_universal_clone_state_matches_projector_construction(rng):
         pair = _universal_pair_oracle(state.density)
         assert np.trace(pair).real == pytest.approx(1.0, abs=1e-13)
         for branch in (1, 2):
-            marginal = ptrace(pair, branch)
+            marginal = ptrace_loop(pair, branch)
             assert np.allclose(
                 marginal, universal_clone_state(state).density, atol=1e-12
             )

@@ -10,17 +10,13 @@ from obsclone.linalg import (
     SIGMA2,
     SIGMA3,
     QubitState,
-    TwoQubitState,
     as_matrix,
     dagger,
     frob,
     is_unitary,
     matrix_from_nested,
     matrix_to_nested,
-    partial_trace,
-    pauli_exponential,
     pauli_rotation,
-    ptrace,
     tensor,
 )
 from support import expm_oracle, ptrace_loop, random_state, random_unitary
@@ -90,25 +86,6 @@ def test_tensor_rejects_wrong_sizes():
         tensor(np.eye(4), np.eye(2))
 
 
-def test_ptrace_of_product_recovers_factors(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m = np.kron(a, b)
-    assert np.allclose(ptrace(m, 1), a * np.trace(b), atol=1e-13)
-    assert np.allclose(ptrace(m, 2), b * np.trace(a), atol=1e-13)
-
-
-def test_ptrace_matches_index_sum_oracle(rng):
-    for keep in (1, 2):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.allclose(ptrace(m, keep), ptrace_loop(m, keep), atol=1e-14)
-
-
-def test_ptrace_rejects_bad_subsystem():
-    with pytest.raises(ValueError):
-        ptrace(np.eye(4), 3)
-
-
 class TestQubitState:
     def test_ket0(self):
         rho = QubitState.ket0().density
@@ -116,8 +93,8 @@ class TestQubitState:
 
     def test_bloch_density_round_trip(self, rng):
         s = random_state(rng)
-        back = QubitState.from_density(s.density)
-        assert np.allclose(back.bloch, s.bloch, atol=1e-14)
+        back = [np.trace(s.density @ p).real for p in (SIGMA1, SIGMA2, SIGMA3)]
+        assert np.allclose(back, s.bloch, atol=1e-14)
 
     def test_density_has_unit_trace_and_is_hermitian(self, rng):
         rho = random_state(rng).density
@@ -132,106 +109,40 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.array([0.1, 0.2]))
 
-    def test_from_density_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            QubitState.from_density([[0.5, 0.5j], [0.5j, 0.5]])
-
-    def test_from_density_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            QubitState.from_density(np.eye(2))
-
     def test_bloch_is_read_only(self):
         s = QubitState.ket0()
         with pytest.raises(ValueError):
             s.bloch[0] = 1.0
 
 
-class TestTwoQubitState:
-    def test_accepts_bell_state(self):
-        v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-        TwoQubitState(np.outer(v, v.conj()))
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex) / 4.0
-        m[0, 1] = 0.3
-        with pytest.raises(ValueError):
-            TwoQubitState(m)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            TwoQubitState(np.eye(4, dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
-        with pytest.raises(ValueError):
-            TwoQubitState(m)
-
-
+# ptrace_loop in tests/support.py is the suite's only partial trace: every
+# reduced state the tests compare against goes through it.
 def test_partial_trace_of_product_state(rng):
     s1 = random_state(rng)
     s2 = random_state(rng)
-    joint = TwoQubitState(np.kron(s1.density, s2.density))
-    assert np.allclose(partial_trace(joint, 1).bloch, s1.bloch, atol=1e-13)
-    assert np.allclose(partial_trace(joint, 2).bloch, s2.bloch, atol=1e-13)
+    joint = np.kron(s1.density, s2.density)
+    assert np.allclose(ptrace_loop(joint, 1), s1.density, atol=1e-13)
+    assert np.allclose(ptrace_loop(joint, 2), s2.density, atol=1e-13)
 
 
 def test_partial_trace_of_bell_state_is_maximally_mixed():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    joint = TwoQubitState(np.outer(v, v.conj()))
-    assert np.allclose(partial_trace(joint, 1).bloch, 0.0, atol=1e-14)
-    assert np.allclose(partial_trace(joint, 2).bloch, 0.0, atol=1e-14)
+    joint = np.outer(v, v.conj())
+    assert np.allclose(ptrace_loop(joint, 1), SIGMA0 / 2.0, atol=1e-14)
+    assert np.allclose(ptrace_loop(joint, 2), SIGMA0 / 2.0, atol=1e-14)
 
 
 def test_partial_trace_is_linear_under_convex_mixing(rng):
     for _ in range(10):
         u = random_unitary(rng, 4)
-        a = TwoQubitState(u @ np.kron(random_state(rng).density, random_state(rng).density) @ dagger(u))
+        a = u @ np.kron(random_state(rng).density, random_state(rng).density) @ dagger(u)
         v = random_unitary(rng, 4)
-        b = TwoQubitState(v @ np.kron(random_state(rng).density, random_state(rng).density) @ dagger(v))
+        b = v @ np.kron(random_state(rng).density, random_state(rng).density) @ dagger(v)
         w = rng.uniform(0.0, 1.0)
-        mixed = TwoQubitState(w * a.matrix + (1.0 - w) * b.matrix)
+        mixed = w * a + (1.0 - w) * b
         for sub in (1, 2):
-            expected = w * partial_trace(a, sub).density + (1.0 - w) * partial_trace(b, sub).density
-            assert np.allclose(partial_trace(mixed, sub).density, expected, atol=1e-13)
-
-
-@pytest.mark.parametrize("angle", [0.0, 0.3, -1.2, np.pi / 2, 4.0])
-def test_pauli_exponential_single_term_matches_expm(angle):
-    g = np.kron(SIGMA1, SIGMA1)
-    assert np.allclose(pauli_exponential([(angle, g)]), expm_oracle(angle * g), atol=1e-13)
-
-
-def test_pauli_exponential_three_commuting_terms(rng):
-    a, b, c = rng.uniform(-2.0, 2.0, 3)
-    g1 = np.kron(SIGMA1, SIGMA1)
-    g2 = np.kron(SIGMA2, SIGMA2)
-    g3 = np.kron(SIGMA3, SIGMA3)
-    got = pauli_exponential([(a, g1), (b, g2), (c, g3)])
-    assert np.allclose(got, expm_oracle(a * g1 + b * g2 + c * g3), atol=1e-13)
-
-
-def test_pauli_exponential_is_order_independent(rng):
-    a, b = rng.uniform(-2.0, 2.0, 2)
-    g1 = np.kron(SIGMA1, SIGMA1)
-    g2 = np.kron(SIGMA2, SIGMA2)
-    fwd = pauli_exponential([(a, g1), (b, g2)])
-    rev = pauli_exponential([(b, g2), (a, g1)])
-    assert np.allclose(fwd, rev, atol=1e-14)
-
-
-def test_pauli_exponential_rejects_non_commuting_generators():
-    with pytest.raises(ValueError):
-        pauli_exponential([(0.5, SIGMA1), (0.5, SIGMA2)])
-
-
-def test_pauli_exponential_rejects_non_involutory_generator():
-    with pytest.raises(ValueError):
-        pauli_exponential([(0.5, 0.5 * SIGMA1)])
-
-
-def test_pauli_exponential_rejects_empty_input():
-    with pytest.raises(ValueError):
-        pauli_exponential([])
+            expected = w * ptrace_loop(a, sub) + (1.0 - w) * ptrace_loop(b, sub)
+            assert np.allclose(ptrace_loop(mixed, sub), expected, atol=1e-13)
 
 
 def test_pauli_rotation_matches_expm(rng):

@@ -13,7 +13,6 @@ from obsclone.linalg import (
     QubitState,
     dagger,
     frob,
-    partial_trace,
     tensor,
 )
 from obsclone.machines import (
@@ -33,7 +32,6 @@ from obsclone.machines import (
     machine_to_dict,
     nccm_residual,
     one_param_machine,
-    output_state,
     phase_covariant_machine,
     report_to_dict,
     t_machine,
@@ -43,6 +41,7 @@ from obsclone.machines import (
 )
 from obsclone.pauli import Observable, commutes, decompose
 from support import (
+    dense_output,
     expm_oracle,
     ptrace_loop,
     random_observable,
@@ -240,6 +239,19 @@ def test_commuting_machine_clones_both_generators(rng):
         assert verify_exact(machine, tol=1e-10).passed
 
 
+def test_commuting_machine_partner_reproduces_any_commuting_observable(rng):
+    # Whatever commutes with A is c0 I + c1 A, so its identity part and its
+    # signed length along A's Bloch axis pin it down, also when a3 = 0.
+    planar = [Observable(np.array([*rng.uniform(-1.0, 1.0, 3), 0.0])) for _ in range(5)]
+    for a in [random_observable(rng, min_axis=0.3) for _ in range(25)] + planar + [S1, S2]:
+        c0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+        other = Observable(c0 * np.eye(4)[0] + rng.uniform(-2.0, 2.0) * a.coeffs)
+        assert commutes(a, other)
+        b3 = float(other.bloch @ a.bloch) / np.linalg.norm(a.bloch)
+        partner = commuting_machine(a, other.coeffs[0], b3).observables.generators[1]
+        assert np.allclose(partner.coeffs, other.coeffs, atol=1e-12)
+
+
 def test_commuting_machine_on_the_bloch_axis_keeps_the_cnot_unitary():
     machine = commuting_machine(S3, 1.0, 1.0)
     assert np.allclose(machine.unitary, CNOT, atol=1e-14)
@@ -325,7 +337,7 @@ class TestTMachine:
         machine = t_machine(theta)
         for _ in range(10):
             state = random_state(rng)
-            joint = output_state(machine, state).matrix
+            joint = dense_output(machine, state)
             mean1 = np.trace(joint @ tensor(S1.matrix, SIGMA0)).real
             assert mean1 == pytest.approx(np.cos(theta) * state.bloch[0], abs=1e-12)
             mean2 = np.trace(joint @ tensor(SIGMA0, S2.matrix)).real
@@ -360,6 +372,26 @@ class TestNccmResidual:
 
     def test_residual_is_positive_off_solution(self):
         assert nccm_residual(0.3, 0.3, 0.1, 1.2, 1.2) > 0.1
+
+    def test_matches_an_independent_oracle(self, rng):
+        """Sum of the four Frobenius residuals, from scipy's expm of the couplings,
+        the sigma1/sigma2 exchange on the probe and loop partial traces."""
+        couplings = [np.kron(s, s) for s in (SIGMA1, SIGMA2, SIGMA3)]
+        flip = expm_oracle(0.5 * np.pi * (SIGMA1 + SIGMA2) / np.sqrt(2.0))
+        eye = np.eye(2)
+        probe = QubitState.ket0().density
+        for _ in range(200):
+            t = rng.uniform(-np.pi, np.pi, 3)
+            gains = rng.uniform(0.5, 3.0, 2)
+            u = np.kron(eye, flip) @ expm_oracle(sum(tk * c for tk, c in zip(t, couplings)))
+            total = 0.0
+            for b, g in enumerate(gains):
+                for x in (SIGMA1, SIGMA2):
+                    m = np.kron(x, eye) if b == 0 else np.kron(eye, x)
+                    lift = ptrace_loop(np.kron(eye, probe) @ u.conj().T @ m @ u, keep=1)
+                    r0 = 0.5 * np.trace(lift) * eye
+                    total += np.linalg.norm(r0 + g * (lift - r0) - x)
+            assert nccm_residual(*t, *gains) == pytest.approx(total, rel=0.0, abs=1e-12)
 
     def test_residual_is_continuous_in_the_angles(self, rng):
         for _ in range(10):
@@ -401,12 +433,13 @@ def test_phase_covariant_machine_verifies_like_t_machine(theta):
 
 def test_phase_covariant_machine_fixes_the_pole_and_shrinks_the_equator():
     machine = phase_covariant_machine(np.pi / 4)
-    pole = output_state(machine, QubitState.ket0())
-    assert np.allclose(partial_trace(pole, 1).bloch, [0.0, 0.0, 1.0], atol=1e-14)
-    assert np.allclose(partial_trace(pole, 2).bloch, [0.0, 0.0, 1.0], atol=1e-14)
+    ket0 = QubitState.ket0()
+    pole = dense_output(machine, ket0)
+    assert np.allclose(ptrace_loop(pole, 1), ket0.density, atol=1e-14)
+    assert np.allclose(ptrace_loop(pole, 2), ket0.density, atol=1e-14)
 
-    plus = output_state(machine, QubitState(np.array([1.0, 0.0, 0.0])))
-    mean = np.trace(plus.matrix @ tensor(SIGMA1, SIGMA0)).real
+    plus = dense_output(machine, QubitState(np.array([1.0, 0.0, 0.0])))
+    mean = np.trace(plus @ tensor(SIGMA1, SIGMA0)).real
     assert mean == pytest.approx(np.cos(np.pi / 4), abs=1e-14)
 
 
@@ -446,18 +479,10 @@ class TestCovariantTransport:
             covariant_transport(cnot_machine(), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_output_state_matches_dense_evolution(rng):
-    machine = t_machine(0.9)
-    state = random_state(rng)
-    joint = output_state(machine, state).matrix
-    expected = machine.unitary @ tensor(state.density, machine.probe.density) @ dagger(machine.unitary)
-    assert np.allclose(joint, expected, atol=1e-14)
-
-
 def test_cnot_dephases_the_signal_in_the_transverse_plane():
     plus = QubitState(np.array([1.0, 0.0, 0.0]))
-    joint = output_state(cnot_machine(), plus)
-    assert np.allclose(partial_trace(joint, 1).bloch, 0.0, atol=1e-14)
+    joint = dense_output(cnot_machine(), plus)
+    assert np.allclose(ptrace_loop(joint, 1), SIGMA0 / 2.0, atol=1e-14)
 
 
 def test_passing_machines_pass_on_every_member_of_the_span(rng):

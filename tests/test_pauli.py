@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from obsclone.linalg import SIGMA1
 from obsclone.pauli import (
-    DegenerateFrameError,
     DegenerateSpectrumError,
     Observable,
     TwoOutcomeStatistics,
     commutes,
-    commuting_partner,
     conjugate,
     decompose,
     observable_from_list,
@@ -82,50 +80,6 @@ def test_commutes_matches_dense_commutator(rng):
         b = random_observable(rng)
         comm = a.matrix @ b.matrix - b.matrix @ a.matrix
         assert commutes(a, b) == (np.linalg.norm(comm) < 2e-10)
-
-
-@given(
-    st.tuples(coeff, coeff, coeff),
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=-5.0, max_value=5.0),
-)
-@settings(max_examples=150, deadline=None)
-def test_commuting_partner_commutes_and_keeps_requested_coeffs(a12, a3, b0, b3):
-    a = Observable(np.array([a12[0], a12[1], a12[2], a3]))
-    b = commuting_partner(a, b0, b3)
-    assert commutes(a, b, tol=1e-8)
-    assert b.coeffs[0] == pytest.approx(b0)
-    assert b.coeffs[3] == pytest.approx(b3)
-
-
-def test_commuting_partner_on_a_diagonal_direction():
-    a = Observable(np.array([0.0, 1.0, 1.0, 1.0]))
-    b = commuting_partner(a, 5.0, 2.0)
-    assert np.allclose(b.coeffs, [5.0, 2.0, 2.0, 2.0], atol=1e-14)
-
-
-def test_commuting_partner_reproduces_any_commuting_observable(rng):
-    # Whatever commutes with A must be a combination of the identity and
-    # A's Bloch direction, so fixing (b0, b3) pins it down completely.
-    for _ in range(25):
-        a = random_observable(rng, min_axis=0.3)
-        while abs(a.coeffs[3]) < 0.1:
-            a = random_observable(rng, min_axis=0.3)
-        other = Observable(
-            rng.uniform(-2.0, 2.0) * np.array([1.0, 0.0, 0.0, 0.0])
-            + rng.uniform(-2.0, 2.0) * np.array([0.0, *a.bloch])
-        )
-        if abs(other.coeffs[3]) < 1e-6:
-            continue
-        rebuilt = commuting_partner(a, other.coeffs[0], other.coeffs[3])
-        assert np.allclose(rebuilt.coeffs, other.coeffs, atol=1e-8)
-
-
-def test_commuting_partner_needs_axis_component():
-    planar = Observable(np.array([0.5, 1.0, -0.3, 0.0]))
-    with pytest.raises(DegenerateFrameError):
-        commuting_partner(planar, 1.0, 1.0)
 
 
 def test_conjugate_preserves_eigenvalues(rng):
