@@ -37,9 +37,11 @@ from .machines import (
     verify_exact,
 )
 from .pauli import Observable
-from .search import SearchConfig, result_to_dict, search_machine
+from .search import MODES, SearchConfig, result_to_dict, search_machine
 
 OBSERVABLE_SHRINK = 1.0 / np.sqrt(2.0)
+# Largest scan grid: its rows are held in memory until the CSV is written.
+MAX_SCAN_STEPS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -121,6 +123,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not np.isfinite(args.tol) or args.tol <= 0:
+        raise ValueError("--tol must be a positive finite real")
     machine = machine_from_dict(_load_json(args.machine))
     if machine.gains is None:
         report = verify_exact(machine, tol=args.tol)
@@ -132,8 +136,11 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     state = QubitState(_parse_floats(args.state, 3, "--state"))
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1")
+    if not 1 <= args.steps <= MAX_SCAN_STEPS:
+        raise ValueError(f"--steps must be between 1 and {MAX_SCAN_STEPS}")
+    # NaN or infinite bounds, or a span past the float range, make the difference non-finite.
+    if not np.isfinite(args.theta_max - args.theta_min):
+        raise ValueError("--theta-min and --theta-max must be finite and span a finite theta range")
     if args.theta_max < args.theta_min:
         raise ValueError("--theta-max must not be below --theta-min")
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
@@ -225,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", parents=[common], help="search for a machine cloning a class")
     p_search.add_argument("klass", metavar="class", help="path to a class JSON file")
-    p_search.add_argument("--mode", choices=["exact", "approximate"], default="exact")
-    p_search.add_argument("--restarts", type=int, default=50)
-    p_search.add_argument("--max-evals", type=int, default=4000)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--tol", type=float, default=1e-6)
+    defaults = SearchConfig()
+    p_search.add_argument("--mode", choices=MODES, default=MODES[0])
+    p_search.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_search.add_argument("--max-evals", type=int, default=defaults.max_evals)
+    p_search.add_argument("--seed", type=int, default=defaults.seed)
+    p_search.add_argument("--tol", type=float, default=defaults.tol)
     p_search.set_defaults(func=cmd_search)
 
     p_compare = sub.add_parser(

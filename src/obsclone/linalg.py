@@ -68,7 +68,8 @@ class QubitState:
             raise ValueError("Bloch vector must have exactly three components")
         if not np.isfinite(b).all():
             raise ValueError("Bloch vector must be finite")
-        if np.linalg.norm(b) > 1.0 + 1e-12:
+        # The entry test comes first: it refuses huge vectors before their norm can overflow.
+        if np.abs(b).max() > 1.0 + 1e-12 or np.linalg.norm(b) > 1.0 + 1e-12:
             raise ValueError("Bloch vector must lie inside the unit ball")
         b.setflags(write=False)
         object.__setattr__(self, "bloch", b)

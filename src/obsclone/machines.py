@@ -223,6 +223,19 @@ def cnot_machine() -> CloningMachine:
     return CloningMachine(CNOT, _KET0, cls)
 
 
+def _scaled_bloch(a: Observable) -> np.ndarray:
+    """Bloch part of a divided by the power of two of its largest entry.
+
+    The division is exact, so norms and directions taken from the result
+    match the unscaled ones bit for bit, yet cannot overflow or underflow.
+    """
+    b = a.bloch
+    top = np.abs(b).max()
+    if top == 0.0:
+        raise ValueError("observable has no Bloch axis (traceless part vanishes)")
+    return np.ldexp(b, -np.frexp(top)[1])
+
+
 def axis_rotation(a: Observable) -> np.ndarray:
     """Single-qubit W with W† sigma3 W pointing along the Bloch axis of a.
 
@@ -231,10 +244,8 @@ def axis_rotation(a: Observable) -> np.ndarray:
     carrying sigma3 onto the unit axis. On-axis observables need no
     rotation (a3 > 0) or a half-turn about sigma1 (a3 < 0).
     """
-    b = a.bloch
+    b = _scaled_bloch(a)
     r = float(np.linalg.norm(b))
-    if r <= 1e-12:
-        raise ValueError("observable has no Bloch axis (traceless part vanishes)")
     planar = float(np.hypot(b[0], b[1]))
     if planar <= 1e-15 * r:
         if b[2] > 0:
@@ -269,8 +280,11 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     with a nonzero traceless part, including a3 = 0. (b0, b3) must not be
     proportional to (a0, |bloch(a)|) or the span collapses to one parameter.
     """
+    if not (math.isfinite(b0) and math.isfinite(b3)):
+        raise ValueError("b0 and b3 must be finite reals")
     w = axis_rotation(a)
-    axis = a.bloch / np.linalg.norm(a.bloch)
+    b = _scaled_bloch(a)
+    axis = b / np.linalg.norm(b)
     partner = Observable(np.array([float(b0), b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
     cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
     return CloningMachine(_dressed_cnot(w), _KET0, cls)
@@ -290,6 +304,8 @@ def entangling_kernel(t1: float, t2: float, t3: float) -> np.ndarray:
 
 def _gain_angles(theta: float) -> tuple[float, float]:
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite real, got {theta}")
     c, s = np.cos(theta), np.sin(theta)
     if min(abs(c), abs(s)) <= SINGULAR_ANGLE_TOL:
         raise SingularAngleError(f"singular angle theta={theta}: a gain becomes unbounded")

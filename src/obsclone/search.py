@@ -4,17 +4,18 @@ The search space is a 12-angle family: a signal-side pre-rotation, the
 three-axis entangling kernel, and one post-rotation per output branch,
 always with probe |0><0|. Approximate mode adds the two gains as free
 coordinates. Every machine construction in this package lives in this
-family up to relabeling, and a restarted simplex descent over it either
-produces an explicit machine witness or, for classes that admit none, a
-strictly positive defect floor that certifies the failure numerically
-(evidence, not a proof).
+family up to relabeling, and a restarted simplex descent over it
+(search_machine, the package's one floor estimator) either produces an
+explicit machine witness or, for classes that admit none, a strictly
+positive defect floor that certifies the failure numerically (evidence,
+not a proof).
 
 The optimizer never builds a unitary: with the probe pinned, each output
 branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). The descent
 is obsclone.optimize, scipy's adaptive Nelder-Mead transcribed to plain
-floats, and the scan's low-discrepancy points come from an unscrambled
-Halton generator, so this module needs numpy alone.
+floats, so this module needs numpy alone. MODES and SearchConfig's field
+defaults are the search surface the command line offers.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             if f >= config.tol:
-                x, f, n = _polish(fun, x, f, config.max_evals, bounds, ftarget=ftarget)
+                x, f, n = _polish(fun, x, f, config.max_evals, bounds, ftarget)
                 evals += n
             if f < best_f:
                 best_x, best_f = x, f
@@ -286,7 +287,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     )
 
 
-def _polish(fun, x, f, max_evals, bounds, ftarget=None):
+def _polish(fun, x, f, max_evals, bounds, ftarget):
     """Re-descend from a candidate until the simplex stops improving it.
 
     A single Nelder-Mead run tends to stall a few digits above the basin
@@ -297,7 +298,7 @@ def _polish(fun, x, f, max_evals, bounds, ftarget=None):
     """
     total = 0
     for _ in range(10):
-        if ftarget is not None and f < ftarget:
+        if f < ftarget:
             break
         x2, f2, n = optimize.minimize(fun, x, max_evals, bounds, ftarget)
         total += n
@@ -305,50 +306,6 @@ def _polish(fun, x, f, max_evals, bounds, ftarget=None):
             break
         x, f = x2, f2
     return x, f, total
-
-
-def no_cloning_scan(cls: ObservableClass, grid_density: int) -> float:
-    """Deterministic defect floor for exact cloning of a class.
-
-    A low-discrepancy Halton set with grid_density**3 points covers the
-    12-angle space (a dense product grid is hopeless in 12 dimensions),
-    then the few best cells are refined by local descent. Clonable
-    classes collapse to numerical zero; for the rest the returned floor
-    is a numerical certificate of failure, not a proof.
-    """
-    if grid_density < 8:
-        raise ValueError("grid_density must be at least 8")
-    fun = _objective(cls, "exact")
-    angles = ((_halton(int(grid_density) ** 3) - 0.5) * (2.0 * np.pi)).tolist()
-    values = np.array([fun(a) for a in angles])
-    best = float(values.min())
-    order = np.argsort(values, kind="stable")[:5]
-    for idx in order:
-        x, f, _ = optimize.minimize(fun, angles[idx], 6000)
-        x, f, _ = _polish(fun, x, f, 6000, None)
-        if f < best:
-            best = f
-    return best
-
-
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _halton(n: int) -> np.ndarray:
-    """First n points of the unscrambled 12-dimensional Halton sequence, starting at 0.
-
-    Column d holds the radical inverse of 0, 1, ..., n - 1 in the d-th prime
-    base, accumulated digit by digit as scipy's unscrambled Halton does.
-    """
-    columns = []
-    for base in _HALTON_BASES:
-        k, s, f = np.arange(n), np.zeros(n), 1.0 / base
-        while k.any():
-            k, r = np.divmod(k, base)
-            s += r * f
-            f /= base
-        columns.append(s)
-    return np.stack(columns, axis=1)
 
 
 def result_to_dict(r: SearchResult) -> dict:

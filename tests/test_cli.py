@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsclone.cli import _fmt, dumps, main
+from obsclone.cli import MAX_SCAN_STEPS, _fmt, build_parser, dumps, main
 from obsclone.machines import machine_from_dict, machine_to_dict, cnot_machine, t_machine
 from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
-from obsclone.search import SearchConfig
+from obsclone.search import MODES, SearchConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,6 +160,13 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert report["max_defect"] < 1e-10
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, tol):
+        code, out, err = run_cli(capsys, "verify", str(tmp_path / "never-read.json"), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tol must be a positive finite real\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
@@ -352,6 +359,24 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", "--state", "2,0,0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--steps", str(10**12)], "--steps"),
+            (["--theta-min=-1e308", "--theta-max=1e308"], "theta"),
+            (["--theta-min=nan"], "theta"),
+            (["--theta-max=inf"], "theta"),
+        ],
+        ids=["huge-steps", "overflowing-span", "nan-min", "inf-max"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oversized_or_non_finite_grids_are_refused_up_front(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
 
 class TestSearch:
     def test_clonable_class_exits_0(self, capsys, tmp_path):
@@ -384,6 +409,11 @@ class TestSearch:
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
+
+    def test_defaults_and_modes_come_from_the_search_module(self):
+        args = build_parser().parse_args(["search", "cls.json"])
+        assert SearchConfig(args.restarts, args.max_evals, args.seed, args.tol) == SearchConfig()
+        assert args.mode == MODES[0]
 
     def test_malformed_class_exits_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -470,6 +500,47 @@ SEARCH_CLASSES = [
     {"kind": "two-param-noncommuting", "generators": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]},
     {"kind": "general", "generators": np.eye(4).tolist()},
 ]
+
+
+# Values at and past the edges of what each option accepts.
+EDGE_REALS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-320, 0.0, np.pi / 2, 0.7, -0.4]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_build_scan_and_compare_keep_the_exit_code_contract(data):
+    """Exit 0 or 2 on any numbers, with no RuntimeWarning; 2 with no output and
+    one error line. A one-param build succeeds on every finite observable with
+    a nonzero Bloch part whose size keeps residuals in the float range."""
+
+    def real():
+        return repr(data.draw(st.sampled_from(EDGE_REALS)))
+
+    def reals(n):
+        return [real() for _ in range(data.draw(st.sampled_from([n, n, n, n - 1, n + 1])))]
+
+    command = data.draw(st.sampled_from(["build", "scan", "compare"]))
+    if command == "build":
+        family = data.draw(st.sampled_from(["one-param", "commuting", "t", "phase-covariant"]))
+        obs = reals(4)
+        argv = ["build", family, f"--obs={','.join(obs)}", f"--b0={real()}", f"--b3={real()}", f"--theta={real()}"]
+    elif command == "scan":
+        steps = data.draw(st.sampled_from([1, 2, 3, 0, -1, MAX_SCAN_STEPS + 1, 10**12]))
+        argv = ["scan", f"--state={','.join(reals(3))}", f"--theta-min={real()}", f"--theta-max={real()}", f"--steps={steps}"]
+    else:
+        argv = ["compare", f"--state={','.join(reals(3))}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+    if argv[1] == "one-param":
+        values = [float(v) for v in obs]
+        valid = len(values) == 4 and all(abs(v) <= 1e300 for v in values) and any(values[1:])
+        assert code == (0 if valid else 2)
 
 
 def run_python(code, *argv):

@@ -105,6 +105,11 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.array([0.8, 0.8, 0.8]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_huge_bloch_before_its_norm_overflows(self):
+        with pytest.raises(ValueError, match="unit ball"):
+            QubitState(np.array([1e308, 1e308, 0.0]))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             QubitState(np.array([0.1, 0.2]))

@@ -266,6 +266,27 @@ def test_commuting_machine_rejects_collapsed_span():
         commuting_machine(a, 0.6, 0.8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b0, b3", [(np.nan, 1.0), (1.0, np.inf), (0.5, -np.inf)])
+def test_commuting_machine_rejects_non_finite_partners(b0, b3):
+    with pytest.raises(ValueError, match="b0 and b3 must be finite"):
+        commuting_machine(S3, b0, b3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-600, 600])
+def test_axis_machines_ignore_a_power_of_two_scale(rng, k):
+    """Huge axes are not bent onto a pole by overflow, tiny ones are not
+    refused as axis-free: the scaled observable gives the same unitary."""
+    for i in range(20):
+        a = random_observable(rng, min_axis=0.01)
+        if i % 5 == 0:
+            a = Observable(a.coeffs * [1, 0, 0, 1])
+        scaled = Observable(np.ldexp(a.coeffs, k))
+        assert np.array_equal(one_param_machine(scaled).unitary, one_param_machine(a).unitary)
+        assert np.array_equal(commuting_machine(scaled, 0.7, -1.2).unitary, commuting_machine(a, 0.7, -1.2).unitary)
+
+
 class TestAxisRotation:
     def test_carries_sigma3_onto_the_bloch_axis(self, rng):
         for _ in range(40):
@@ -352,6 +373,13 @@ class TestTMachine:
     def test_singular_angles_are_rejected(self, theta):
         with pytest.raises(SingularAngleError):
             t_machine(theta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("build", [t_machine, phase_covariant_machine])
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angles_are_rejected(self, build, theta):
+        with pytest.raises(ValueError, match="theta must be a finite real"):
+            build(theta)
 
 
 def test_verify_approximate_needs_gains():

@@ -1,4 +1,4 @@
-"""Tests for the restarted simplex search and the no-cloning floor scan."""
+"""Tests for the restarted simplex search, the package's one no-cloning floor estimator."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy import optimize as scipy_optimize
-from scipy.stats import qmc
 
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary
@@ -19,11 +18,9 @@ from obsclone.search import (
     SearchResult,
     SearchSpacePoint,
     _bounds,
-    _halton,
     _objective,
     cloning_defect,
     machine_from_point,
-    no_cloning_scan,
     result_to_dict,
     search_machine,
 )
@@ -282,11 +279,6 @@ def test_nelder_mead_matches_scipy_when_new_points_tie_old_ones():
         assert_same_descent(fun, x0, maxfev)
 
 
-def test_halton_points_match_scipy():
-    for n in (512, 8000):
-        assert np.array_equal(_halton(n), qmc.Halton(d=12, scramble=False).random(n))
-
-
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_objective_scales_exactly_with_a_power_of_two(rng, k):
     """A class scaled by 2**k scores exactly 2**k times the defect: its rows
@@ -382,16 +374,6 @@ def test_search_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         search_machine(ONE_PARAM, "sideways", SearchConfig())
-
-
-def test_no_cloning_scan_collapses_for_a_clonable_class():
-    cls = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.3, 0.2, -0.4, 0.9])),))
-    assert no_cloning_scan(cls, 8) < 1e-6
-
-
-def test_no_cloning_scan_rejects_sparse_grids():
-    with pytest.raises(ValueError):
-        no_cloning_scan(X_NC, 7)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(100, 600))
