@@ -10,6 +10,8 @@ values; CSV rows use LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -19,12 +21,14 @@ from .jointmeas import (
     REFERENCE_UNIVERSAL_PRODUCT,
     UNIVERSAL_SHRINK,
     uncertainty_product,
+    uncertainty_products,
     uncertainty_to_dict,
     universal_clone_product,
 )
-from .linalg import QubitState
+from .linalg import QubitState, is_unitary
 from .machines import (
-    SingularAngleError,
+    KET0,
+    SIGMA_XY,
     cnot_machine,
     commuting_machine,
     machine_from_dict,
@@ -33,6 +37,7 @@ from .machines import (
     phase_covariant_machine,
     report_to_dict,
     t_machine,
+    t_machines,
     verify_approximate,
     verify_exact,
 )
@@ -40,12 +45,15 @@ from .pauli import Observable
 from .search import MODES, SearchConfig, result_to_dict, search_machine
 
 OBSERVABLE_SHRINK = 1.0 / np.sqrt(2.0)
-# Largest scan grid: its rows are held in memory until the CSV is written.
+# Largest scan grid: its CSV text is held in memory until it is written.
 MAX_SCAN_STEPS = 100_000
+# Scan rows are computed this many at a time, which keeps the kernel's
+# temporaries (about 2 kB a row) small for any grid up to MAX_SCAN_STEPS.
+SCAN_BLOCK = 256
 
 
 def _fmt(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite float")
     return format(float(x), ".17g")
 
@@ -145,24 +153,32 @@ def cmd_scan(args) -> int:
         raise ValueError("--theta-max must not be below --theta-min")
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     lines = ["theta,di1,di2,dm1,dm2,product,bound"]
-    for theta in thetas:
-        try:
-            report = uncertainty_product(t_machine(theta), state)
-        except SingularAngleError:
-            sys.stderr.write(f"warning: skipping singular angle theta={_fmt(theta)}\n")
-            continue
-        row = [
-            theta,
-            report.delta_i1,
-            report.delta_i2,
-            report.delta_m1,
-            report.delta_m2,
-            report.product,
-            report.lower_bound,
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
+    for start in range(0, args.steps, SCAN_BLOCK):
+        block = thetas[start : start + SCAN_BLOCK]
+        u, gains, singular = t_machines(block)
+        # The generator checks the whole block when its first row is drawn, which is
+        # where a row-by-row scan checked its first report, so warnings keep their order.
+        rows = _scan_rows(block[~singular], u[~singular], gains[~singular], state)
+        for theta, skip in zip(block.tolist(), singular.tolist()):
+            if skip:
+                sys.stderr.write(f"warning: skipping singular angle theta={_fmt(theta)}\n")
+            else:
+                lines.append(next(rows))
     _write("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _scan_rows(thetas, u, gains, state):
+    """CSV rows of the t-machines at thetas, after one unitarity check and one report check for them all."""
+    if not is_unitary(u, 1e-12).all():
+        raise ValueError("machine unitary must be unitary to 1e-12")
+    report = uncertainty_products(u, gains, KET0, SIGMA_XY, state)
+    # The intrinsic variances and the bound depend on the state alone.
+    di = f"{_fmt(report.delta_i1)},{_fmt(report.delta_i2)}"
+    bound = _fmt(report.lower_bound)
+    columns = (thetas, report.delta_m1, report.delta_m2, report.product)
+    for theta, dm1, dm2, product in zip(*(c.tolist() for c in columns)):
+        yield f"{_fmt(theta)},{di},{_fmt(dm1)},{_fmt(dm2)},{_fmt(product)},{bound}"
 
 
 def cmd_search(args) -> int:
@@ -249,9 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call; parse_args fills a fresh namespace every time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classes import ClassKind
+from .classes import ClassKind, ObservableClass
 from .linalg import QubitState
 from .machines import CloningMachine, transfer_matrices
 from .pauli import Observable
@@ -28,7 +28,13 @@ REFERENCE_UNIVERSAL_PRODUCT = 4.5
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Intrinsic and measured variances for one joint-measurement run."""
+    """Intrinsic and measured variances for one joint-measurement run.
+
+    A report on a stack of machines (uncertainty_products) holds arrays of
+    one shape, one entry per machine, in the fields that depend on the
+    machine: delta_m1, delta_m2, product and theta. The other four depend
+    on the state alone. The checks hold entry by entry.
+    """
 
     delta_i1: float
     delta_i2: float
@@ -40,20 +46,26 @@ class UncertaintyReport:
     optimal_theta: float
 
     def __post_init__(self):
-        if not np.isfinite([getattr(self, f.name) for f in fields(self)]).all():
+        per_state = np.array([self.delta_i1, self.delta_i2, self.lower_bound, self.optimal_theta])
+        per_machine = np.array([self.delta_m1, self.delta_m2, self.product, self.theta])
+        if not (np.isfinite(per_state).all() and np.isfinite(per_machine).all()):
             raise ValueError("report entries must be finite")
-        if min(self.delta_i1, self.delta_i2) < -1e-12 or max(self.delta_i1, self.delta_i2) > 1.0 + 1e-12:
+        if per_state[:2].min() < -1e-12 or per_state[:2].max() > 1.0 + 1e-12:
             raise ValueError("intrinsic variances of unit Pauli observables lie in [0, 1]")
-        if abs(self.product - self.delta_m1 * self.delta_m2) > 1e-12:
+        dm1, dm2, product, _ = per_machine
+        if (np.abs(product - dm1 * dm2) > 1e-12).any():
             raise ValueError("product must equal delta_m1 * delta_m2")
-        if self.product < self.lower_bound - 1e-10:
+        if (product < self.lower_bound - 1e-10).any():
             raise ValueError("measured product violates the joint-measurement bound")
 
 
-def _variance(x: Observable, r: np.ndarray) -> float:
-    """Tr[rho X^2] - Tr[rho X]^2 at Bloch vector r, from X^2 = (a0^2 + |a|^2) I + 2 a0 a.sigma."""
-    a0 = float(x.coeffs[0])
-    ar = float(x.bloch @ r)
+def _variance(x: Observable, r):
+    """Tr[rho X^2] - Tr[rho X]^2 at Bloch vectors r (last axis), from X^2 = (a0^2 + |a|^2) I + 2 a0 a.sigma.
+
+    a.r is written out term by term, so each row's arithmetic is the same whatever the stack.
+    """
+    a0, a1, a2, a3 = x.coeffs.tolist()
+    ar = a1 * r[..., 0] + a2 * r[..., 1] + a3 * r[..., 2]
     mean = a0 + ar
     second = a0 * a0 + float(x.bloch @ x.bloch) + 2.0 * a0 * ar
     return second - mean * mean
@@ -61,12 +73,12 @@ def _variance(x: Observable, r: np.ndarray) -> float:
 
 def intrinsic_variance(state: QubitState, x: Observable) -> float:
     """Tr[rho X^2] - Tr[rho X]^2 on the bare input state."""
-    return _variance(x, state.bloch)
+    return float(_variance(x, state.bloch))
 
 
-def _estimator_variance(r_branch: np.ndarray, gain: float, state: QubitState, x: Observable) -> float:
-    # The branch's reduced Bloch vector is R[1:, 0] + R[1:, 1:] s.
-    return gain * gain * _variance(x, r_branch[1:, 0] + r_branch[1:, 1:] @ state.bloch)
+def _estimator_variance(r_branch: np.ndarray, gain, state: QubitState, x: Observable):
+    # The branch's reduced Bloch vector is R[1:, 0] + R[1:, 1:] s; r_branch may be a stack (..., 4, 4).
+    return gain * gain * _variance(x, r_branch[..., 1:, 0] + r_branch[..., 1:, 1:] @ state.bloch)
 
 
 def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branch: int) -> float:
@@ -81,12 +93,34 @@ def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branc
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
     r = transfer_matrices(m.unitary, m.probe)[branch - 1]
-    return _estimator_variance(r, m.gains[branch - 1], state, x)
+    return float(_estimator_variance(r, m.gains[branch - 1], state, x))
 
 
 def _check_unit_traceless(x: Observable) -> None:
     if abs(x.coeffs[0]) > 1e-12 or abs(np.linalg.norm(x.bloch) - 1.0) > 1e-12:
         raise ValueError("generators must be unit-norm traceless observables")
+
+
+def uncertainty_products(
+    unitaries: np.ndarray, gains: np.ndarray, probe: QubitState, cls: ObservableClass, state: QubitState
+) -> UncertaintyReport:
+    """Joint-measurement noise reports of a stack of machines that share probe and class.
+
+    unitaries (..., 4, 4) must be unitary (they are not checked) and gains
+    has shape (..., 2). The variances, the product and theta are arrays over
+    the stack; the intrinsic variances, the bound and the balancing angle
+    depend on the state alone. Each entry equals uncertainty_product on that
+    machine bit for bit.
+    """
+    if cls.kind is not ClassKind.TWO_PARAM_NONCOMMUTING:
+        raise ValueError("uncertainty products need a two-param-noncommuting class")
+    g1, g2 = cls.generators
+    _check_unit_traceless(g1)
+    _check_unit_traceless(g2)
+    r = transfer_matrices(unitaries, probe)
+    dm1 = _estimator_variance(r[..., 0, :, :], gains[..., 0], state, g1)
+    dm2 = _estimator_variance(r[..., 1, :, :], gains[..., 1], state, g2)
+    return _report(intrinsic_variance(state, g1), intrinsic_variance(state, g2), dm1, dm2, gains[..., 0], gains[..., 1])
 
 
 def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyReport:
@@ -95,23 +129,14 @@ def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyRepo
     Generator 1 is measured on branch 1, generator 2 on branch 2. The
     lower bound (sqrt(di1*di2) + 1)^2 is attained when tan(theta)^4
     equals di1/di2, so the report also carries the balancing angle.
+    This is uncertainty_products on a stack of one machine.
     """
     if m.gains is None:
         raise ValueError("uncertainty products are defined for machines with gains")
-    if m.observables.kind is not ClassKind.TWO_PARAM_NONCOMMUTING:
-        raise ValueError("uncertainty products need a two-param-noncommuting class")
-    g1, g2 = m.observables.generators
-    _check_unit_traceless(g1)
-    _check_unit_traceless(g2)
-    di1 = intrinsic_variance(state, g1)
-    di2 = intrinsic_variance(state, g2)
-    r = transfer_matrices(m.unitary, m.probe)
-    dm1 = _estimator_variance(r[0], m.gains[0], state, g1)
-    dm2 = _estimator_variance(r[1], m.gains[1], state, g2)
-    return _report(di1, di2, dm1, dm2, m.gains)
+    return uncertainty_products(m.unitary, np.array(m.gains), m.probe, m.observables, state)
 
 
-def _report(di1, di2, dm1, dm2, gains) -> UncertaintyReport:
+def _report(di1, di2, dm1, dm2, g1, g2) -> UncertaintyReport:
     """Report with the bound (sqrt(di1*di2) + 1)^2 and the balancing angle tan(theta)^4 = di1/di2."""
     di1c, di2c = max(di1, 0.0), max(di2, 0.0)
     with np.errstate(divide="ignore"):
@@ -123,7 +148,7 @@ def _report(di1, di2, dm1, dm2, gains) -> UncertaintyReport:
         delta_m2=dm2,
         product=dm1 * dm2,
         lower_bound=float((np.sqrt(di1c * di2c) + 1.0) ** 2),
-        theta=float(np.arctan2(gains[0], gains[1])),
+        theta=np.arctan2(g1, g2),
         optimal_theta=float(np.arctan(ratio**0.25)),
     )
 
@@ -147,7 +172,7 @@ def universal_clone_product(state: QubitState) -> UncertaintyReport:
     di2 = 1.0 - s[1] ** 2
     dm1 = g * g - s[0] ** 2
     dm2 = g * g - s[1] ** 2
-    return _report(di1, di2, dm1, dm2, (g, g))
+    return _report(di1, di2, dm1, dm2, g, g)
 
 
 def uncertainty_to_dict(r: UncertaintyReport) -> dict:

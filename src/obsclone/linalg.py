@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,8 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def frob(m: np.ndarray) -> float:
@@ -44,11 +46,16 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = as_matrix(m)
+def is_unitary(m, tol: float = UNITARY_TOL):
+    """Whether ||m† m - I||_F < tol; a stack (..., d, d) gets one verdict per matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     # Huge entries overflow the product; the non-finite norm compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        return frob(dagger(m) @ m - np.eye(m.shape[0])) < tol
+        return np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) < tol
 
 
 def tensor(a, b) -> np.ndarray:
@@ -79,10 +86,13 @@ class QubitState:
         """The |0><0| state, Bloch vector (0, 0, 1)."""
         return cls(np.array([0.0, 0.0, 1.0]))
 
-    @property
+    @cached_property
     def density(self) -> np.ndarray:
+        """(I + s.sigma)/2, built on first access and read-only."""
         b = self.bloch
-        return 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3)
+        rho = 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3)
+        rho.setflags(write=False)
+        return rho
 
 
 def pauli_rotation(v) -> np.ndarray:

@@ -59,9 +59,13 @@ _FLIP_ON_PROBE = tensor(SIGMA0, PAULI_FLIP)
 # M[b, j]: sigma_j read on output branch b + 1 (sigma_j (x) I, then I (x) sigma_j).
 _BRANCH_OPS = np.array([[tensor(s, SIGMA0) for s in PAULIS], [tensor(SIGMA0, s) for s in PAULIS]])
 _PAULI_STACK = np.array(PAULIS)
+# The eight M side by side, columns ordered (b, j, column of M): U† times this is
+# every U† M at once, in one product of a 4 x 4 by a 4 x 32 matrix.
+_BRANCH_ROW = _BRANCH_OPS.transpose(2, 0, 1, 3).reshape(4, 32)
 
-_KET0 = QubitState.ket0()
-_SIGMA_XY = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2])))
+# Probe |0> of the built-in machines, and the {sigma1, sigma2} class of the t and phase-covariant machines.
+KET0 = QubitState.ket0()
+SIGMA_XY = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2])))
 
 SINGULAR_ANGLE_TOL = 1e-6
 
@@ -147,9 +151,14 @@ def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
 
     R[b, j, k] = tr[(sigma_k (x) rho_probe) U† M U] / 2 with M = sigma_j (x) I on branch 1
     (b = 0) and I (x) sigma_j on branch 2, so the lift of X on branch b + 1 is X.coeffs @ R[b].
+    A stack of unitaries (..., 4, 4) gives R of shape (..., 2, 4, 4). Every matrix goes
+    through the same products and sums whatever the stack, so stacked and single
+    calls agree bit for bit.
     """
-    k = (u.conj().T @ _BRANCH_OPS @ u).reshape(2, 4, 2, 2, 2, 2)
-    return 0.5 * np.einsum("kxy,pq,bjyqxp->bjk", _PAULI_STACK, probe.density, k).real
+    batch = u.shape[:-2]
+    left = np.swapaxes((dagger(u) @ _BRANCH_ROW).reshape(batch + (4, 8, 4)), -3, -2)
+    k = (left.reshape(batch + (32, 4)) @ u).reshape(batch + (2, 4, 2, 2, 2, 2))
+    return 0.5 * np.einsum("kxy,pq,...bjyqxp->...bjk", _PAULI_STACK, probe.density, k).real
 
 
 def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observable:
@@ -220,7 +229,7 @@ def verify_approximate(m: CloningMachine, tol: float = 1e-10) -> VerificationRep
 def cnot_machine() -> CloningMachine:
     """Exact cloner for the sigma3 line: C-NOT with probe |0><0|."""
     cls = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 0.0, 0.0, 1.0])),))
-    return CloningMachine(CNOT, _KET0, cls)
+    return CloningMachine(CNOT, KET0, cls)
 
 
 def _scaled_bloch(a: Observable) -> np.ndarray:
@@ -268,7 +277,7 @@ def one_param_machine(a: Observable) -> CloningMachine:
     """
     w = axis_rotation(a)
     cls = ObservableClass(ClassKind.ONE_PARAM, (a,))
-    return CloningMachine(_dressed_cnot(w), _KET0, cls)
+    return CloningMachine(_dressed_cnot(w), KET0, cls)
 
 
 def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
@@ -287,29 +296,56 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     axis = b / np.linalg.norm(b)
     partner = Observable(np.array([float(b0), b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
     cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
-    return CloningMachine(_dressed_cnot(w), _KET0, cls)
+    return CloningMachine(_dressed_cnot(w), KET0, cls)
 
 
-def entangling_kernel(t1: float, t2: float, t3: float) -> np.ndarray:
-    """exp[(i/2)(t1 s1(x)s1 + t2 s2(x)s2 + t3 s3(x)s3)].
+def entangling_kernel(t1, t2, t3) -> np.ndarray:
+    """exp[(i/2)(t1 s1(x)s1 + t2 s2(x)s2 + t3 s3(x)s3)], over the broadcast shape of the angles.
 
     The three generators commute and square to the identity, so the
     exponential is the product of cos(t/2) I + i sin(t/2) G over them.
+    Arrays of angles give a stack (..., 4, 4) whose matrices equal the
+    single-angle ones bit for bit.
     """
     out = _EYE4
     for t, g in zip((t1, t2, t3), _COUPLINGS):
-        out = out @ (np.cos(0.5 * t) * _EYE4 + 1j * np.sin(0.5 * t) * g)
+        half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
+        out = out @ (np.cos(half) * _EYE4 + 1j * np.sin(half) * g)
     return out
 
 
-def _gain_angles(theta: float) -> tuple[float, float]:
+def _gain_angles(thetas):
+    """cos and sin of each angle, and the mask of singular angles where a gain 1/cos or 1/sin is unbounded."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return c, s, np.minimum(np.abs(c), np.abs(s)) <= SINGULAR_ANGLE_TOL
+
+
+def _finite_angle(theta) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite real, got {theta}")
-    c, s = np.cos(theta), np.sin(theta)
-    if min(abs(c), abs(s)) <= SINGULAR_ANGLE_TOL:
+    return theta
+
+
+def _refuse_singular(theta: float, singular) -> None:
+    if singular:
         raise SingularAngleError(f"singular angle theta={theta}: a gain becomes unbounded")
-    return c, s
+
+
+def t_machines(thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unitaries (..., 4, 4) and gains (..., 2) of t_machine over an array of finite angles; unvalidated.
+
+    The third array masks the singular angles; their rows are not machines,
+    and their gains may be huge or infinite. Every other row equals
+    t_machine(theta)'s unitary and gains bit for bit. The machines share
+    the probe KET0 and the class SIGMA_XY.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    c, s, singular = _gain_angles(thetas)
+    u = _FLIP_ON_PROBE @ entangling_kernel(thetas, -thetas, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        gains = 1.0 / np.stack([c, s], axis=-1)
+    return u, gains, singular
 
 
 def t_machine(theta: float) -> CloningMachine:
@@ -318,11 +354,13 @@ def t_machine(theta: float) -> CloningMachine:
     An entangling kernel exp[i theta/2 (s1 s1 - s2 s2)] followed by the
     sigma1/sigma2 exchange on the probe branch. Branch 1 returns sigma1
     and sigma2 shrunk by cos(theta); branch 2 by sin(theta); the gains
-    (1/cos, 1/sin) undo the shrink in the mean.
+    (1/cos, 1/sin) undo the shrink in the mean. This is t_machines on a
+    single angle.
     """
-    c, s = _gain_angles(theta)
-    u = _FLIP_ON_PROBE @ entangling_kernel(theta, -theta, 0.0)
-    return CloningMachine(u, _KET0, _SIGMA_XY, (1.0 / c, 1.0 / s))
+    theta = _finite_angle(theta)
+    u, gains, singular = t_machines(theta)
+    _refuse_singular(theta, singular)
+    return CloningMachine(u, KET0, SIGMA_XY, tuple(gains.tolist()))
 
 
 def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> float:
@@ -336,7 +374,7 @@ def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> floa
     """
     u = _FLIP_ON_PROBE @ entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3)
     sigma12 = np.eye(4)[1:3]
-    return float(_copying_defects(u, _KET0, sigma12, (float(g1), float(g2))).sum())
+    return float(_copying_defects(u, KET0, sigma12, (float(g1), float(g2))).sum())
 
 
 def covariant_transport(m: CloningMachine, w) -> CloningMachine:
@@ -362,7 +400,9 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
     and leaves |00> and |11> alone, so equatorial means are shared
     between the branches with the same (1/cos, 1/sin) gains as t_machine.
     """
-    c, s = _gain_angles(theta)
+    theta = _finite_angle(theta)
+    c, s, singular = _gain_angles(theta)
+    _refuse_singular(theta, singular)
     u = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
@@ -372,7 +412,7 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
         ],
         dtype=complex,
     )
-    return CloningMachine(u, _KET0, _SIGMA_XY, (1.0 / c, 1.0 / s))
+    return CloningMachine(u, KET0, SIGMA_XY, (1.0 / c, 1.0 / s))
 
 
 def machine_to_dict(m: CloningMachine) -> dict:

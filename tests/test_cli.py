@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from obsclone.cli import MAX_SCAN_STEPS, _fmt, build_parser, dumps, main
-from obsclone.machines import machine_from_dict, machine_to_dict, cnot_machine, t_machine
+from obsclone.cli import MAX_SCAN_STEPS, SCAN_BLOCK, _fmt, build_parser, dumps, main
+from obsclone.jointmeas import uncertainty_product
+from obsclone.linalg import QubitState
+from obsclone.machines import SingularAngleError, machine_from_dict, machine_to_dict, cnot_machine, t_machine
 from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
 from obsclone.search import MODES, SearchConfig
@@ -34,10 +36,10 @@ class TestFloatFormatting:
         assert float(_fmt(x)) == x
 
     def test_fmt_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            _fmt(np.nan)
-        with pytest.raises(ValueError):
-            _fmt(np.inf)
+        for kind in (float, np.float64, np.float32):
+            for x in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    _fmt(kind(x))
 
     def test_dumps_basic_values(self):
         assert dumps(None) == "null"
@@ -376,6 +378,93 @@ class TestScan:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+
+
+def _scan_reference(state, lo, hi, steps):
+    """Expected CSV and warnings of a scan, one uncertainty_product(t_machine(theta)) per row."""
+    lines, warnings = ["theta,di1,di2,dm1,dm2,product,bound"], []
+    for theta in np.linspace(lo, hi, steps):
+        try:
+            r = uncertainty_product(t_machine(theta), QubitState(np.array(state)))
+        except SingularAngleError:
+            warnings.append(f"warning: skipping singular angle theta={format(theta, '.17g')}\n")
+            continue
+        row = (theta, r.delta_i1, r.delta_i2, r.delta_m1, r.delta_m2, r.product, r.lower_bound)
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n", "".join(warnings)
+
+
+ANGLES = [0.0, np.pi / 2, -np.pi / 2, np.pi, 1e-7, 0.1]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_scan_rows_equal_the_single_machine_reports(data):
+    """Every CSV row equals uncertainty_product(t_machine(theta), state) at 17
+    digits, and the warnings name the skipped singular rows in order, also on
+    grids with singular endpoints and step counts across a block boundary."""
+    state = data.draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    assume(np.linalg.norm(state) <= 1.0)
+    bound = st.one_of(st.sampled_from(ANGLES), st.floats(-4.0, 4.0))
+    lo, hi = sorted((data.draw(bound), data.draw(bound)))
+    steps = data.draw(
+        st.one_of(st.integers(1, 9), st.integers(SCAN_BLOCK - 2, SCAN_BLOCK + 2), st.integers(2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK + 1))
+    )
+    argv = ["scan", f"--state={','.join(map(repr, state))}", f"--theta-min={lo!r}", f"--theta-max={hi!r}", f"--steps={steps}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert (out.getvalue(), err.getvalue()) == _scan_reference(state, lo, hi, steps)
+
+
+def test_scan_warnings_keep_grid_order_across_blocks(capsys):
+    """A grid through 0, pi/2 and pi in its first, second and third block warns in grid order."""
+    steps = 2 * SCAN_BLOCK + 1
+    code, out, err = run_cli(capsys, "scan", "--theta-min", "0", "--theta-max", repr(np.pi), "--steps", str(steps))
+    assert code == 0
+    assert (out, err) == _scan_reference((0.0, 0.0, 1.0), 0.0, np.pi, steps)
+    assert err.count("warning:") == 3
+
+
+def _fresh_parser_run(argv):
+    """Output and exit code of argv parsed by a parser built for this call alone."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+    return code, out.getvalue()
+
+
+def test_one_parser_serves_every_call_without_carrying_options_over(tmp_path):
+    """Alternating commands with and without --out through main give the outputs
+    of a parser built afresh for each command."""
+    cls = tmp_path / "xnc.json"
+    cls.write_text(json.dumps({"kind": "two-param-noncommuting", "generators": [[0, 1, 0, 0], [0, 0, 1, 0]]}))
+    machine = tmp_path / "m.json"
+    commands = [
+        ["build", "t", "--theta=0.7", "--out", str(machine)],
+        ["verify", str(machine)],
+        ["build", "commuting", "--obs=0.1,0.2,-0.3,0.4", "--b0=0.5"],
+        ["scan", "--state=0.2,-0.1,0.3", "--steps=5", "--out", str(tmp_path / "scan.csv")],
+        ["scan"],
+        ["verify", str(machine), "--tol=1e-3", "--out", str(tmp_path / "v.json")],
+        ["search", str(cls), "--restarts=1", "--max-evals=200", "--seed=4", "--out", str(tmp_path / "s.json")],
+        ["search", str(cls), "--restarts=2", "--max-evals=100"],
+        ["compare", "--state=0.1,0.5,0.2", "--out", str(tmp_path / "c.json")],
+        ["compare"],
+        ["build", "t"],
+        ["build", "phase-covariant", "--out", str(tmp_path / "p.json")],
+    ]
+    for argv in commands:
+        target = Path(argv[-1]) if "--out" in argv else None
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        got = (code, out.getvalue(), target.read_text() if target else None)
+        if target:
+            target.unlink()
+        want = _fresh_parser_run(argv)
+        assert got == (*want, target.read_text() if target else None), argv
 
 
 class TestSearch:

@@ -11,18 +11,18 @@ from obsclone.jointmeas import (
     intrinsic_variance,
     measured_variance,
     uncertainty_product,
+    uncertainty_products,
     uncertainty_to_dict,
     universal_clone_product,
     universal_clone_state,
 )
 from obsclone.linalg import QubitState, SIGMA0, tensor
-from obsclone.machines import t_machine
+from obsclone.machines import KET0, SIGMA_XY, CloningMachine, covariant_transport, t_machine, t_machines
 from obsclone.pauli import Observable
 from support import dense_output, ptrace_loop, random_observable, random_state, random_unitary
 
 S1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
 S2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
-KET0 = QubitState.ket0()
 
 
 def test_intrinsic_variance_known_values():
@@ -176,6 +176,50 @@ def test_uncertainty_report_validation():
         UncertaintyReport(1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 0.7, 0.7)
     with pytest.raises(ValueError):
         UncertaintyReport(3.0, 1.0, 2.0, 2.0, 4.0, 4.0, 0.7, 0.7)
+
+
+def test_batch_report_checks_run_entry_by_entry():
+    ok = np.array([2.0, 2.0, 2.0])
+    UncertaintyReport(1.0, 1.0, ok, ok, ok * ok, 4.0, ok, 0.7)
+    with pytest.raises(ValueError, match="finite"):
+        UncertaintyReport(1.0, 1.0, ok, np.array([2.0, np.inf, 2.0]), ok * ok, 4.0, ok, 0.7)
+    with pytest.raises(ValueError, match="finite"):
+        UncertaintyReport(1.0, 1.0, ok, ok, ok * ok, 4.0, np.array([0.7, 0.7, np.nan]), 0.7)
+    with pytest.raises(ValueError, match="delta_m1"):
+        UncertaintyReport(1.0, 1.0, ok, ok, np.array([4.0, 4.5, 4.0]), 4.0, ok, 0.7)
+    with pytest.raises(ValueError, match="bound"):
+        low = np.array([2.0, 1.0, 2.0])
+        UncertaintyReport(1.0, 1.0, ok, low, ok * low, 4.0, ok, 0.7)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        UncertaintyReport(1.0, -1e-11, ok, ok, ok * ok, 4.0, ok, 0.7)
+
+
+def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
+    """uncertainty_products on a stack gives each machine's uncertainty_product
+    exactly, for t-machines and for Haar unitaries on a rotated class with a mixed probe."""
+    thetas = rng.uniform(0.05, 1.5, 9)
+    u, gains, _ = t_machines(thetas)
+    state = random_state(rng)
+    stacked = uncertainty_products(u, gains, KET0, SIGMA_XY, state)
+    for i, theta in enumerate(thetas):
+        one = uncertainty_product(t_machine(theta), state)
+        for name, value in uncertainty_to_dict(one).items():
+            assert np.broadcast_to(getattr(stacked, name), thetas.shape)[i] == value, name
+
+    w = random_unitary(rng, 2)
+    cls = covariant_transport(t_machine(0.4), w).observables
+    probe = random_state(rng, radius=0.8)
+    us = np.array([random_unitary(rng, 4) for _ in range(6)])
+    gains = rng.uniform(1.2, 3.0, (6, 2))
+    stacked = uncertainty_products(us, gains, probe, cls, state)
+    for i in range(6):
+        one = uncertainty_product(CloningMachine(us[i], probe, cls, tuple(gains[i])), state)
+        assert (stacked.delta_m1[i], stacked.delta_m2[i], stacked.product[i], stacked.theta[i]) == (
+            one.delta_m1, one.delta_m2, one.product, one.theta
+        )
+        assert (stacked.delta_i1, stacked.lower_bound, stacked.optimal_theta) == (
+            one.delta_i1, one.lower_bound, one.optimal_theta
+        )
 
 
 def _universal_pair_oracle(rho):

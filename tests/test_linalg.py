@@ -70,6 +70,16 @@ def test_is_unitary(rng):
     assert not is_unitary(u + 1e-6)
 
 
+def test_is_unitary_gives_one_verdict_per_stacked_matrix(rng):
+    us = np.array([random_unitary(rng, 4) for _ in range(6)])
+    us[2] += 1e-6
+    assert is_unitary(us).tolist() == [True, True, False, True, True, True]
+    assert is_unitary(us.reshape(2, 3, 4, 4)).shape == (2, 3)
+    for bad in (np.zeros((2, 3, 4)), np.zeros(4), np.full((2, 4, 4), np.nan)):
+        with pytest.raises(ValueError):
+            is_unitary(bad)
+
+
 def test_dagger_is_conjugate_transpose(rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.array_equal(dagger(m), m.conj().T)
@@ -95,6 +105,16 @@ class TestQubitState:
         s = random_state(rng)
         back = [np.trace(s.density @ p).real for p in (SIGMA1, SIGMA2, SIGMA3)]
         assert np.allclose(back, s.bloch, atol=1e-14)
+
+    def test_density_is_built_once_and_read_only(self, rng):
+        s = random_state(rng)
+        rho = s.density
+        assert s.density is rho
+        assert not rho.flags.writeable
+        with pytest.raises(ValueError):
+            rho[0, 0] = 1.0
+        b = s.bloch
+        assert np.array_equal(rho, 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3))
 
     def test_density_has_unit_trace_and_is_hermitian(self, rng):
         rho = random_state(rng).density

@@ -35,6 +35,7 @@ from obsclone.machines import (
     phase_covariant_machine,
     report_to_dict,
     t_machine,
+    t_machines,
     transfer_matrices,
     verify_approximate,
     verify_exact,
@@ -88,6 +89,64 @@ def test_transfer_matrices_match_an_independent_oracle(rng):
                 lift = ptrace_loop(np.kron(eye, probe.density) @ k, keep=1)
                 expected[b, j] = [0.5 * np.trace(sk @ lift).real for sk in PAULIS]
         assert np.allclose(transfer_matrices(u, probe), expected, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_transfer_matrices_equal_single_calls_bit_for_bit(rng):
+    """A stack of Haar unitaries with a mixed probe gives, matrix by matrix, the
+    bits of one call per unitary, and both agree with the loop partial trace."""
+    eye = np.eye(2)
+    for n in (1, 2, 7, 33):
+        us = np.array([random_unitary(rng, 4) for _ in range(n)])
+        probe = random_state(rng, radius=0.9)
+        stacked = transfer_matrices(us, probe)
+        assert stacked.shape == (n, 2, 4, 4)
+        for u, r in zip(us, stacked):
+            assert np.array_equal(r, transfer_matrices(u, probe))
+        u = us[-1]
+        for b in range(2):
+            for j, sj in enumerate(PAULIS):
+                m = np.kron(sj, eye) if b == 0 else np.kron(eye, sj)
+                lift = ptrace_loop(np.kron(eye, probe.density) @ u.conj().T @ m @ u, keep=1)
+                want = [0.5 * np.trace(sk @ lift).real for sk in PAULIS]
+                assert np.allclose(stacked[-1, b, j], want, rtol=0.0, atol=1e-12)
+    grid = np.array([random_unitary(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    probe = random_state(rng)
+    assert np.array_equal(transfer_matrices(grid, probe).reshape(6, 2, 4, 4), transfer_matrices(grid.reshape(6, 4, 4), probe))
+
+
+def _reference_t_unitary(theta):
+    """t_machine's unitary as the scalar product of the three kernel factors, one angle at a time."""
+    couplings = (tensor(SIGMA1, SIGMA1), tensor(SIGMA2, SIGMA2), tensor(SIGMA3, SIGMA3))
+    out = np.eye(4, dtype=complex)
+    for t, g in zip((theta, -theta, 0.0), couplings):
+        out = out @ (np.cos(0.5 * t) * np.eye(4, dtype=complex) + 1j * np.sin(0.5 * t) * g)
+    return tensor(SIGMA0, PAULI_FLIP) @ out
+
+
+def test_t_machines_rows_are_t_machine_bit_for_bit(rng):
+    thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40), [0.0, np.pi / 2, -np.pi, 1e-7, 0.3]])
+    u, gains, singular = t_machines(thetas)
+    assert u.shape == (45, 4, 4) and gains.shape == (45, 2) and singular.shape == (45,)
+    assert singular.tolist()[-5:] == [True, True, True, True, False]
+    for theta, ui, gi, skip in zip(thetas, u, gains, singular):
+        if skip:
+            with pytest.raises(SingularAngleError):
+                t_machine(theta)
+            continue
+        m = t_machine(theta)
+        assert m.unitary.tobytes() == ui.tobytes() == _reference_t_unitary(float(theta)).tobytes()
+        assert m.gains == tuple(gi.tolist()) == (1.0 / np.cos(theta), 1.0 / np.sin(theta))
+
+
+def test_entangling_kernel_broadcasts_bit_for_bit(rng):
+    t = rng.uniform(-6.0, 6.0, (5, 3))
+    stacked = entangling_kernel(t[:, 0], t[:, 1], 0.25)
+    assert stacked.shape == (5, 4, 4)
+    for row, k in zip(t, stacked):
+        assert np.array_equal(k, entangling_kernel(float(row[0]), float(row[1]), 0.25))
+    grid = entangling_kernel(t[:, :1], t[None, :, 1], t[:, 2:])
+    assert grid.shape == (5, 5, 4, 4)
+    assert np.array_equal(grid[1, 3], entangling_kernel(float(t[1, 0]), float(t[3, 1]), float(t[1, 2])))
 
 
 class TestHeisenbergLift:
