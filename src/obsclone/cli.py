@@ -25,7 +25,7 @@ from .jointmeas import (
     uncertainty_to_dict,
     universal_clone_product,
 )
-from .linalg import QubitState, is_unitary
+from .linalg import UNITARY_TOL, QubitState, is_unitary
 from .machines import (
     KET0,
     SIGMA_XY,
@@ -170,8 +170,8 @@ def cmd_scan(args) -> int:
 
 def _scan_rows(thetas, u, gains, state):
     """CSV rows of the t-machines at thetas, after one unitarity check and one report check for them all."""
-    if not is_unitary(u, 1e-12).all():
-        raise ValueError("machine unitary must be unitary to 1e-12")
+    if not is_unitary(u).all():
+        raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
     report = uncertainty_products(u, gains, KET0, SIGMA_XY, state)
     # The intrinsic variances and the bound depend on the state alone.
     di = f"{_fmt(report.delta_i1)},{_fmt(report.delta_i2)}"

@@ -41,11 +41,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
-
-
 def is_unitary(m, tol: float = UNITARY_TOL):
     """Whether ||m† m - I||_F < tol; a stack (..., d, d) gets one verdict per matrix."""
     m = np.asarray(m, dtype=complex)

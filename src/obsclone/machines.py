@@ -23,6 +23,7 @@ from .linalg import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    UNITARY_TOL,
     QubitState,
     as_matrix,
     dagger,
@@ -33,7 +34,7 @@ from .linalg import (
     reals_from_json,
     tensor,
 )
-from .pauli import Observable, conjugate
+from .pauli import Observable
 
 # Controlled-NOT with the signal (left factor) as control. Acting on
 # |psi> (x) |0> it copies the sigma3 statistics of the signal onto the probe.
@@ -90,8 +91,8 @@ class CloningMachine:
 
     def __post_init__(self):
         u = as_matrix(self.unitary, 4).copy()
-        if not is_unitary(u, 1e-12):
-            raise ValueError("machine unitary must be unitary to 1e-12")
+        if not is_unitary(u):
+            raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
         if not isinstance(self.probe, QubitState):
@@ -169,7 +170,7 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
     branch 2. The machine clones X on that branch exactly when L = X.
     """
     u = as_matrix(u, 4)
-    if not is_unitary(u, 1e-12):
+    if not is_unitary(u):
         raise ValueError("u must be unitary")
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
@@ -265,8 +266,9 @@ def axis_rotation(a: Observable) -> np.ndarray:
     return pauli_rotation(phi * axis)
 
 
-def _dressed_cnot(w: np.ndarray) -> np.ndarray:
-    return tensor(dagger(w), dagger(w)) @ CNOT @ tensor(w, SIGMA0)
+def _transport(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(W† (x) W†) U (W (x) I): the interaction U carried into the frame of W."""
+    return tensor(dagger(w), dagger(w)) @ u @ tensor(w, SIGMA0)
 
 
 def one_param_machine(a: Observable) -> CloningMachine:
@@ -277,7 +279,7 @@ def one_param_machine(a: Observable) -> CloningMachine:
     """
     w = axis_rotation(a)
     cls = ObservableClass(ClassKind.ONE_PARAM, (a,))
-    return CloningMachine(_dressed_cnot(w), KET0, cls)
+    return CloningMachine(_transport(CNOT, w), KET0, cls)
 
 
 def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
@@ -296,7 +298,7 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     axis = b / np.linalg.norm(b)
     partner = Observable(np.array([float(b0), b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
     cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
-    return CloningMachine(_dressed_cnot(w), KET0, cls)
+    return CloningMachine(_transport(CNOT, w), KET0, cls)
 
 
 def entangling_kernel(t1, t2, t3) -> np.ndarray:
@@ -382,15 +384,16 @@ def covariant_transport(m: CloningMachine, w) -> CloningMachine:
 
     V = (W† (x) W†) U (W (x) I) clones the conjugated class W† X W with
     the same probe, gains, and per-condition residual norms as the
-    original machine.
+    original machine. Branch 1 of W (x) I lifts X to W† X W whatever the
+    probe, so one transfer-matrix call conjugates the whole class.
     """
     w = as_matrix(w, 2)
-    if not is_unitary(w, 1e-12):
-        raise ValueError("transport unitary must be unitary to 1e-12")
-    v = tensor(dagger(w), dagger(w)) @ m.unitary @ tensor(w, SIGMA0)
-    gens = tuple(conjugate(g, w) for g in m.observables.generators)
+    if not is_unitary(w):
+        raise ValueError(f"transport unitary must be unitary to {UNITARY_TOL:g}")
+    frame = transfer_matrices(tensor(w, SIGMA0), KET0)[0]
+    gens = tuple(Observable(g.coeffs @ frame) for g in m.observables.generators)
     cls = ObservableClass(m.observables.kind, gens)
-    return CloningMachine(v, m.probe, cls, m.gains)
+    return CloningMachine(_transport(m.unitary, w), m.probe, cls, m.gains)
 
 
 def phase_covariant_machine(theta: float) -> CloningMachine:

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, as_matrix, dagger, frob, is_unitary, reals_from_json
+from .linalg import PAULIS, reals_from_json
+
+# Largest |a x b| of the Bloch parts at which two observables count as commuting.
+COMMUTE_TOL = 1e-10
 
 
 class DegenerateSpectrumError(ValueError):
@@ -50,25 +53,9 @@ class Observable:
         return a0 - r, a0 + r
 
 
-def decompose(m) -> Observable:
-    """Pauli coefficients a_k = Tr[m sigma_k] / 2 of a Hermitian matrix."""
-    m = as_matrix(m, 2)
-    if frob(m - dagger(m)) > 1e-10:
-        raise ValueError("only Hermitian matrices decompose into real Pauli coefficients")
-    return Observable(np.array([0.5 * np.trace(m @ s).real for s in PAULIS]))
-
-
-def commutes(a: Observable, b: Observable, tol: float = 1e-10) -> bool:
+def commutes(a: Observable, b: Observable) -> bool:
     """True when [A, B] = 0, i.e. the Bloch parts are parallel."""
-    return float(np.linalg.norm(np.cross(a.bloch, b.bloch))) < tol
-
-
-def conjugate(x: Observable, w) -> Observable:
-    """Observable W† X W for a single-qubit unitary W."""
-    w = as_matrix(w, 2)
-    if not is_unitary(w):
-        raise ValueError("w must be unitary")
-    return decompose(dagger(w) @ x.matrix @ w)
+    return float(np.linalg.norm(np.cross(a.bloch, b.bloch))) < COMMUTE_TOL
 
 
 @dataclass(frozen=True)

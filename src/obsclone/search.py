@@ -27,8 +27,9 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, QubitState, pauli_rotation, tensor
+from .linalg import SIGMA0, pauli_rotation, reals_from_json, tensor
 from .machines import (
+    KET0,
     OVERFLOW_MESSAGE,
     CloningMachine,
     entangling_kernel,
@@ -38,6 +39,8 @@ from .machines import (
 )
 
 MODES = ("exact", "approximate")
+# The four rotation-angle triples of a search point, in coordinate order.
+_ANGLE_BLOCKS = ("local_pre", "entangling", "local_post_1", "local_post_2")
 GAIN_BOUNDS = (1.0, 100.0)
 
 # Defect floor for the {sigma1, sigma2} noncommuting pair: the best exact
@@ -57,7 +60,7 @@ class SearchSpacePoint:
     gains: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for name in ("local_pre", "entangling", "local_post_1", "local_post_2"):
+        for name in _ANGLE_BLOCKS:
             vals = tuple(float(v) for v in getattr(self, name))
             if len(vals) != 3 or not all(np.isfinite(vals)):
                 raise ValueError(f"{name} must be three finite angles")
@@ -98,17 +101,15 @@ class SearchSpacePoint:
 
     @classmethod
     def from_dict(cls, data) -> "SearchSpacePoint":
-        try:
-            gains = data.get("gains")
-            return cls(
-                tuple(data["local_pre"]),
-                tuple(data["entangling"]),
-                tuple(data["local_post_1"]),
-                tuple(data["local_post_2"]),
-                None if gains is None else tuple(gains),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed search point: {exc}") from exc
+        """Inverse of to_dict; a malformed entry raises ValueError naming its field."""
+        if not isinstance(data, dict):
+            raise ValueError("malformed search point: expected a JSON object")
+        missing = [name for name in _ANGLE_BLOCKS if name not in data]
+        if missing:
+            raise ValueError(f"malformed search point: missing {', '.join(missing)}")
+        angles = (reals_from_json(data[name], name, 3) for name in _ANGLE_BLOCKS)
+        gains = data.get("gains")
+        return cls(*angles, None if gains is None else reals_from_json(gains, "gains", 2))
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class SearchResult:
 
 def machine_from_point(p: SearchSpacePoint, cls: ObservableClass) -> CloningMachine:
     """Assemble the candidate machine a point encodes (probe fixed at |0><0|)."""
-    return CloningMachine(p.unitary(), QubitState.ket0(), cls, p.gains)
+    return CloningMachine(p.unitary(), KET0, cls, p.gains)
 
 
 def cloning_defect(p: SearchSpacePoint, cls: ObservableClass, mode: str) -> float:

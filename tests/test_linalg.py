@@ -12,7 +12,6 @@ from obsclone.linalg import (
     QubitState,
     as_matrix,
     dagger,
-    frob,
     is_unitary,
     matrix_from_nested,
     matrix_to_nested,
@@ -57,11 +56,6 @@ def test_as_matrix_accepts_nested_lists():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == complex
     assert m.shape == (2, 2)
-
-
-def test_frob_matches_numpy(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert frob(m) == pytest.approx(np.linalg.norm(m))
 
 
 def test_is_unitary(rng):

@@ -12,7 +12,6 @@ from obsclone.linalg import (
     SIGMA3,
     QubitState,
     dagger,
-    frob,
     tensor,
 )
 from obsclone.machines import (
@@ -40,7 +39,7 @@ from obsclone.machines import (
     verify_approximate,
     verify_exact,
 )
-from obsclone.pauli import Observable, commutes, decompose
+from obsclone.pauli import Observable, commutes
 from support import (
     dense_output,
     expm_oracle,
@@ -201,7 +200,7 @@ def test_lift_defect_matches_dense_frobenius_norm(rng):
             + (gain * lift.coeffs[2] - gen.coeffs[2]) * SIGMA2
             + (gain * lift.coeffs[3] - gen.coeffs[3]) * SIGMA3
         )
-        assert got == pytest.approx(frob(residual), abs=1e-13)
+        assert got == pytest.approx(np.linalg.norm(residual), abs=1e-13)
 
 
 def test_cloning_machine_validation():
@@ -560,6 +559,24 @@ class TestCovariantTransport:
         assert np.array_equal(moved.probe.bloch, machine.probe.bloch)
         assert moved.observables.kind is machine.observables.kind
         assert verify_approximate(moved, tol=1e-10).passed
+
+    def test_transported_class_is_the_dense_conjugate(self, rng):
+        cls = ObservableClass(ClassKind.GENERAL, tuple(random_observable(rng) for _ in range(4)))
+        machine = CloningMachine(random_unitary(rng, 4), random_state(rng), cls)
+        for _ in range(20):
+            w = random_unitary(rng, 2)
+            moved = covariant_transport(machine, w).observables.generators
+            for g, h in zip(cls.generators, moved):
+                dense = w.conj().T @ g.matrix @ w
+                want = [0.5 * np.trace(s @ dense).real for s in PAULIS]
+                assert np.abs(h.coeffs - want).max() <= 1e-14
+                assert np.allclose(h.eigenvalues(), g.eigenvalues(), atol=1e-14)
+
+    def test_transport_by_sigma1_flips_two_axes(self):
+        x = Observable(np.array([0.7, 0.2, -0.4, 0.9]))
+        machine = CloningMachine(CNOT, QubitState.ket0(), ObservableClass(ClassKind.ONE_PARAM, (x,)))
+        (y,) = covariant_transport(machine, SIGMA1).observables.generators
+        assert np.allclose(y.coeffs, [0.7, 0.2, 0.4, -0.9], atol=1e-14)
 
     def test_rejects_non_unitary_transport(self):
         with pytest.raises(ValueError):

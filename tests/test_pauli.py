@@ -2,44 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from obsclone.linalg import SIGMA1
 from obsclone.pauli import (
     DegenerateSpectrumError,
     Observable,
     TwoOutcomeStatistics,
     commutes,
-    conjugate,
-    decompose,
     observable_from_list,
     observable_to_list,
     statistics_from_mean,
 )
-from support import random_observable, random_state, random_su2
-
-coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-
-
-def test_decompose_known_cases():
-    assert np.allclose(decompose(np.diag([1.0, -1.0])).coeffs, [0, 0, 0, 1])
-    assert np.allclose(decompose(np.eye(2)).coeffs, [1, 0, 0, 0])
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    assert np.allclose(decompose(h).coeffs, [0, 1 / np.sqrt(2), 0, 1 / np.sqrt(2)])
-
-
-def test_decompose_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        decompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
-@given(st.tuples(coeff, coeff, coeff, coeff))
-@settings(max_examples=200, deadline=None)
-def test_compose_decompose_round_trip(coeffs):
-    x = Observable(np.array(coeffs))
-    back = decompose(x.matrix)
-    assert np.allclose(back.coeffs, x.coeffs, atol=1e-12)
+from support import random_observable, random_state
 
 
 def test_observable_validation():
@@ -80,25 +53,6 @@ def test_commutes_matches_dense_commutator(rng):
         b = random_observable(rng)
         comm = a.matrix @ b.matrix - b.matrix @ a.matrix
         assert commutes(a, b) == (np.linalg.norm(comm) < 2e-10)
-
-
-def test_conjugate_preserves_eigenvalues(rng):
-    x = random_observable(rng)
-    w = random_su2(rng)
-    y = conjugate(x, w)
-    assert np.allclose(y.eigenvalues(), x.eigenvalues(), atol=1e-12)
-
-
-def test_conjugate_by_sigma1_flips_two_axes():
-    x = Observable(np.array([0.7, 0.2, -0.4, 0.9]))
-    y = conjugate(x, SIGMA1)
-    assert np.allclose(y.coeffs, [0.7, 0.2, 0.4, -0.9], atol=1e-14)
-
-
-def test_conjugate_rejects_non_unitary():
-    x = Observable(np.array([0.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        conjugate(x, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def _born_oracle(x, rho):

@@ -70,6 +70,37 @@ class TestSearchSpacePoint:
         with pytest.raises(ValueError):
             SearchSpacePoint.from_dict({"local_pre": [0, 0, 0]})
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [], "expected a JSON object"),
+            (lambda d: None, "expected a JSON object"),
+            (lambda d: {"local_pre": [0, 0, 0]}, "missing entangling, local_post_1, local_post_2"),
+            (lambda d: {**d, "entangling": [0.1, "1", 0.3]}, r"entangling\[1\] must be a finite real number"),
+            (lambda d: {**d, "local_pre": [True, 0.0, 0.0]}, r"local_pre\[0\] must be a finite real number"),
+            (lambda d: {**d, "local_post_2": [0, 0, 10**400]}, r"local_post_2\[2\] must be a finite real number"),
+            (lambda d: {**d, "local_post_1": [0.0, float("nan"), 0.0]}, r"local_post_1\[1\] must be"),
+            (lambda d: {**d, "local_post_1": [0.0, 0.0]}, "local_post_1 must be a list of 3 real numbers"),
+            (lambda d: {**d, "local_pre": None}, "local_pre must be a list of 3 real numbers"),
+            (lambda d: {**d, "gains": [1.5]}, "gains must be a list of 2 real numbers"),
+            (lambda d: {**d, "gains": [float("inf"), 2.0]}, r"gains\[0\] must be a finite real number"),
+        ],
+        ids=[
+            "list", "null", "missing", "string", "bool", "huge-int", "nan",
+            "short", "null-block", "short-gains", "inf-gain",
+        ],
+    )
+    def test_from_dict_names_the_bad_field(self, rng, edit, message):
+        doc = edit(random_point(rng, with_gains=True).to_dict())
+        with pytest.raises(ValueError, match=message):
+            SearchSpacePoint.from_dict(doc)
+
+    def test_from_dict_reads_integers_and_missing_gains(self):
+        doc = {"local_pre": [0, 1, 0], "entangling": [0.5, 0, 0], "local_post_1": [0, 0, 0], "local_post_2": [0, 0, 2]}
+        p = SearchSpacePoint.from_dict(doc)
+        assert p.gains is None
+        assert p.to_vector().tolist() == [0, 1, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchSpacePoint((0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))

@@ -1,0 +1,105 @@
+"""Byte-identity check of the CLI's outputs between two source trees.
+
+Usage, from the root of the repository:
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the `src/` directories of two checkouts, for
+example a clone of the parent commit and this tree. Each one runs in its
+own interpreter, with PYTHONDONTWRITEBYTECODE=1 and one BLAS thread. It
+plans both benchmark workloads at seeds 0-2 with `plan()` from this
+repository's perfbench/workloads.py and runs every warm-up and pool
+command in plan order through `obsclone.cli.main`, each (workload, seed)
+in a fresh work directory. No output file is removed while a run lasts,
+because `verify` reads the document that `build` wrote.
+
+Per command, the exit code, stdout, stderr and the bytes of its --out
+file are compared; the work directory is masked in argv and in the two
+streams. The commands that differ are printed, and the exit code is 1 if
+any does, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("cli-mix", "search-floor")
+SEEDS = (0, 1, 2)
+MASK = "<work>"
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def collect(src: str, workdir: str, result: str) -> None:
+    """Run every planned command against the package in src; write one record per command to result."""
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    import obsclone.cli
+    from workloads import plan
+
+    def mask(text: str) -> str:
+        return text.replace(workdir, MASK)
+
+    records = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            run_dir = Path(workdir) / f"{workload}-{seed}"
+            p = plan(workload, seed, run_dir)
+            for cmd in p.warmup + [cmd for step in p.steps for cmd in step]:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = obsclone.cli.main(list(cmd.argv))
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # a crash is an output to compare, not a crashed check
+                        code = f"raised {exc!r}"
+                data = cmd.out.read_bytes().hex() if cmd.out.exists() else None
+                records.append([[mask(a) for a in cmd.argv], code, mask(out.getvalue()), mask(err.getvalue()), data])
+    Path(result).write_text(json.dumps(records))
+
+
+def run_tree(src: str, base: Path, name: str) -> subprocess.Popen:
+    workdir = base / name
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{k: "1" for k in THREAD_ENV})
+    env.pop("PYTHONPATH", None)
+    argv = [sys.executable, str(Path(__file__).resolve()), "--collect", src, str(workdir), str(base / f"{name}.json")]
+    return subprocess.Popen(argv, env=env)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--collect":
+        collect(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        base = Path(tmp)
+        procs = [run_tree(src, base, name) for src, name in zip(argv, ("old", "new"))]
+        if any([p.wait() != 0 for p in procs]):
+            sys.stderr.write("a tree's run failed before its outputs were recorded\n")
+            return 2
+        old, new = (json.loads((base / f"{name}.json").read_text()) for name in ("old", "new"))
+    if [r[0] for r in old] != [r[0] for r in new]:
+        sys.stderr.write("the two trees planned different commands\n")
+        return 2
+    fields = ("exit code", "stdout", "stderr", "--out bytes")
+    differ = 0
+    for a, b in zip(old, new):
+        changed = [f for f, x, y in zip(fields, a[1:], b[1:]) if x != y]
+        if changed:
+            differ += 1
+            print(f"differs ({', '.join(changed)}): {' '.join(a[0])}")
+    print(f"{len(old) - differ} of {len(old)} commands byte-identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
