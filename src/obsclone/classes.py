@@ -10,10 +10,12 @@ noncommuting pair, so canonicalization promotes it to the general kind.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import unit_scaled
 from .pauli import Observable, commutes, observable_from_list, observable_to_list
 
 INDEPENDENCE_TOL = 1e-10
@@ -45,59 +47,57 @@ class ObservableClass:
         expected = _KIND_SIZES[self.kind]
         if len(gens) != expected:
             raise ValueError(f"{self.kind.value} classes take {expected} generator(s), got {len(gens)}")
-        rows = np.stack([g.coeffs for g in gens])
-        # Rows scaled to a largest |coefficient| of 1 cannot overflow or underflow below.
-        scale = np.abs(rows).max(axis=1)
-        if scale.min() <= 0.0:
+        rows = [g.coeffs.tolist() for g in gens]
+        if not all(map(any, rows)):
             raise ValueError("generators must be nonzero")
-        rows = rows / scale[:, None]
-        sv = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None], compute_uv=False)
-        if sv.min() <= INDEPENDENCE_TOL:
+        if len(_span(rows)) < len(rows):
             raise ValueError("generators must be linearly independent as 4-vectors")
-        pair = tuple(Observable(r) for r in rows[:2])
-        if self.kind is ClassKind.TWO_PARAM_COMMUTING and not commutes(*pair):
+        if self.kind is ClassKind.TWO_PARAM_COMMUTING and not commutes(*gens):
             raise ValueError("two-param-commuting generators must commute")
-        if self.kind is ClassKind.TWO_PARAM_NONCOMMUTING and commutes(*pair):
+        if self.kind is ClassKind.TWO_PARAM_NONCOMMUTING and commutes(*gens):
             raise ValueError("two-param-noncommuting generators must not commute")
+
+
+def _span(rows) -> list[list[float]]:
+    """Gram-Schmidt basis of the rows' span, in row order: each row, divided by the power of two of
+    its largest |coefficient| and brought to unit length, is kept when its residual exceeds INDEPENDENCE_TOL."""
+    basis = []
+    for row in rows:
+        v, _ = unit_scaled(row)
+        if not any(v):
+            continue
+        n = math.hypot(*v)
+        v = [x / n for x in v]
+        for b in basis:
+            d = sum(x * y for x, y in zip(v, b))
+            v = [x - d * y for x, y in zip(v, b)]
+        n = math.hypot(*v)
+        if n > INDEPENDENCE_TOL:
+            basis.append([x / n for x in v])
+    return basis
 
 
 def canonicalize(generators) -> ObservableClass:
     """Reduce an arbitrary generator list to a classified ObservableClass.
 
-    Gram-Schmidt runs over the 4-vector coefficients and drops dependent
-    entries. One survivor gives a one-parameter class; two survivors are
-    split by commutation; three or more are completed to a basis of the
-    full Pauli span and classified general.
+    The basis is _span of the 4-vector coefficients, the constructor's own
+    independence test. One survivor gives a one-parameter class; two
+    survivors are split by commutation; three or more are completed with
+    the Pauli basis to a basis of the full span and classified general.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    basis: list[np.ndarray] = []
-    for g in gens:
-        v = np.asarray(g.coeffs, dtype=float).copy()
-        scale = np.linalg.norm(v)
-        for b in basis:
-            v -= (v @ b) * b
-        if np.linalg.norm(v) > INDEPENDENCE_TOL * max(scale, 1.0):
-            basis.append(v / np.linalg.norm(v))
+    basis = _span([g.coeffs.tolist() for g in gens])
     if not basis:
         raise ValueError("generators span only the zero observable")
     if len(basis) >= 3:
-        for e in np.eye(4):
-            if len(basis) == 4:
-                break
-            v = e.copy()
-            for b in basis:
-                v -= (v @ b) * b
-            if np.linalg.norm(v) > INDEPENDENCE_TOL:
-                basis.append(v / np.linalg.norm(v))
-        kind = ClassKind.GENERAL
-    elif len(basis) == 1:
-        kind = ClassKind.ONE_PARAM
-    else:
-        pair = (Observable(basis[0]), Observable(basis[1]))
-        kind = ClassKind.TWO_PARAM_COMMUTING if commutes(*pair) else ClassKind.TWO_PARAM_NONCOMMUTING
-    return ObservableClass(kind, tuple(Observable(b) for b in basis))
+        return ObservableClass(ClassKind.GENERAL, tuple(Observable(b) for b in _span(basis + np.eye(4).tolist())))
+    gens = tuple(Observable(b) for b in basis)
+    if len(gens) == 1:
+        return ObservableClass(ClassKind.ONE_PARAM, gens)
+    kind = ClassKind.TWO_PARAM_COMMUTING if commutes(*gens) else ClassKind.TWO_PARAM_NONCOMMUTING
+    return ObservableClass(kind, gens)
 
 
 def sample_members(cls: ObservableClass, n: int, seed: int) -> list[Observable]:

@@ -7,6 +7,7 @@ small frozen wrappers so downstream code never mutates them by accident.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,19 +112,26 @@ def matrix_to_nested(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _is_real(v) -> bool:
-    # bool is an int subclass; a huge JSON integer would overflow float().
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+def is_real(v) -> bool:
+    """Whether v is a finite Python or numpy int or float; bool is an int subclass but not a real here."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return real and abs(v) <= sys.float_info.max
 
 
-def reals_from_json(data, name: str, n: int) -> list[float]:
-    """n floats from a decoded JSON list; a bad entry raises ValueError naming name[i]."""
-    if not isinstance(data, list) or len(data) != n:
+def reals(data, name: str, n: int) -> tuple[float, ...]:
+    """n floats from a list, tuple or 1-D array of reals; a bad entry raises ValueError naming name[i]."""
+    if not (isinstance(data, (list, tuple)) or isinstance(data, np.ndarray) and data.ndim == 1) or len(data) != n:
         raise ValueError(f"{name} must be a list of {n} real numbers")
     for i, v in enumerate(data):
-        if not _is_real(v):
+        if not is_real(v):
             raise ValueError(f"{name}[{i}] must be a finite real number")
-    return [float(v) for v in data]
+    return tuple(float(v) for v in data)
+
+
+def unit_scaled(c) -> tuple[list[float], int]:
+    """(c / 2**e, e), e the binary exponent of the largest |entry|: exact, so no entry overflows or underflows."""
+    e = math.frexp(max(map(abs, c)))[1]
+    return [math.ldexp(v, -e) for v in c], e
 
 
 def matrix_from_nested(data, name: str = "matrix") -> np.ndarray:
@@ -132,7 +140,7 @@ def matrix_from_nested(data, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be a square list of rows of [re, im] pairs")
     for i, row in enumerate(data):
         for j, z in enumerate(row):
-            if not (isinstance(z, list) and len(z) == 2 and _is_real(z[0]) and _is_real(z[1])):
+            if not (isinstance(z, list) and len(z) == 2 and is_real(z[0]) and is_real(z[1])):
                 raise ValueError(f"{name}[{i}][{j}] must be a [re, im] pair of finite real numbers")
     pairs = np.array(data, dtype=float)
     return as_matrix(pairs[..., 0] + 1j * pairs[..., 1])

@@ -31,8 +31,9 @@ from .linalg import (
     matrix_from_nested,
     matrix_to_nested,
     pauli_rotation,
-    reals_from_json,
+    reals,
     tensor,
+    unit_scaled,
 )
 from .pauli import Observable
 
@@ -98,9 +99,9 @@ class CloningMachine:
         if not isinstance(self.probe, QubitState):
             object.__setattr__(self, "probe", QubitState(self.probe))
         if self.gains is not None:
-            g = tuple(float(x) for x in self.gains)
-            if len(g) != 2 or not all(np.isfinite(g)) or any(x == 0.0 for x in g):
-                raise ValueError("gains must be two finite nonzero reals")
+            g = reals(self.gains, "gains", 2)
+            if 0.0 in g:
+                raise ValueError("gains must be nonzero")
             object.__setattr__(self, "gains", g)
         i = overflowing_generator(self.observables, max(map(abs, self.gains or (1.0,))))
         if i is not None:
@@ -234,16 +235,15 @@ def cnot_machine() -> CloningMachine:
 
 
 def _scaled_bloch(a: Observable) -> np.ndarray:
-    """Bloch part of a divided by the power of two of its largest entry.
+    """Bloch part of a divided by the power of two of its largest entry (unit_scaled).
 
     The division is exact, so norms and directions taken from the result
     match the unscaled ones bit for bit, yet cannot overflow or underflow.
     """
-    b = a.bloch
-    top = np.abs(b).max()
-    if top == 0.0:
+    b, _ = unit_scaled(a.bloch.tolist())
+    if not any(b):
         raise ValueError("observable has no Bloch axis (traceless part vanishes)")
-    return np.ldexp(b, -np.frexp(top)[1])
+    return np.array(b)
 
 
 def axis_rotation(a: Observable) -> np.ndarray:
@@ -434,12 +434,8 @@ def machine_from_dict(data) -> CloningMachine:
     if missing:
         raise ValueError(f"malformed machine document: missing {', '.join(missing)}")
     u = matrix_from_nested(data["unitary"], "unitary")
-    probe = QubitState(reals_from_json(data["probe_bloch"], "probe_bloch", 3))
-    cls = class_from_dict(data["class"])
-    gains = data.get("gains")
-    if gains is not None:
-        gains = tuple(reals_from_json(gains, "gains", 2))
-    return CloningMachine(u, probe, cls, gains)
+    probe = QubitState(reals(data["probe_bloch"], "probe_bloch", 3))
+    return CloningMachine(u, probe, class_from_dict(data["class"]), data.get("gains"))
 
 
 def report_to_dict(r: VerificationReport) -> dict:

@@ -8,13 +8,14 @@ form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, reals_from_json
+from .linalg import PAULIS, reals, unit_scaled
 
-# Largest |a x b| of the Bloch parts at which two observables count as commuting.
+# Largest |a x b| of the Bloch parts, scaled as in commutes, at which two observables commute.
 COMMUTE_TOL = 1e-10
 
 
@@ -48,14 +49,16 @@ class Observable:
 
     def eigenvalues(self) -> tuple[float, float]:
         """(lambda0, lambda1) = a0 -+ |bloch|, in nondecreasing order."""
-        r = float(np.linalg.norm(self.bloch))
+        r = math.hypot(*self.coeffs[1:].tolist())
         a0 = float(self.coeffs[0])
         return a0 - r, a0 + r
 
 
 def commutes(a: Observable, b: Observable) -> bool:
-    """True when [A, B] = 0, i.e. the Bloch parts are parallel."""
-    return float(np.linalg.norm(np.cross(a.bloch, b.bloch))) < COMMUTE_TOL
+    """True when [A, B] = 0, i.e. the Bloch parts are parallel, relative to the observables' size."""
+    (_, a1, a2, a3), _ = unit_scaled(a.coeffs.tolist())
+    (_, b1, b2, b3), _ = unit_scaled(b.coeffs.tolist())
+    return math.hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1) < COMMUTE_TOL
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,18 @@ def statistics_from_mean(x: Observable, mean: float) -> TwoOutcomeStatistics:
     """Reconstruct the two-outcome distribution from a mean value.
 
     For a two-outcome observable the mean fixes the statistics:
-    p1 = (mean - lambda0) / (lambda1 - lambda0).
+    p1 = (mean - lambda0) / (lambda1 - lambda0). Both tolerances are
+    relative to the larger |eigenvalue|.
     """
     lam0, lam1 = x.eigenvalues()
+    size = max(abs(lam0), abs(lam1))
+    if not math.isfinite(size):
+        raise ValueError("observable eigenvalues exceed the float range")
     gap = lam1 - lam0
-    if gap <= 2e-12:
+    if gap <= 2e-12 * size:
         raise DegenerateSpectrumError("observable spectrum is degenerate; the mean carries no information")
     mean = float(mean)
-    if mean < lam0 - 1e-12 or mean > lam1 + 1e-12:
+    if mean < lam0 - 1e-12 * size or mean > lam1 + 1e-12 * size:
         raise ValueError(f"mean {mean} lies outside the spectrum [{lam0}, {lam1}]")
     p1 = float(np.clip((mean - lam0) / gap, 0.0, 1.0))
     return TwoOutcomeStatistics(lam0, lam1, 1.0 - p1, p1)
@@ -100,4 +107,4 @@ def observable_to_list(x: Observable) -> list[float]:
 
 
 def observable_from_list(data, name: str = "observable") -> Observable:
-    return Observable(reals_from_json(data, name, 4))
+    return Observable(reals(data, name, 4))

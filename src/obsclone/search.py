@@ -27,7 +27,7 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, pauli_rotation, reals_from_json, tensor
+from .linalg import SIGMA0, is_real, pauli_rotation, reals, tensor, unit_scaled
 from .machines import (
     KET0,
     OVERFLOW_MESSAGE,
@@ -61,15 +61,9 @@ class SearchSpacePoint:
 
     def __post_init__(self):
         for name in _ANGLE_BLOCKS:
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) != 3 or not all(np.isfinite(vals)):
-                raise ValueError(f"{name} must be three finite angles")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, reals(getattr(self, name), name, 3))
         if self.gains is not None:
-            g = tuple(float(v) for v in self.gains)
-            if len(g) != 2 or not all(np.isfinite(g)):
-                raise ValueError("gains must be two finite reals")
-            object.__setattr__(self, "gains", g)
+            object.__setattr__(self, "gains", reals(self.gains, "gains", 2))
 
     def unitary(self) -> np.ndarray:
         post = tensor(pauli_rotation(self.local_post_1), pauli_rotation(self.local_post_2))
@@ -107,9 +101,7 @@ class SearchSpacePoint:
         missing = [name for name in _ANGLE_BLOCKS if name not in data]
         if missing:
             raise ValueError(f"malformed search point: missing {', '.join(missing)}")
-        angles = (reals_from_json(data[name], name, 3) for name in _ANGLE_BLOCKS)
-        gains = data.get("gains")
-        return cls(*angles, None if gains is None else reals_from_json(gains, "gains", 2))
+        return cls(*(data[name] for name in _ANGLE_BLOCKS), data.get("gains"))
 
 
 @dataclass(frozen=True)
@@ -120,9 +112,12 @@ class SearchConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        counts = (self.restarts, self.max_evals, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError("restarts, max_evals and seed must be integers")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
-        if not np.isfinite(self.tol) or self.tol <= 0:
+        if not (is_real(self.tol) and self.tol > 0):
             raise ValueError("tol must be a positive real")
 
 
@@ -198,9 +193,8 @@ def _objective(cls: ObservableClass, mode: str):
         raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
     gens = []
     for g in cls.generators:
-        a = g.coeffs[1:].tolist()
-        e = math.frexp(max(map(abs, a)))[1]
-        gens.append((*(math.ldexp(v, -e) for v in a), 2.0**e))
+        a, e = unit_scaled(g.coeffs[1:].tolist())
+        gens.append((*a, 2.0**e))
 
     def defect(x) -> float:
         p = _conjugation(x[0], x[1], x[2])

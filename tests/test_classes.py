@@ -1,5 +1,6 @@
 """Tests for observable class construction and canonicalization."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from obsclone.classes import (
     class_to_dict,
     sample_members,
 )
-from obsclone.pauli import Observable, commutes
+from obsclone.pauli import Observable, commutes, statistics_from_mean
 
 
 def obs(*coeffs):
@@ -68,6 +69,86 @@ def test_validation_is_scale_safe(scale):
             ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (obs(0, 0, 0, scale), obs(0, 0, 0, -2 * scale)))
         with pytest.raises(ValueError, match="must commute"):
             ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (obs(0, scale, 0, 0), obs(0, 0, scale, 0)))
+
+
+def _generator_lists(rng, count):
+    """Seeded lists of 1-4 coefficient rows: independent draws mixed with multiples,
+    exact sums and commuting partners (identity part plus a multiple of a drawn Bloch part)."""
+    for _ in range(count):
+        rows = [rng.uniform(-1.0, 1.0, 4)]
+        for _ in range(rng.integers(0, 4)):
+            pick, i, j = rng.integers(4), rng.integers(len(rows)), rng.integers(len(rows))
+            if pick == 0:
+                rows.append(rng.uniform(-1.0, 1.0, 4))
+            elif pick == 1:
+                rows.append(rng.choice([-3.0, 0.5, 2.0]) * rows[i])
+            elif pick == 2:
+                rows.append(rows[i] + rows[j])
+            else:
+                rows.append(np.concatenate([[rng.uniform(-1.0, 1.0)], rng.choice([-2.0, 0.25]) * rows[i][1:]]))
+        yield rows
+
+
+def _outcome(build):
+    """The kind of the class a call builds, or the message of the ValueError it raises."""
+    try:
+        return build().kind
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [-1000, -40, 0, 40, 500, 1000])
+def test_scale_never_decides(rng, k):
+    """Scaling every generator by 2**k is exact, so canonicalize, the constructor,
+    commutes and statistics_from_mean must answer alike at every scale."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in _generator_lists(rng, 40):
+            gens = [Observable(r) for r in rows]
+            scaled = [Observable(np.ldexp(r, k)) for r in rows]
+            want, got = canonicalize(gens), canonicalize(scaled)
+            assert got.kind is want.kind
+            assert np.array_equal([g.coeffs for g in got.generators], [g.coeffs for g in want.generators])
+            for kind in ClassKind:
+                assert _outcome(lambda: ObservableClass(kind, scaled)) == _outcome(lambda: ObservableClass(kind, gens))
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                assert commutes(scaled[i], scaled[j]) is commutes(gens[i], gens[j])
+            for x, big in zip(gens, scaled):
+                lam0, lam1 = x.eigenvalues()
+                mean = lam0 + rng.uniform() * (lam1 - lam0)
+                want, got = statistics_from_mean(x, mean), statistics_from_mean(big, np.ldexp(mean, k))
+                assert (got.p0, got.p1) == (want.p0, want.p1)
+
+
+def _relative_commutator(a, b):
+    """||AB - BA|| / (||A|| ||B||), from the dense 2x2 matrices."""
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    return np.linalg.norm(comm) / (np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
+
+
+def test_one_rule_against_independent_oracles(rng):
+    """canonicalize keeps as many generators as numpy's SVD rank of the unit-normalised
+    rows (4 for rank 3 or more), splits pairs as the dense commutator does, and the
+    constructor accepts what it returns and refuses the other pair kind. Rows come at
+    scales from 2**-60 to 2**60, where an absolute tolerance would misjudge them."""
+    other = {
+        ClassKind.TWO_PARAM_COMMUTING: ClassKind.TWO_PARAM_NONCOMMUTING,
+        ClassKind.TWO_PARAM_NONCOMMUTING: ClassKind.TWO_PARAM_COMMUTING,
+    }
+    for rows in _generator_lists(rng, 300):
+        rows = [np.ldexp(r, rng.integers(-60, 61)) for r in rows]
+        gens = [Observable(r) for r in rows]
+        rank = np.linalg.matrix_rank(np.array([r / np.linalg.norm(r) for r in rows]))
+        cls = canonicalize(gens)
+        assert len(cls.generators) == {1: 1, 2: 2, 3: 4, 4: 4}[rank]
+        if rank == 2:
+            worst = max(_relative_commutator(a, b) for a, b in itertools.combinations(gens, 2))
+            assert (cls.kind is ClassKind.TWO_PARAM_COMMUTING) == (worst < 1e-9)
+        if rank == len(rows) != 3:
+            assert ObservableClass(cls.kind, gens).kind is cls.kind
+            if cls.kind in other:
+                with pytest.raises(ValueError, match="commute"):
+                    ObservableClass(other[cls.kind], gens)
 
 
 def test_commutation_must_match_kind():

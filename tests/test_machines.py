@@ -213,6 +213,24 @@ def test_cloning_machine_validation():
         CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, np.inf))
 
 
+@pytest.mark.parametrize("bad", ["1", True, 10**400, float("nan")], ids=["string", "bool", "huge-int", "nan"])
+def test_cloning_machine_names_the_bad_gain(bad):
+    cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
+    with pytest.raises(ValueError, match=r"gains\[1\] must be a finite real number"):
+        CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, bad))
+
+
+def test_cloning_machine_reads_numpy_and_python_gains():
+    cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
+    for gains in ((np.float64(1.5), np.int64(2)), [3, 2], np.array([1.5, 2.0])):
+        m = CloningMachine(CNOT, QubitState.ket0(), cls, gains=gains)
+        assert m.gains == tuple(float(g) for g in gains) and all(type(g) is float for g in m.gains)
+    with pytest.raises(ValueError, match="gains must be nonzero"):
+        CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1, -0.0))
+    with pytest.raises(ValueError, match="gains must be a list of 2 real numbers"):
+        CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, 2.0, 3.0))
+
+
 @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
 def test_defects_scale_exactly_with_a_power_of_two(rng, k):
     """Scaling the class by 2**k scales every defect by exactly 2**k, also where

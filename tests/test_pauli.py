@@ -55,6 +55,25 @@ def test_commutes_matches_dense_commutator(rng):
         assert commutes(a, b) == (np.linalg.norm(comm) < 2e-10)
 
 
+def test_tolerances_are_relative_to_the_observable():
+    """Commutation, degeneracy and the spectrum's edges are judged relative to the
+    observable's size, and eigenvalues stay finite where |bloch|**2 would overflow."""
+    tiny = 1e-13
+    assert not commutes(Observable(np.array([0.0, tiny, 0.0, 0.0])), Observable(np.array([0.0, 0.0, tiny, 0.0])))
+    stats = statistics_from_mean(Observable(np.array([0.0, tiny, 0.0, 0.0])), 0.0)
+    assert (stats.p0, stats.p1) == (0.5, 0.5)
+    edge = statistics_from_mean(Observable(np.array([0.0, 0.0, 0.0, 1e6])), 1e6 + 2.4e-10)
+    assert (edge.p0, edge.p1) == (0.0, 1.0)
+    with pytest.raises(ValueError, match="outside the spectrum"):
+        statistics_from_mean(Observable(np.array([0.0, 0.0, 0.0, 1e6])), 1e6 * (1.0 + 1e-11))
+    with pytest.raises(DegenerateSpectrumError):
+        statistics_from_mean(Observable(np.array([1.0, tiny, 0.0, 0.0])), 1.0)
+    with pytest.raises(ValueError, match="eigenvalues exceed the float range"):
+        statistics_from_mean(Observable(np.array([-1e308, 1e308, 0.0, 0.0])), 0.0)
+    r = np.sqrt(2.0) * 1e160
+    assert Observable(np.array([0.0, 1e160, 1e160, 0.0])).eigenvalues() == pytest.approx((-r, r), rel=1e-15)
+
+
 def _born_oracle(x, rho):
     """Eigenvalues and outcome probabilities from a dense eigendecomposition."""
     lam, vecs = np.linalg.eigh(x.matrix)

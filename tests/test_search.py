@@ -95,6 +95,24 @@ class TestSearchSpacePoint:
         with pytest.raises(ValueError, match=message):
             SearchSpacePoint.from_dict(doc)
 
+    @pytest.mark.parametrize("bad", ["1", True, 10**400, float("nan")], ids=["string", "bool", "huge-int", "nan"])
+    @pytest.mark.parametrize("field", ["local_pre", "entangling", "local_post_1", "local_post_2", "gains"])
+    def test_constructor_names_the_bad_field(self, bad, field):
+        fields = {name: (0.0, 0.0, 0.0) for name in ("local_pre", "entangling", "local_post_1", "local_post_2")}
+        fields["gains"] = (1.0, 2.0)
+        fields[field] = (fields[field][0], bad) + fields[field][2:]
+        with pytest.raises(ValueError, match=rf"{field}\[1\] must be a finite real number"):
+            SearchSpacePoint(**fields)
+
+    def test_constructor_reads_numpy_and_python_reals(self):
+        p = SearchSpacePoint((np.float64(0.5), np.int64(2), 3), np.zeros(3), [0, 0, 0], (0, 0, 1), np.array([1.5, 2]))
+        assert p.to_vector().tolist() == [0.5, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1.5, 2]
+        assert all(type(v) is float for name in ("local_pre", "entangling", "gains") for v in getattr(p, name))
+        with pytest.raises(ValueError, match="entangling must be a list of 3 real numbers"):
+            SearchSpacePoint((0, 0, 0), np.zeros((3, 1)), (0, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError, match="local_pre must be a list of 3 real numbers"):
+            SearchSpacePoint((v for v in (0, 0, 0)), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+
     def test_from_dict_reads_integers_and_missing_gains(self):
         doc = {"local_pre": [0, 1, 0], "entangling": [0.5, 0, 0], "local_post_1": [0, 0, 0], "local_post_2": [0, 0, 2]}
         p = SearchSpacePoint.from_dict(doc)
@@ -405,6 +423,13 @@ def test_search_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         search_machine(ONE_PARAM, "sideways", SearchConfig())
+    for bad in ({"restarts": 2.5}, {"restarts": True}, {"max_evals": 10.0}, {"seed": "0"}, {"seed": False}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SearchConfig(**bad)
+    for bad in ("1", True, float("nan"), float("inf"), 10**400, -1e-6):
+        with pytest.raises(ValueError, match="tol must be a positive real"):
+            SearchConfig(tol=bad)
+    assert SearchConfig(np.int64(3), np.int32(50), np.uint64(7), np.float64(1e-3)) == SearchConfig(3, 50, 7, 1e-3)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(100, 600))

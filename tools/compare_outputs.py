@@ -11,11 +11,14 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote.
+because `verify` reads the document that `build` wrote. It then runs the
+22 exact searches of acceptance criterion 5 (tests/test_acceptance.py:
+classes drawn from rng 505, restarts 50, seed 0) and records each
+result as the JSON the `search` command prints.
 
 Per command, the exit code, stdout, stderr and the bytes of its --out
 file are compared; the work directory is masked in argv and in the two
-streams. The commands that differ are printed, and the exit code is 1 if
+streams. The outputs that differ are printed, and the exit code is 1 if
 any does, 0 if none does.
 """
 
@@ -38,9 +41,11 @@ THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VEC
 
 
 def collect(src: str, workdir: str, result: str) -> None:
-    """Run every planned command against the package in src; write one record per command to result."""
-    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    """Run every planned command and criterion-5 search against the package in src; write one record each to result."""
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    import obsclone.classes
     import obsclone.cli
+    import obsclone.search
     from workloads import plan
 
     def mask(text: str) -> str:
@@ -62,7 +67,34 @@ def collect(src: str, workdir: str, result: str) -> None:
                         code = f"raised {exc!r}"
                 data = cmd.out.read_bytes().hex() if cmd.out.exists() else None
                 records.append([[mask(a) for a in cmd.argv], code, mask(out.getvalue()), mask(err.getvalue()), data])
+    config = obsclone.search.SearchConfig(restarts=50, seed=0)
+    for label, kind, gens in criterion_5_classes():
+        try:
+            found = obsclone.search.search_machine(obsclone.classes.ObservableClass(kind, gens), "exact", config)
+            code, out = int(not found.converged), obsclone.cli.dumps(obsclone.search.result_to_dict(found))
+        except Exception as exc:  # as above
+            code, out = f"raised {exc!r}", ""
+        records.append([["criterion-5", label], code, out, "", None])
     Path(result).write_text(json.dumps(records))
+
+
+def criterion_5_classes():
+    """(label, kind, generators) of each search of acceptance criterion 5, drawn in the test's order."""
+    import numpy as np
+    from obsclone.classes import ClassKind
+    from obsclone.pauli import Observable
+    from support import random_observable
+
+    rng = np.random.default_rng(505)
+    for i in range(10):
+        yield f"one-param-{i}", ClassKind.ONE_PARAM, (random_observable(rng, min_axis=0.1),)
+    for i in range(10):
+        a = random_observable(rng, min_axis=0.1)
+        axis = a.bloch / np.linalg.norm(a.bloch)
+        b0, b3 = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-1.5, -0.3))
+        yield f"commuting-{i}", ClassKind.TWO_PARAM_COMMUTING, (a, Observable(np.concatenate([[b0], b3 * axis])))
+    yield "x-nc", ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2]))
+    yield "general", ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4))
 
 
 def run_tree(src: str, base: Path, name: str) -> subprocess.Popen:
@@ -97,7 +129,7 @@ def main(argv: list[str]) -> int:
         if changed:
             differ += 1
             print(f"differs ({', '.join(changed)}): {' '.join(a[0])}")
-    print(f"{len(old) - differ} of {len(old)} commands byte-identical, {differ} differ")
+    print(f"{len(old) - differ} of {len(old)} outputs byte-identical, {differ} differ")
     return 1 if differ else 0
 
 
