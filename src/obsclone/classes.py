@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unit_scaled
+from .linalg import integer, unit_scaled
 from .pauli import Observable, commutes, observable_from_list, observable_to_list
 
 INDEPENDENCE_TOL = 1e-10
@@ -102,8 +102,7 @@ def canonicalize(generators) -> ObservableClass:
 
 def sample_members(cls: ObservableClass, n: int, seed: int) -> list[Observable]:
     """n members of the class with coefficients drawn uniformly from [-1, 1]."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, seed = integer(n, "n", 1), integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(n, len(cls.generators)))
     rows = np.stack([g.coeffs for g in cls.generators])

@@ -29,6 +29,7 @@ from .linalg import UNITARY_TOL, QubitState, is_unitary
 from .machines import (
     KET0,
     SIGMA_XY,
+    VERIFY_TOL,
     cnot_machine,
     commuting_machine,
     machine_from_dict,
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="verify a machine JSON document")
     p_verify.add_argument("machine", help="path to a machine JSON file")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=float, default=VERIFY_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", parents=[common], help="CSV scan of joint-measurement noise over theta")

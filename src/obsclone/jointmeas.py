@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classes import ClassKind, ObservableClass
-from .linalg import QubitState
+from .linalg import QubitState, integer
 from .machines import CloningMachine, transfer_matrices
 from .pauli import Observable
 
@@ -90,7 +90,7 @@ def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branc
     """
     if m.gains is None:
         raise ValueError("measured variance needs a machine with gains")
-    if branch not in (1, 2):
+    if integer(branch, "branch", 1) > 2:
         raise ValueError("branch must be 1 or 2")
     r = transfer_matrices(m.unitary, m.probe)[branch - 1]
     return float(_estimator_variance(r, m.gains[branch - 1], state, x))

@@ -25,15 +25,23 @@ for _s in PAULIS:
 UNITARY_TOL = 1e-12
 
 
+def _complex_entries(m) -> np.ndarray:
+    """m as a complex array, once every entry is a finite int, float or complex number (no bool, str or object)."""
+    a = np.asarray(m)
+    # A list that mixes bools with numbers converts to a numeric array, so its own entries are read.
+    mixed = not isinstance(m, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in np.array(m, object).flat)
+    if mixed or a.dtype.kind not in "iufc" or not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite int, float or complex numbers")
+    return a.astype(complex, copy=False)
+
+
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
-    """Coerce to a square complex ndarray, validating shape and finiteness."""
-    a = np.asarray(m, dtype=complex)
+    """A square complex ndarray of finite int, float or complex entries, checked for shape."""
+    a = _complex_entries(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {a.shape[0]}x{a.shape[1]}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -42,16 +50,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def is_unitary(m, tol: float = UNITARY_TOL):
-    """Whether ||m† m - I||_F < tol; a stack (..., d, d) gets one verdict per matrix."""
-    m = np.asarray(m, dtype=complex)
+def is_unitary(m):
+    """Whether ||m† m - I||_F < UNITARY_TOL; a stack (..., d, d) gets one verdict per matrix."""
+    m = _complex_entries(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     # Huge entries overflow the product; the non-finite norm compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) < tol
+        return np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) < UNITARY_TOL
 
 
 def tensor(a, b) -> np.ndarray:
@@ -66,11 +72,7 @@ class QubitState:
     bloch: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bloch, dtype=float).copy()
-        if b.shape != (3,):
-            raise ValueError("Bloch vector must have exactly three components")
-        if not np.isfinite(b).all():
-            raise ValueError("Bloch vector must be finite")
+        b = np.array(reals(self.bloch, "bloch", 3))
         # The entry test comes first: it refuses huge vectors before their norm can overflow.
         if np.abs(b).max() > 1.0 + 1e-12 or np.linalg.norm(b) > 1.0 + 1e-12:
             raise ValueError("Bloch vector must lie inside the unit ball")
@@ -93,11 +95,7 @@ class QubitState:
 
 def pauli_rotation(v) -> np.ndarray:
     """exp(i * v . sigma) for a real 3-vector v (axis-angle form)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("rotation parameter must be a real 3-vector")
-    if not np.isfinite(v).all():
-        raise ValueError("rotation parameter must be finite")
+    v = np.array(reals(v, "v", 3))
     angle = float(np.linalg.norm(v))
     if angle == 0.0:
         return SIGMA0.copy()
@@ -115,17 +113,30 @@ def matrix_to_nested(m: np.ndarray) -> list:
 def is_real(v) -> bool:
     """Whether v is a finite Python or numpy int or float; bool is an int subclass but not a real here."""
     real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    return real and abs(v) <= sys.float_info.max
+    # A numpy scalar compares as the Python number it holds: a float32 cast of the float64 maximum would overflow.
+    return real and abs(v.item() if isinstance(v, np.generic) else v) <= sys.float_info.max
+
+
+def real(v, name: str) -> float:
+    """v as a float when is_real(v); otherwise a ValueError naming name."""
+    if not is_real(v):
+        raise ValueError(f"{name} must be a finite real number")
+    return float(v)
 
 
 def reals(data, name: str, n: int) -> tuple[float, ...]:
     """n floats from a list, tuple or 1-D array of reals; a bad entry raises ValueError naming name[i]."""
     if not (isinstance(data, (list, tuple)) or isinstance(data, np.ndarray) and data.ndim == 1) or len(data) != n:
         raise ValueError(f"{name} must be a list of {n} real numbers")
-    for i, v in enumerate(data):
-        if not is_real(v):
-            raise ValueError(f"{name}[{i}] must be a finite real number")
-    return tuple(float(v) for v in data)
+    values = data.tolist() if isinstance(data, np.ndarray) else data
+    return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def integer(v, name: str, low: int) -> int:
+    """v as an int when it is a Python or numpy int (not bool) of at least low; else a ValueError naming name."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer of at least {low}")
+    return int(v)
 
 
 def unit_scaled(c) -> tuple[list[float], int]:

@@ -27,10 +27,12 @@ from .linalg import (
     QubitState,
     as_matrix,
     dagger,
+    integer,
     is_unitary,
     matrix_from_nested,
     matrix_to_nested,
     pauli_rotation,
+    real,
     reals,
     tensor,
     unit_scaled,
@@ -70,6 +72,8 @@ KET0 = QubitState.ket0()
 SIGMA_XY = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2])))
 
 SINGULAR_ANGLE_TOL = 1e-6
+# Default largest defect at which verify_exact and verify_approximate pass, and obsclone verify's --tol.
+VERIFY_TOL = 1e-10
 
 # Copying residuals stay below a quarter of the float range (see overflowing_generator),
 # so rounding cannot carry a computed defect to inf.
@@ -173,7 +177,7 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
     u = as_matrix(u, 4)
     if not is_unitary(u):
         raise ValueError("u must be unitary")
-    if branch not in (1, 2):
+    if integer(branch, "branch", 1) > 2:
         raise ValueError("branch must be 1 or 2")
     return Observable(x.coeffs @ transfer_matrices(u, probe)[branch - 1])
 
@@ -199,7 +203,7 @@ def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> f
     identity components must match unscaled, since every machine copies
     the identity exactly. With gain 1 this is just ||lift - generator||_F.
     """
-    return float(_defects(lift.coeffs, generator.coeffs, gain))
+    return float(_defects(lift.coeffs, generator.coeffs, real(gain, "gain")))
 
 
 def _copying_defects(u: np.ndarray, probe: QubitState, gens: np.ndarray, gains) -> np.ndarray:
@@ -216,12 +220,12 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
     return VerificationReport(defects, worst, gains, worst < tol, float(tol))
 
 
-def verify_exact(m: CloningMachine, tol: float = 1e-10) -> VerificationReport:
+def verify_exact(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that every generator is cloned without rescaling on both branches."""
     return _verify(m, (1.0, 1.0), tol)
 
 
-def verify_approximate(m: CloningMachine, tol: float = 1e-10) -> VerificationReport:
+def verify_approximate(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check the gain-rescaled copying conditions g_b * lift = generator."""
     if m.gains is None:
         raise ValueError("machine has no gains; use verify_exact for exact machines")
@@ -291,12 +295,11 @@ def commuting_machine(a: Observable, b0: float, b3: float) -> CloningMachine:
     with a nonzero traceless part, including a3 = 0. (b0, b3) must not be
     proportional to (a0, |bloch(a)|) or the span collapses to one parameter.
     """
-    if not (math.isfinite(b0) and math.isfinite(b3)):
-        raise ValueError("b0 and b3 must be finite reals")
+    b0, b3 = real(b0, "b0"), real(b3, "b3")
     w = axis_rotation(a)
     b = _scaled_bloch(a)
     axis = b / np.linalg.norm(b)
-    partner = Observable(np.array([float(b0), b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
+    partner = Observable(np.array([b0, b3 * axis[0], b3 * axis[1], b3 * axis[2]]))
     cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
     return CloningMachine(_transport(CNOT, w), KET0, cls)
 
@@ -320,13 +323,6 @@ def _gain_angles(thetas):
     """cos and sin of each angle, and the mask of singular angles where a gain 1/cos or 1/sin is unbounded."""
     c, s = np.cos(thetas), np.sin(thetas)
     return c, s, np.minimum(np.abs(c), np.abs(s)) <= SINGULAR_ANGLE_TOL
-
-
-def _finite_angle(theta) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be a finite real, got {theta}")
-    return theta
 
 
 def _refuse_singular(theta: float, singular) -> None:
@@ -359,7 +355,7 @@ def t_machine(theta: float) -> CloningMachine:
     (1/cos, 1/sin) undo the shrink in the mean. This is t_machines on a
     single angle.
     """
-    theta = _finite_angle(theta)
+    theta = real(theta, "theta")
     u, gains, singular = t_machines(theta)
     _refuse_singular(theta, singular)
     return CloningMachine(u, KET0, SIGMA_XY, tuple(gains.tolist()))
@@ -374,9 +370,10 @@ def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> floa
     generators under gain g_b. (theta/2, -theta/2, 0, 1/cos theta,
     1/sin theta) zeroes all four residuals.
     """
+    t1, t2, t3, g1, g2 = map(real, (t1, t2, t3, g1, g2), ("t1", "t2", "t3", "g1", "g2"))
     u = _FLIP_ON_PROBE @ entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3)
     sigma12 = np.eye(4)[1:3]
-    return float(_copying_defects(u, KET0, sigma12, (float(g1), float(g2))).sum())
+    return float(_copying_defects(u, KET0, sigma12, (g1, g2)).sum())
 
 
 def covariant_transport(m: CloningMachine, w) -> CloningMachine:
@@ -403,7 +400,7 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
     and leaves |00> and |11> alone, so equatorial means are shared
     between the branches with the same (1/cos, 1/sin) gains as t_machine.
     """
-    theta = _finite_angle(theta)
+    theta = real(theta, "theta")
     c, s, singular = _gain_angles(theta)
     _refuse_singular(theta, singular)
     u = np.array(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, reals, unit_scaled
+from .linalg import PAULIS, real, reals, unit_scaled
 
 # Largest |a x b| of the Bloch parts, scaled as in commutes, at which two observables commute.
 COMMUTE_TOL = 1e-10
@@ -30,11 +30,7 @@ class Observable:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        if c.shape != (4,):
-            raise ValueError("an observable needs exactly four Pauli coefficients")
-        if not np.isfinite(c).all():
-            raise ValueError("Pauli coefficients must be finite")
+        c = np.array(reals(self.coeffs, "coeffs", 4))
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -71,8 +67,8 @@ class TwoOutcomeStatistics:
     p1: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.lambda0, self.lambda1, self.p0, self.p1])):
-            raise ValueError("statistics must be finite")
+        for name in ("lambda0", "lambda1", "p0", "p1"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if self.lambda1 < self.lambda0:
             raise ValueError("eigenvalues must be ordered lambda0 <= lambda1")
         if abs(self.p0 + self.p1 - 1.0) > 1e-12:
@@ -88,6 +84,7 @@ def statistics_from_mean(x: Observable, mean: float) -> TwoOutcomeStatistics:
     p1 = (mean - lambda0) / (lambda1 - lambda0). Both tolerances are
     relative to the larger |eigenvalue|.
     """
+    mean = real(mean, "mean")
     lam0, lam1 = x.eigenvalues()
     size = max(abs(lam0), abs(lam1))
     if not math.isfinite(size):
@@ -95,7 +92,6 @@ def statistics_from_mean(x: Observable, mean: float) -> TwoOutcomeStatistics:
     gap = lam1 - lam0
     if gap <= 2e-12 * size:
         raise DegenerateSpectrumError("observable spectrum is degenerate; the mean carries no information")
-    mean = float(mean)
     if mean < lam0 - 1e-12 * size or mean > lam1 + 1e-12 * size:
         raise ValueError(f"mean {mean} lies outside the spectrum [{lam0}, {lam1}]")
     p1 = float(np.clip((mean - lam0) / gap, 0.0, 1.0))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, is_real, pauli_rotation, reals, tensor, unit_scaled
+from .linalg import SIGMA0, integer, is_real, pauli_rotation, reals, tensor, unit_scaled
 from .machines import (
     KET0,
     OVERFLOW_MESSAGE,
@@ -78,11 +78,10 @@ class SearchSpacePoint:
 
     @classmethod
     def from_vector(cls, v) -> "SearchSpacePoint":
-        v = np.asarray(v, dtype=float)
-        if v.shape not in ((12,), (14,)):
+        if np.shape(v) not in ((12,), (14,)):
             raise ValueError("expected 12 angles, optionally followed by 2 gains")
-        gains = tuple(v[12:14]) if v.shape == (14,) else None
-        return cls(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]), tuple(v[9:12]), gains)
+        v = reals(v, "v", len(v))
+        return cls(v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)
 
     def to_dict(self) -> dict:
         return {
@@ -112,11 +111,8 @@ class SearchConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        counts = (self.restarts, self.max_evals, self.seed)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
-            raise ValueError("restarts, max_evals and seed must be integers")
-        if self.restarts < 1 or self.max_evals < 1:
-            raise ValueError("restarts and max_evals must be positive")
+        for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
         if not (is_real(self.tol) and self.tol > 0):
             raise ValueError("tol must be a positive real")
 

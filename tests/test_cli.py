@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 from obsclone.cli import MAX_SCAN_STEPS, SCAN_BLOCK, _fmt, build_parser, dumps, main
 from obsclone.jointmeas import uncertainty_product
 from obsclone.linalg import QubitState
-from obsclone.machines import SingularAngleError, machine_from_dict, machine_to_dict, cnot_machine, t_machine
+from obsclone.machines import (
+    VERIFY_TOL,
+    SingularAngleError,
+    cnot_machine,
+    machine_from_dict,
+    machine_to_dict,
+    t_machine,
+    verify_approximate,
+    verify_exact,
+)
 from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
 from obsclone.search import MODES, SearchConfig
@@ -169,6 +179,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: --tol must be a positive finite real\n"
+
+    def test_default_tolerance_comes_from_the_machines_module(self):
+        args = build_parser().parse_args(["verify", "machine.json"])
+        assert args.tol == VERIFY_TOL
+        for verify in (verify_exact, verify_approximate):
+            assert inspect.signature(verify).parameters["tol"].default == VERIFY_TOL
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
@@ -503,6 +519,13 @@ class TestSearch:
         args = build_parser().parse_args(["search", "cls.json"])
         assert SearchConfig(args.restarts, args.max_evals, args.seed, args.tol) == SearchConfig()
         assert args.mode == MODES[0]
+
+    def test_negative_seed_is_refused_by_name(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"kind": "one-param", "generators": [[0, 0, 0, 1]]}))
+        code, out, err = run_cli(capsys, "search", str(path), "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be an integer of at least 0\n"
 
     def test_malformed_class_exits_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
