@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import integer, unit_scaled
+from .linalg import unit_scaled
 from .pauli import Observable, commutes, observable_from_list, observable_to_list
 
 INDEPENDENCE_TOL = 1e-10
@@ -98,15 +98,6 @@ def canonicalize(generators) -> ObservableClass:
         return ObservableClass(ClassKind.ONE_PARAM, gens)
     kind = ClassKind.TWO_PARAM_COMMUTING if commutes(*gens) else ClassKind.TWO_PARAM_NONCOMMUTING
     return ObservableClass(kind, gens)
-
-
-def sample_members(cls: ObservableClass, n: int, seed: int) -> list[Observable]:
-    """n members of the class with coefficients drawn uniformly from [-1, 1]."""
-    n, seed = integer(n, "n", 1), integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-1.0, 1.0, size=(n, len(cls.generators)))
-    rows = np.stack([g.coeffs for g in cls.generators])
-    return [Observable(w @ rows) for w in weights]
 
 
 def class_to_dict(cls: ObservableClass) -> dict:

@@ -83,13 +83,16 @@ def dumps(obj) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+        else:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out or 'standard output'}: {exc}") from exc
 
 
 def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
@@ -110,7 +113,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 

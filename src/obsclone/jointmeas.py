@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .classes import ClassKind, ObservableClass
-from .linalg import QubitState, integer
+from .linalg import QubitState
 from .machines import CloningMachine, transfer_matrices
 from .pauli import Observable
 
@@ -79,21 +79,6 @@ def intrinsic_variance(state: QubitState, x: Observable) -> float:
 def _estimator_variance(r_branch: np.ndarray, gain, state: QubitState, x: Observable):
     # The branch's reduced Bloch vector is R[1:, 0] + R[1:, 1:] s; r_branch may be a stack (..., 4, 4).
     return gain * gain * _variance(x, r_branch[..., 1:, 0] + r_branch[..., 1:, 1:] @ state.bloch)
-
-
-def measured_variance(m: CloningMachine, state: QubitState, x: Observable, branch: int) -> float:
-    """Variance of the gain-rescaled estimator read from one output branch.
-
-    The estimator multiplies the raw branch outcome by the branch gain so
-    its expectation matches the input mean; its variance is
-    g^2 Tr[rho_out X^2] - (g Tr[rho_out X])^2.
-    """
-    if m.gains is None:
-        raise ValueError("measured variance needs a machine with gains")
-    if integer(branch, "branch", 1) > 2:
-        raise ValueError("branch must be 1 or 2")
-    r = transfer_matrices(m.unitary, m.probe)[branch - 1]
-    return float(_estimator_variance(r, m.gains[branch - 1], state, x))
 
 
 def _check_unit_traceless(x: Observable) -> None:

@@ -183,27 +183,19 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
 
 
 def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
-    """lift_defect over coefficient arrays (Pauli index last), gains broadcast per row.
+    """Frobenius residuals of lifts L against targets X (coefficient arrays, Pauli index last).
 
-    Each residual row is squared after dividing it by the power of two of its
-    largest entry. The division is exact, so ordinary residuals come out bit for
-    bit as without it, and residuals whose squares leave the float range stay finite.
+    A gain, broadcast per row, scales only the traceless part of L: every machine
+    copies the identity exactly. Each residual row is squared after dividing it
+    by the power of two of its largest entry. The division is exact, so ordinary
+    residuals come out bit for bit as without it, and residuals whose squares
+    leave the float range stay finite.
     """
     r0 = lifts[..., 0] - targets[..., 0]
     rb = np.asarray(gains, dtype=float)[..., None] * lifts[..., 1:] - targets[..., 1:]
     _, e = np.frexp(np.maximum(np.abs(r0), np.abs(rb).max(axis=-1)))
     r0, rb = np.ldexp(r0, -e), np.ldexp(rb, -e[..., None])
     return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)
-
-
-def lift_defect(lift: Observable, generator: Observable, gain: float = 1.0) -> float:
-    """Frobenius residual of one copying condition.
-
-    The gain rescales only the traceless part of the lifted observable;
-    identity components must match unscaled, since every machine copies
-    the identity exactly. With gain 1 this is just ||lift - generator||_F.
-    """
-    return float(_defects(lift.coeffs, generator.coeffs, real(gain, "gain")))
 
 
 def _copying_defects(u: np.ndarray, probe: QubitState, gens: np.ndarray, gains) -> np.ndarray:

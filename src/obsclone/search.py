@@ -70,12 +70,6 @@ class SearchSpacePoint:
         pre = tensor(pauli_rotation(self.local_pre), SIGMA0)
         return post @ entangling_kernel(*self.entangling) @ pre
 
-    def to_vector(self) -> np.ndarray:
-        v = list(self.local_pre) + list(self.entangling) + list(self.local_post_1) + list(self.local_post_2)
-        if self.gains is not None:
-            v += list(self.gains)
-        return np.array(v, dtype=float)
-
     @classmethod
     def from_vector(cls, v) -> "SearchSpacePoint":
         if np.shape(v) not in ((12,), (14,)):
@@ -127,16 +121,11 @@ class SearchResult:
     converged: bool
 
 
-def machine_from_point(p: SearchSpacePoint, cls: ObservableClass) -> CloningMachine:
-    """Assemble the candidate machine a point encodes (probe fixed at |0><0|)."""
-    return CloningMachine(p.unitary(), KET0, cls, p.gains)
-
-
 def cloning_defect(p: SearchSpacePoint, cls: ObservableClass, mode: str) -> float:
     """Worst copying residual of the machine at p, over generators and branches."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    m = machine_from_point(p, cls)
+    m = CloningMachine(p.unitary(), KET0, cls, p.gains)
     if mode == "approximate":
         if p.gains is None:
             raise ValueError("approximate mode needs gains in the search point")

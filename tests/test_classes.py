@@ -12,7 +12,6 @@ from obsclone.classes import (
     canonicalize,
     class_from_dict,
     class_to_dict,
-    sample_members,
 )
 from obsclone.pauli import Observable, commutes, statistics_from_mean
 
@@ -208,34 +207,6 @@ def test_canonicalize_rejects_empty_and_zero_spans():
         canonicalize([])
     with pytest.raises(ValueError):
         canonicalize([obs(0, 0, 0, 0)])
-
-
-def test_sample_members_is_deterministic():
-    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (S1, S2))
-    a = sample_members(cls, 5, seed=42)
-    b = sample_members(cls, 5, seed=42)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.coeffs, y.coeffs)
-
-
-def test_sample_members_stay_in_span():
-    cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (S3, obs(1, 0, 0, 2)))
-    rows = np.stack([g.coeffs for g in cls.generators])
-    for member in sample_members(cls, 20, seed=7):
-        w, residual, _, _ = np.linalg.lstsq(rows.T, member.coeffs, rcond=None)
-        assert np.allclose(rows.T @ w, member.coeffs, atol=1e-12)
-
-
-def test_sample_members_of_one_param_class_commute_with_generator():
-    cls = ObservableClass(ClassKind.ONE_PARAM, (obs(0.3, 0.1, -0.7, 0.2),))
-    for member in sample_members(cls, 10, seed=3):
-        assert commutes(member, cls.generators[0])
-
-
-def test_sample_members_rejects_bad_count():
-    cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
-    with pytest.raises(ValueError):
-        sample_members(cls, 0, seed=1)
 
 
 def test_class_dict_round_trip():

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -614,6 +615,32 @@ SEARCH_CLASSES = [
 ]
 
 
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    """Nesting past the JSON decoder's recursion limit is invalid input, not a failed check."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+class FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["build", "t"], ["scan", "--steps", "3"], ["compare"]], ids=lambda a: a[0])
+def test_unwritable_stdout_exits_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(FullStream()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
+
+
+# --out targets that cannot be written: a file under a missing directory, and a directory.
+UNWRITABLE_OUT = [str(Path(__file__).parent / "no-such-directory" / "out.txt"), str(Path(__file__).parent)]
+
 # Values at and past the edges of what each option accepts.
 EDGE_REALS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-320, 0.0, np.pi / 2, 0.7, -0.4]
 
@@ -622,9 +649,10 @@ EDGE_REALS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-320, 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_build_scan_and_compare_keep_the_exit_code_contract(data):
-    """Exit 0 or 2 on any numbers, with no RuntimeWarning; 2 with no output and
-    one error line. A one-param build succeeds on every finite observable with
-    a nonzero Bloch part whose size keeps residuals in the float range."""
+    """Exit 0 or 2 on any numbers and --out target, with no RuntimeWarning; 2 with
+    no output and one error line. A one-param build succeeds on every finite
+    observable with a nonzero Bloch part whose size keeps residuals in the float
+    range, when its output can be written."""
 
     def real():
         return repr(data.draw(st.sampled_from(EDGE_REALS)))
@@ -642,17 +670,24 @@ def test_build_scan_and_compare_keep_the_exit_code_contract(data):
         argv = ["scan", f"--state={','.join(reals(3))}", f"--theta-min={real()}", f"--theta-max={real()}", f"--steps={steps}"]
     else:
         argv = ["compare", f"--state={','.join(reals(3))}"]
+    target = data.draw(st.sampled_from([None, None, *UNWRITABLE_OUT]))
+    if target is not None:
+        argv.append(f"--out={target}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2)
     if code == 2:
         assert out.getvalue() == ""
-        assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+        # A scan warns of each singular angle as it walks the grid, before its output is written.
+        *warned, last = err.getvalue().splitlines()
+        assert last.startswith("error:")
+        assert all(line.startswith("warning: skipping singular angle") for line in warned)
+        assert command == "scan" or not warned
     if argv[1] == "one-param":
         values = [float(v) for v in obs]
         valid = len(values) == 4 and all(abs(v) <= 1e300 for v in values) and any(values[1:])
-        assert code == (0 if valid else 2)
+        assert code == (0 if valid and target is None else 2)
 
 
 def run_python(code, *argv):

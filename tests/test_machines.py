@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from obsclone.classes import ClassKind, ObservableClass, sample_members
+from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import (
     PAULIS,
     SIGMA0,
@@ -26,7 +26,6 @@ from obsclone.machines import (
     covariant_transport,
     entangling_kernel,
     heisenberg_lift,
-    lift_defect,
     machine_from_dict,
     machine_to_dict,
     nccm_residual,
@@ -188,19 +187,24 @@ class TestHeisenbergLift:
             heisenberg_lift(np.eye(4) * 2.0, QubitState.ket0(), S3, 1)
 
 
-def test_lift_defect_matches_dense_frobenius_norm(rng):
-    for _ in range(20):
-        lift = random_observable(rng)
-        gen = random_observable(rng)
-        gain = float(rng.uniform(0.5, 3.0))
-        got = lift_defect(lift, gen, gain)
-        residual = (
-            (lift.coeffs[0] - gen.coeffs[0]) * SIGMA0
-            + (gain * lift.coeffs[1] - gen.coeffs[1]) * SIGMA1
-            + (gain * lift.coeffs[2] - gen.coeffs[2]) * SIGMA2
-            + (gain * lift.coeffs[3] - gen.coeffs[3]) * SIGMA3
-        )
-        assert got == pytest.approx(np.linalg.norm(residual), abs=1e-13)
+def test_defects_match_dense_frobenius_norms(rng):
+    """Each verification defect is ||tr(L)/2 I + g_b (L - tr(L)/2 I) - X||_F, with the
+    branch lift L read off dense joint outputs: only the traceless part is scaled."""
+    basis = [QubitState(np.zeros(3))] + [QubitState(e) for e in np.eye(3)]
+    for _ in range(10):
+        u, probe = random_unitary(rng, 4), random_state(rng, radius=0.8)
+        gens = (random_observable(rng, min_axis=0.1), random_observable(rng, min_axis=0.1))
+        gains = tuple(rng.uniform(0.5, 3.0, 2))
+        m = CloningMachine(u, probe, ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, gens), gains)
+        got = verify_approximate(m, tol=np.inf).per_generator_defects
+        for i, x in enumerate(gens):
+            for b in (1, 2):
+                # tr[rho L] at rho = I/2 and at the three Bloch poles fixes L's coefficients.
+                means = [np.trace(ptrace_loop(dense_output(m, s), keep=b) @ x.matrix).real for s in basis]
+                lift = Observable(np.array([means[0]] + [v - means[0] for v in means[1:]])).matrix
+                half = 0.5 * np.trace(lift) * SIGMA0
+                want = np.linalg.norm(half + gains[b - 1] * (lift - half) - x.matrix)
+                assert got[i][b - 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_cloning_machine_validation():
@@ -244,10 +248,6 @@ def test_defects_scale_exactly_with_a_power_of_two(rng, k):
             want = verify(CloningMachine(u, probe, cls, gains), tol=np.inf).per_generator_defects
             got = verify(CloningMachine(u, probe, big, gains), tol=np.inf).per_generator_defects
             assert np.array_equal(got, np.ldexp(want, k))
-        gain = float(gains[0])
-        assert lift_defect(Observable(np.ldexp(a.coeffs, k)), Observable(np.ldexp(b.coeffs, k)), gain) == np.ldexp(
-            lift_defect(a, b, gain), k
-        )
 
 
 def test_residuals_beyond_the_float_range_are_refused():
@@ -612,10 +612,12 @@ def test_passing_machines_pass_on_every_member_of_the_span(rng):
     for machine in (commuting_machine(random_observable(rng, min_axis=0.1), 0.9, -1.3),
                     one_param_machine(random_observable(rng, min_axis=0.1))):
         gen_defect = verify_exact(machine, tol=1e-10).max_defect
-        for member in sample_members(machine.observables, 100, seed=11):
+        rows = np.stack([g.coeffs for g in machine.observables.generators])
+        for w in rng.uniform(-1.0, 1.0, size=(100, len(rows))):
+            member = Observable(w @ rows)
             for branch in (1, 2):
                 lifted = heisenberg_lift(machine.unitary, machine.probe, member, branch)
-                defect = lift_defect(lifted, member)
+                defect = np.linalg.norm(lifted.matrix - member.matrix)
                 assert defect < max(10.0 * gen_defect, 1e-12)
 
 

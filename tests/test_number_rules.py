@@ -14,8 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from obsclone.classes import ClassKind, ObservableClass, sample_members
-from obsclone.jointmeas import measured_variance
+from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation
 from obsclone.machines import (
     CNOT,
@@ -24,7 +23,6 @@ from obsclone.machines import (
     commuting_machine,
     covariant_transport,
     heisenberg_lift,
-    lift_defect,
     nccm_residual,
     phase_covariant_machine,
     t_machine,
@@ -32,7 +30,6 @@ from obsclone.machines import (
 from obsclone.pauli import Observable, TwoOutcomeStatistics, statistics_from_mean
 from obsclone.search import SearchConfig, SearchSpacePoint
 
-S1 = Observable([0.0, 1.0, 0.0, 0.0])
 S3 = Observable([0.0, 0.0, 0.0, 1.0])
 ONE_PARAM = ObservableClass(ClassKind.ONE_PARAM, (S3,))
 T = t_machine(0.7)
@@ -56,7 +53,6 @@ REAL_SITES = [
     ("nccm_residual.t3", "t3", lambda v: nccm_residual(0.5, -0.5, v, 2.0, 3.0), 0),
     ("nccm_residual.g1", "g1", lambda v: nccm_residual(0.5, -0.5, 0.0, v, 3.0), 2),
     ("nccm_residual.g2", "g2", lambda v: nccm_residual(0.5, -0.5, 0.0, 2.0, v), 3),
-    ("lift_defect", "gain", lambda v: lift_defect(S1, S3, v), 2),
     ("SearchSpacePoint.from_vector", "v", SearchSpacePoint.from_vector, list(range(-6, 6))),
     ("SearchSpacePoint.from_vector.gains", "v", SearchSpacePoint.from_vector, list(range(-6, 6)) + [2, 3]),
 ]
@@ -66,10 +62,7 @@ INTEGER_SITES = [
     ("SearchConfig.restarts", "restarts", lambda v: SearchConfig(restarts=v), 3, 1),
     ("SearchConfig.max_evals", "max_evals", lambda v: SearchConfig(max_evals=v), 50, 1),
     ("SearchConfig.seed", "seed", lambda v: SearchConfig(seed=v), 7, 0),
-    ("sample_members.n", "n", lambda v: sample_members(ONE_PARAM, v, 0), 3, 1),
-    ("sample_members.seed", "seed", lambda v: sample_members(ONE_PARAM, 3, v), 7, 0),
     ("heisenberg_lift", "branch", lambda v: heisenberg_lift(CNOT, KET0, S3, v), 2, 1),
-    ("measured_variance", "branch", lambda v: measured_variance(T, KET0, S1, v), 2, 1),
 ]
 
 # (site, call taking a matrix, a valid real matrix with integral entries)
