@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from obsclone.classes import ClassKind, ObservableClass
-from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation
+from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation, tensor
 from obsclone.machines import (
     CNOT,
     KET0,
@@ -27,12 +27,13 @@ from obsclone.machines import (
     phase_covariant_machine,
     t_machine,
 )
-from obsclone.pauli import Observable, TwoOutcomeStatistics, statistics_from_mean
+from obsclone.pauli import Observable, TwoOutcomeStatistics, observable_from_list, statistics_from_mean
 from obsclone.search import SearchConfig, SearchSpacePoint
 
 S3 = Observable([0.0, 0.0, 0.0, 1.0])
 ONE_PARAM = ObservableClass(ClassKind.ONE_PARAM, (S3,))
 T = t_machine(0.7)
+Z3 = (0.0, 0.0, 0.0)
 
 # (site, argument name, call taking the argument's value, a valid value with integral entries)
 REAL_SITES = [
@@ -55,6 +56,13 @@ REAL_SITES = [
     ("nccm_residual.g2", "g2", lambda v: nccm_residual(0.5, -0.5, 0.0, 2.0, v), 3),
     ("SearchSpacePoint.from_vector", "v", SearchSpacePoint.from_vector, list(range(-6, 6))),
     ("SearchSpacePoint.from_vector.gains", "v", SearchSpacePoint.from_vector, list(range(-6, 6)) + [2, 3]),
+    ("SearchSpacePoint.local_pre", "local_pre", lambda v: SearchSpacePoint(v, Z3, Z3, Z3), [1, 2, 3]),
+    ("SearchSpacePoint.entangling", "entangling", lambda v: SearchSpacePoint(Z3, v, Z3, Z3), [1, 2, 3]),
+    ("SearchSpacePoint.local_post_1", "local_post_1", lambda v: SearchSpacePoint(Z3, Z3, v, Z3), [1, 2, 3]),
+    ("SearchSpacePoint.local_post_2", "local_post_2", lambda v: SearchSpacePoint(Z3, Z3, Z3, v), [1, 2, 3]),
+    ("SearchSpacePoint.gains", "gains", lambda v: SearchSpacePoint(Z3, Z3, Z3, Z3, v), [2, 3]),
+    ("CloningMachine.gains", "gains", lambda v: CloningMachine(CNOT, KET0, ONE_PARAM, v), [1, 2]),
+    ("observable_from_list", "observable", observable_from_list, [0, 1, 2, 3]),
 ]
 
 # (site, argument name, call, a valid value, the smallest value the site accepts)
@@ -72,6 +80,7 @@ MATRIX_SITES = [
     ("CloningMachine", lambda m: CloningMachine(m, KET0, ONE_PARAM), CNOT.real),
     ("covariant_transport", lambda w: covariant_transport(T, w), np.eye(2)[::-1]),
     ("heisenberg_lift.u", lambda u: heisenberg_lift(u, KET0, S3, 1), CNOT.real),
+    ("tensor", lambda a: tensor(a, np.eye(2)), np.eye(2)[::-1]),
 ]
 
 BAD_SCALARS = {
