@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -85,14 +86,13 @@ def dumps(obj) -> str:
 def _write(text: str, out: str | None) -> None:
     try:
         if out is None:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
         else:
             with open(out, "w", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {out or 'standard output'}: {exc}") from exc
+        raise ValueError(f"cannot write {'standard output' if out is None else out}: {exc}") from exc
 
 
 def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
@@ -123,9 +123,7 @@ def cmd_build(args) -> int:
     elif args.family == "one-param":
         machine = one_param_machine(Observable(_parse_floats(args.obs, 4, "--obs")))
     elif args.family == "commuting":
-        machine = commuting_machine(
-            Observable(_parse_floats(args.obs, 4, "--obs")), args.b0, args.b3
-        )
+        machine = commuting_machine(Observable(_parse_floats(args.obs, 4, "--obs")), args.b0, args.b3)
     elif args.family == "t":
         machine = t_machine(args.theta)
     else:
@@ -187,9 +185,7 @@ def _scan_rows(thetas, u, gains, state):
 
 def cmd_search(args) -> int:
     cls = class_from_dict(_load_json(args.klass))
-    config = SearchConfig(
-        restarts=args.restarts, max_evals=args.max_evals, seed=args.seed, tol=args.tol
-    )
+    config = SearchConfig(restarts=args.restarts, max_evals=args.max_evals, seed=args.seed, tol=args.tol)
     result = search_machine(cls, args.mode, config)
     _write(dumps(result_to_dict(result)), args.out)
     return 0 if result.converged else 1
@@ -285,7 +281,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # _write has reported the failed write; drop what stays buffered so exit does not retry it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

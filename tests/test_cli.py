@@ -626,7 +626,9 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
 
 
 class FullStream(io.StringIO):
-    def write(self, text):
+    """A buffered stream on a full device: writes fill the buffer, and flushing it fails."""
+
+    def flush(self):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
@@ -638,8 +640,29 @@ def test_unwritable_stdout_exits_2(argv):
     assert (code, err.getvalue()) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", [["build", "t"], ["scan", "--steps", "3"], ["compare"]], ids=lambda a: a[0])
+def test_full_standard_output_exits_2_from_the_shell(argv):
+    """Block-buffered output to a full device exits 2 with one error line, not at interpreter shutdown."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "obsclone.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
+
+
 # --out targets that cannot be written: a file under a missing directory, and a directory.
 UNWRITABLE_OUT = [str(Path(__file__).parent / "no-such-directory" / "out.txt"), str(Path(__file__).parent)]
+
+@pytest.mark.parametrize("target", [*UNWRITABLE_OUT, ""])
+def test_unwritable_out_names_its_path(capsys, target):
+    """The error names the --out path that was given, even an empty one, never standard output."""
+    code, out, err = run_cli(capsys, "build", "t", f"--out={target}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: [Errno ") and err.count("\n") == 1
+
 
 # Values at and past the edges of what each option accepts.
 EDGE_REALS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-320, 0.0, np.pi / 2, 0.7, -0.4]
@@ -683,7 +706,7 @@ def test_build_scan_and_compare_keep_the_exit_code_contract(data):
         *warned, last = err.getvalue().splitlines()
         assert last.startswith("error:")
         assert all(line.startswith("warning: skipping singular angle") for line in warned)
-        assert command == "scan" or not warned
+        assert not warned or (command == "scan" and target is not None)
     if argv[1] == "one-param":
         values = [float(v) for v in obs]
         valid = len(values) == 4 and all(abs(v) <= 1e300 for v in values) and any(values[1:])
