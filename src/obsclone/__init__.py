@@ -1,6 +1,6 @@
 """Cloning machines for classes of qubit observables.
 
-Construction, verification, and derivative-free search for two-qubit
+Construction, verification, and numerical search for two-qubit
 interactions that copy the mean (hence the full statistics) of every
 observable in a class onto both output branches, exactly for commuting
 classes and up to known gains for the noncommuting pair, plus the

@@ -1,21 +1,24 @@
-"""Derivative-free search for cloning machines, and numerical no-go floors.
+"""Search for cloning machines, and numerical no-go floors.
 
 The search space is a 12-angle family: a signal-side pre-rotation, the
 three-axis entangling kernel, and one post-rotation per output branch,
 always with probe |0><0|. Approximate mode adds the two gains as free
 coordinates. Every machine construction in this package lives in this
-family up to relabeling, and a restarted simplex descent over it
-(search_machine, the package's one floor estimator) either produces an
-explicit machine witness or, for classes that admit none, a strictly
-positive defect floor that certifies the failure numerically (evidence,
-not a proof).
+family up to relabeling, and a restarted search over it (search_machine,
+the package's one floor estimator) either produces an explicit machine
+witness or, for classes that admit none, a strictly positive defect floor
+that certifies the failure numerically (evidence, not a proof).
 
 The optimizer never builds a unitary: with the probe pinned, each output
 branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
-entries are closed forms in the 12 angles (see _objective). The descent
-is obsclone.optimize, scipy's adaptive Nelder-Mead transcribed to plain
-floats, so this module needs numpy alone. MODES and SearchConfig's field
-defaults are the search surface the command line offers.
+entries are closed forms in the 12 angles (see _objective). Each restart
+descends with obsclone.optimize.minimize, scipy's adaptive Nelder-Mead
+transcribed to plain floats; a restart that improves on the best defect
+is then polished by obsclone.optimize.polish, an SQP step on the minimax
+of the squared branch-generator defects, whose analytic gradients come
+from the same closed form (_residuals). The module needs numpy alone.
+MODES and SearchConfig's field defaults are the search surface the
+command line offers.
 """
 
 from __future__ import annotations
@@ -152,6 +155,31 @@ def _conjugation(a: float, b: float, c: float) -> tuple:
     )
 
 
+def _conjugation_gradient(a: float, b: float, c: float) -> tuple:
+    """Row-major D with d(Q)/dv_m = -Q [D^T e_m]x for Q = _conjugation(v); D is twice SO(3)'s left Jacobian, transposed.
+
+    So a scalar that depends on Q through u = a^T Q, with gradient eta in u,
+    has gradient D (u x eta) in v. Below t = 0.05 the coefficient of v v^T
+    is its Taylor series, which avoids the cancellation in 2t - sin 2t.
+    """
+    tt = a * a + b * b + c * c
+    t = math.sqrt(tt)
+    if t == 0.0:
+        return (2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0)
+    s = math.sin(t)
+    sp = 2.0 * s * math.cos(t) / t
+    k = 2.0 * s * s / tt
+    if t < 0.05:
+        h = 4.0 / 3.0 - tt * (4.0 / 15.0 - tt * (8.0 / 315.0 - tt * 4.0 / 2835.0))
+    else:
+        h = (2.0 * t - math.sin(2.0 * t)) / (tt * t)
+    return (
+        sp + h * a * a, k * c + h * a * b, h * a * c - k * b,
+        h * a * b - k * c, sp + h * b * b, k * a + h * b * c,
+        k * b + h * a * c, h * b * c - k * a, sp + h * c * c,
+    )
+
+
 def _objective(cls: ObservableClass, mode: str):
     """Defect as a plain function of the coordinate vector (hot path).
 
@@ -211,6 +239,101 @@ def _objective(cls: ObservableClass, mode: str):
     return defect
 
 
+def _kernel_gradients(c1, c2, c3, s1, s2, s3) -> tuple:
+    """d/d(theta_l), l = 1, 2, 3, of each branch's kernel entries (k20, k01, k02, k11, k12, k23) in _objective.
+
+    Each entry is a product of one cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
+    """
+    return (
+        (
+            (c1 * s2, 0.0, 0.0, s1 * s3, -s1 * c3, -s1 * c2),
+            (s1 * c2, -s2 * c3, -s2 * s3, 0.0, 0.0, -c1 * s2),
+            (0.0, -c2 * s3, c2 * c3, -c1 * c3, -c1 * s3, 0.0),
+        ),
+        (
+            (-s1 * c2, 0.0, 0.0, c1 * c3, c1 * s3, c1 * s2),
+            (-c1 * s2, c2 * s3, -c2 * c3, 0.0, 0.0, s1 * c2),
+            (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
+        ),
+    )
+
+
+def _residuals(cls: ObservableClass, mode: str):
+    """Squared defects of the branch-generator pairs and their analytic gradients (the polish's rows).
+
+    rows(x) returns (phi, jac): phi[b G + i] is the squared defect of
+    generator i on branch b + 1, in units of the largest generator's power of
+    two, so sqrt(max(phi)) is _objective's defect up to that exact scale,
+    and jac[b G + i] is its gradient in x. The forward pass is _objective's
+    closed form; the rotations differentiate through _conjugation_gradient,
+    and the kernel entries through _kernel_gradients.
+    """
+    approximate = mode == "approximate"
+    gens = [unit_scaled(g.coeffs[1:].tolist()) for g in cls.generators]
+    top = max((e for a, e in gens if any(a)), default=0)
+    # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
+    gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens]
+    n = 14 if approximate else 12
+
+    def rows(x):
+        p = _conjugation(x[0], x[1], x[2])
+        dp = _conjugation_gradient(x[0], x[1], x[2])
+        c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
+        s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
+        g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
+        phi, jac = [], []
+        for b, v, kern, dkern, gain in zip(
+            (0, 1),
+            (x[6:9], x[9:12]),
+            ((s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2)),
+            _kernel_gradients(c1, c2, c3, s1, s2, s3),
+            (g1, g2),
+        ):
+            q, dq = _conjugation(*v), _conjugation_gradient(*v)
+            k20, k01, k02, k11, k12, k23 = kern
+            for a1, a2, a3, weight in gens:
+                u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
+                u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
+                u3 = a1 * q[2] + a2 * q[5] + a3 * q[8]
+                w1 = u1 * k01 + u2 * k11
+                w2 = u1 * k02 + u2 * k12
+                w3 = u3 * k23
+                r0 = u3 * k20
+                y1 = w1 * p[0] + w2 * p[3] + w3 * p[6]
+                y2 = w1 * p[1] + w2 * p[4] + w3 * p[7]
+                y3 = w1 * p[2] + w2 * p[5] + w3 * p[8]
+                r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
+                # gain * z is the gradient of |r|^2 / 2 in w.
+                z1 = gain * (p[0] * r1 + p[1] * r2 + p[2] * r3)
+                z2 = gain * (p[3] * r1 + p[4] * r2 + p[5] * r3)
+                z3 = gain * (p[6] * r1 + p[7] * r2 + p[8] * r3)
+                # Its gradient in u is e, and in the six kernel entries t.
+                e1, e2, e3 = z1 * k01 + z2 * k02, z1 * k11 + z2 * k12, r0 * k20 + z3 * k23
+                t = (r0 * u3, z1 * u1, z2 * u1, z1 * u2, z2 * u2, z3 * u3)
+                # Rotations: gain * D_pre (a x y) and D_b (u x e).
+                m = 2.0 * weight
+                gm = gain * m
+                x1, x2, x3 = a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1
+                o1, o2, o3 = u2 * e3 - u3 * e2, u3 * e1 - u1 * e3, u1 * e2 - u2 * e1
+                row = [0.0] * n
+                row[0] = gm * (dp[0] * x1 + dp[1] * x2 + dp[2] * x3)
+                row[1] = gm * (dp[3] * x1 + dp[4] * x2 + dp[5] * x3)
+                row[2] = gm * (dp[6] * x1 + dp[7] * x2 + dp[8] * x3)
+                for j, d in enumerate(dkern, 3):
+                    row[j] = m * (t[0] * d[0] + t[1] * d[1] + t[2] * d[2] + t[3] * d[3] + t[4] * d[4] + t[5] * d[5])
+                j = 6 + 3 * b
+                row[j] = m * (dq[0] * o1 + dq[1] * o2 + dq[2] * o3)
+                row[j + 1] = m * (dq[3] * o1 + dq[4] * o2 + dq[5] * o3)
+                row[j + 2] = m * (dq[6] * o1 + dq[7] * o2 + dq[8] * o3)
+                if approximate:
+                    row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
+                phi.append(weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+                jac.append(row)
+        return phi, jac
+
+    return rows
+
+
 def _bounds(approximate: bool):
     if not approximate:
         return None
@@ -224,14 +347,18 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     vectors from one seeded stream, descend with Nelder-Mead (a descent
     ends after the first iteration that scores below tol * 1e-3, which
     keeps converging searches cheap), and stop early once the defect
-    passes below tol. Whenever a restart improves
-    on the best defect so far, its endpoint gets one extra polishing
-    descent, so reported floors sit at the bottom of their basin.
+    passes below tol. Whenever a restart ends at or above tol and improves
+    on the best defect so far, its endpoint is polished: SQP steps on the
+    max of the squared defects of every branch and generator, with analytic
+    gradients, under the same evaluation budget and tol * 1e-3 stop. So
+    reported floors sit at the bottom of their basin, at their closed forms
+    where one is known (sqrt(2) - 1 for sigma1/sigma2).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     approximate = mode == "approximate"
     fun = _objective(cls, mode)
+    rows = _residuals(cls, mode)
     bounds = _bounds(approximate)
     rng = np.random.default_rng(config.seed)
     ftarget = config.tol * 1e-3
@@ -248,7 +375,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             if f >= config.tol:
-                x, f, n = _polish(fun, x, f, config.max_evals, bounds, ftarget)
+                x, f, n = optimize.polish(fun, rows, x, f, config.max_evals, bounds, ftarget)
                 evals += n
             if f < best_f:
                 best_x, best_f = x, f
@@ -265,27 +392,6 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         seed=config.seed,
         converged=bool(best_f < config.tol),
     )
-
-
-def _polish(fun, x, f, max_evals, bounds, ftarget):
-    """Re-descend from a candidate until the simplex stops improving it.
-
-    A single Nelder-Mead run tends to stall a few digits above the basin
-    bottom; restarting it from its own endpoint rebuilds the simplex at a
-    fresh scale and usually buys those digits back. Candidates that drop
-    below ftarget stop immediately: full depth only matters for positive
-    floors, where ftarget is unreachable.
-    """
-    total = 0
-    for _ in range(10):
-        if f < ftarget:
-            break
-        x2, f2, n = optimize.minimize(fun, x, max_evals, bounds, ftarget)
-        total += n
-        if f2 >= f - 1e-13:
-            break
-        x, f = x2, f2
-    return x, f, total
 
 
 def result_to_dict(r: SearchResult) -> dict:

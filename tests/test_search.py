@@ -9,21 +9,23 @@ from scipy import optimize as scipy_optimize
 
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary
-from obsclone.optimize import minimize
+from obsclone.optimize import minimize, polish
 from obsclone.pauli import Observable
 from obsclone.search import (
     GAIN_BOUNDS,
+    MODES,
     X_NC_DEFECT_FLOOR,
     SearchConfig,
     SearchResult,
     SearchSpacePoint,
     _bounds,
     _objective,
+    _residuals,
     cloning_defect,
     result_to_dict,
     search_machine,
 )
-from support import expm_oracle, ptrace_loop
+from support import expm_oracle, ptrace_loop, random_observable
 
 ONE_PARAM = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 0.0, 0.0, 1.0])),))
 X_NC = ObservableClass(
@@ -33,6 +35,11 @@ X_NC = ObservableClass(
 GENERAL = ObservableClass(
     ClassKind.GENERAL,
     tuple(Observable(row) for row in np.eye(4)),
+)
+# Identity parts, and traceless parts whose largest entries differ by a factor 2**3.
+UNEQUAL_PAIR = ObservableClass(
+    ClassKind.TWO_PARAM_NONCOMMUTING,
+    (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-8.8, 2.4, 4.0, -4.8]))),
 )
 
 
@@ -173,9 +180,10 @@ def test_fast_objective_agrees_with_the_full_verifier(rng):
             )
 
 
-def oracle_defect(x, cls, mode):
-    """Defect at a coordinate vector through scipy's expm and an index-sum
-    partial trace, sharing no code with the search module."""
+def oracle_squared_defects(x, cls, mode):
+    """Squared defect of each generator on branch 1, then on branch 2, at a
+    coordinate vector, through scipy's expm and an index-sum partial trace,
+    sharing no code with the search module."""
     paulis = (SIGMA1, SIGMA2, SIGMA3)
 
     def local(v):
@@ -185,14 +193,19 @@ def oracle_defect(x, cls, mode):
     u = np.kron(local(x[6:9]), local(x[9:12])) @ kernel @ np.kron(local(x[0:3]), SIGMA0)
     probe = np.kron(SIGMA0, np.diag([1.0, 0.0]))
     gains = (x[12], x[13]) if mode == "approximate" else (1.0, 1.0)
-    worst = 0.0
-    for g in cls.generators:
-        for m, gain in ((np.kron(g.matrix, SIGMA0), gains[0]), (np.kron(SIGMA0, g.matrix), gains[1])):
+    squares = []
+    for branch, gain in enumerate(gains):
+        for g in cls.generators:
+            m = np.kron(SIGMA0, g.matrix) if branch else np.kron(g.matrix, SIGMA0)
             lift = ptrace_loop(probe @ u.conj().T @ m @ u, keep=1)
             coeffs = np.array([np.trace(lift @ s).real / 2.0 for s in (SIGMA0,) + paulis])
             r = np.concatenate([[coeffs[0] - g.coeffs[0]], gain * coeffs[1:] - g.coeffs[1:]])
-            worst = max(worst, float(np.sqrt(2.0 * (r @ r))))
-    return worst
+            squares.append(float(2.0 * (r @ r)))
+    return squares
+
+
+def oracle_defect(x, cls, mode):
+    return float(np.sqrt(max(oracle_squared_defects(x, cls, mode))))
 
 
 def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
@@ -213,6 +226,163 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
             if mode == "approximate":
                 x = np.concatenate([x, rng.uniform(1.0, 3.0, 2)])
             assert fun(x) == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
+
+
+def mixed_vector(rng, i, approximate):
+    """A random coordinate vector in which, by index i, some rotation vectors
+    and entangling angles are zero and some rotation vectors are tiny."""
+    x = rng.uniform(-np.pi, np.pi, 12)
+    for block, stride in ((slice(0, 3), 2), (slice(3, 6), 3), (slice(6, 9), 4), (slice(9, 12), 5)):
+        if i % stride == 0:
+            x[block] = 0.0
+        elif i % (stride + 5) == 0:
+            x[block] *= 1e-3
+    return np.concatenate([x, rng.uniform(1.0, 3.0, 2)]) if approximate else x
+
+
+def row_unit(cls):
+    """4**e, e the largest binary exponent of any generator's traceless entries: the unit of the rows."""
+    return 4.0 ** max(int(np.frexp(np.abs(g.coeffs[1:]).max())[1]) for g in cls.generators if g.coeffs[1:].any())
+
+
+def central_differences(f, x, h=1e-3):
+    """Columns d f / d x_k of a vector-valued f, by fourth-order central differences."""
+    cols = []
+    for k in range(len(x)):
+        at = []
+        for step in (2 * h, h, -h, -2 * h):
+            v = list(x)
+            v[k] += step
+            at.append(np.array(f(v)))
+        cols.append((8.0 * (at[1] - at[2]) - (at[0] - at[3])) / (12.0 * h))
+    return np.array(cols).T
+
+
+ROW_CLASSES = (ONE_PARAM, X_NC, UNEQUAL_PAIR, GENERAL)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_jacobian_matches_central_differences(rng, mode):
+    """200 points per mode, zero and tiny rotation vectors and zero entangling
+    angles among them, agree with central differences to 1e-9 relative to the
+    larger of the rows and their gradients (the differences' rounding scales
+    with the rows)."""
+    for i in range(200):
+        cls = ROW_CLASSES[i % len(ROW_CLASSES)]
+        rows = _residuals(cls, mode)
+        x = mixed_vector(rng, i, mode == "approximate").tolist()
+        phi, jac = rows(x)
+        fd = central_differences(lambda v: rows(v)[0], x)
+        assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_residual_rows_match_the_dense_oracle(rng, mode):
+    """The rows equal the oracle's squared defects at 200 points per mode; at
+    every twentieth point the Jacobian also equals central differences of the
+    oracle, to 1e-9 relative as above."""
+    for i in range(200):
+        cls = ROW_CLASSES[i % len(ROW_CLASSES)]
+        rows, unit = _residuals(cls, mode), row_unit(cls)
+        x = mixed_vector(rng, i, mode == "approximate").tolist()
+        phi, jac = rows(x)
+        want = oracle_squared_defects(x, cls, mode)
+        assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
+        if i % 20 == 0:
+            fd = central_differences(lambda v: oracle_squared_defects(v, cls, mode), x) / unit
+            assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_residual_rows_are_free_of_scale(rng, k):
+    """A class scaled by 2**k has the very same rows: they are in units of its largest power of two."""
+    scaled = ObservableClass(
+        UNEQUAL_PAIR.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in UNEQUAL_PAIR.generators)
+    )
+    for mode in MODES:
+        rows, scaled_rows = _residuals(UNEQUAL_PAIR, mode), _residuals(scaled, mode)
+        for i in range(10):
+            x = mixed_vector(rng, i, mode == "approximate").tolist()
+            assert scaled_rows(x) == rows(x)
+
+
+def slsqp_floor(cls, starts=3):
+    """Reference floor: scipy's SLSQP on the epigraph form min t s.t. phi_i(x) <= t,
+    with its own finite-difference gradients, best of a few fixed starts."""
+    rows, fun = _residuals(cls, "exact"), _objective(cls, "exact")
+    rng = np.random.default_rng(2024)
+    best = np.inf
+    for _ in range(starts):
+        x0 = rng.uniform(-np.pi, np.pi, 12)
+        z0 = np.append(x0, max(rows(x0.tolist())[0]))
+        res = scipy_optimize.minimize(
+            lambda z: z[-1], z0, jac=lambda z: np.eye(13)[-1], method="SLSQP",
+            constraints=[{"type": "ineq", "fun": lambda z: z[-1] - np.array(rows(z[:-1].tolist())[0])}],
+            options={"maxiter": 500, "ftol": 1e-16},
+        )
+        best = min(best, fun(res.x[:-1].tolist()))
+    return best
+
+
+def seeded_pair():
+    rng = np.random.default_rng(71)
+    return ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (random_observable(rng), random_observable(rng)))
+
+
+@pytest.mark.parametrize("cls", [X_NC, GENERAL, seeded_pair()], ids=["sigma-x-y", "pauli-basis", "seeded-pair"])
+def test_polished_floors_match_an_slsqp_oracle(cls):
+    """At the benchmark's search config (one restart, 1000 evaluations) every
+    seed ends within 1e-10 of the oracle, and sigma1/sigma2 within 1e-12 of
+    sqrt(2) - 1."""
+    oracle = slsqp_floor(cls)
+    for seed in range(4):
+        result = search_machine(cls, "exact", SearchConfig(restarts=1, max_evals=1000, seed=seed))
+        assert not result.converged
+        assert abs(result.best_defect - oracle) <= 1e-10
+        if cls is X_NC:
+            assert abs(result.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
+
+
+POLISH_CLASSES = {"sigma-x-y": X_NC, "pauli-basis": GENERAL, "unequal-pair": UNEQUAL_PAIR}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(POLISH_CLASSES)), st.sampled_from(MODES), st.integers(1, 300))
+@settings(max_examples=25, deadline=None)
+def test_polish_never_worsens_its_start(seed, name, mode, budget):
+    """From a random start the polish returns f = fun(x) <= f0 within its budget,
+    with gains inside their bounds; a search with that budget reports the
+    defect that cloning_defect recomputes at its point."""
+    cls, approximate = POLISH_CLASSES[name], mode == "approximate"
+    fun, rows, bounds = _objective(cls, mode), _residuals(cls, mode), _bounds(approximate)
+    x0 = random_vector(np.random.default_rng(seed), approximate).tolist()
+    f0 = fun(x0)
+    x, f, nfev = polish(fun, rows, x0, f0, budget, bounds)
+    assert f <= f0
+    assert f == fun(x)
+    assert nfev <= budget
+    result = search_machine(cls, mode, SearchConfig(restarts=1, max_evals=budget, seed=seed))
+    assert abs(cloning_defect(result.best_point, cls, mode) - result.best_defect) <= 1e-9
+    if approximate:
+        for gains in (x[12:], result.best_point.gains):
+            assert GAIN_BOUNDS[0] <= min(gains) and max(gains) <= GAIN_BOUNDS[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
+    """sigma1/sigma2 scaled by 2**k searches to a finite floor. The tolerance is
+    absolute, so the tiny class converges at once and the huge one never does;
+    in exact mode the huge class ends at 2**k times the unscaled floor, at the same point."""
+    scaled = ObservableClass(X_NC.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in X_NC.generators))
+    config = SearchConfig(restarts=1, max_evals=300, seed=3)
+    result = search_machine(scaled, mode, config)
+    assert np.isfinite(result.best_defect)
+    assert result.converged is (k < 0)
+    if mode == "exact" and k > 0:
+        plain = search_machine(X_NC, mode, config)
+        assert result.best_defect == plain.best_defect * 2.0**k
+        assert result.best_point.to_dict() == plain.best_point.to_dict()
+        assert abs(plain.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
 
 
 def scipy_descent(fun, x0, maxfev, bounds=None, ftarget=None):

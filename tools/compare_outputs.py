@@ -19,7 +19,11 @@ result as the JSON the `search` command prints.
 Per command, the exit code, stdout, stderr and the bytes of its --out
 file are compared; the work directory is masked in argv and in the two
 streams. The outputs that differ are printed, and the exit code is 1 if
-any does, 0 if none does.
+any does, 0 if none does. Each differing search (a `search` command or a
+criterion-5 record) also says whether its exit code and `converged` are
+unchanged and whether `best_defect` went down, and a last line counts the
+differing outputs per command kind, so a change that should move only
+search floors can be read off at a glance.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,14 +128,44 @@ def main(argv: list[str]) -> int:
         sys.stderr.write("the two trees planned different commands\n")
         return 2
     fields = ("exit code", "stdout", "stderr", "--out bytes")
-    differ = 0
+    total, differ = Counter(), Counter()
     for a, b in zip(old, new):
+        kind = a[0][0]
+        total[kind] += 1
         changed = [f for f, x, y in zip(fields, a[1:], b[1:]) if x != y]
         if changed:
-            differ += 1
-            print(f"differs ({', '.join(changed)}): {' '.join(a[0])}")
-    print(f"{len(old) - differ} of {len(old)} outputs byte-identical, {differ} differ")
-    return 1 if differ else 0
+            differ[kind] += 1
+            line = f"differs ({', '.join(changed)}): {' '.join(a[0])}"
+            if kind in ("search", "criterion-5"):
+                line += f" [{search_change(a, b)}]"
+            print(line)
+    count = sum(differ.values())
+    print(f"{len(old) - count} of {len(old)} outputs byte-identical, {count} differ")
+    print("differ per kind: " + ", ".join(f"{kind} {differ[kind]} of {n}" for kind, n in total.items()))
+    return 1 if count else 0
+
+
+def search_change(a: list, b: list) -> str:
+    """Whether a search record kept its exit code and converged flag, and how its best_defect moved."""
+    docs = [search_payload(r) for r in (a, b)]
+    notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
+    if None in docs:
+        return ", ".join(notes + ["payload unreadable"])
+    was, now = docs
+    notes.append("converged " + ("unchanged" if was["converged"] == now["converged"] else "changed"))
+    f0, f1 = was["best_defect"], now["best_defect"]
+    move = "down" if f1 < f0 else "unchanged" if f1 == f0 else "up"
+    notes.append(f"best_defect {move} {f0!r} -> {f1!r}")
+    return ", ".join(notes)
+
+
+def search_payload(record: list) -> dict | None:
+    """The JSON a search record wrote to its --out file, or else printed."""
+    text = bytes.fromhex(record[4]).decode() if record[4] is not None else record[2]
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
 
 
 if __name__ == "__main__":
