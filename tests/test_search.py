@@ -180,6 +180,18 @@ def test_fast_objective_agrees_with_the_full_verifier(rng):
             )
 
 
+def mixed_vector(rng, i, approximate):
+    """A random coordinate vector in which, by index i, some rotation vectors
+    and entangling angles are zero and some rotation vectors are tiny."""
+    x = rng.uniform(-np.pi, np.pi, 12)
+    for block, stride in ((slice(0, 3), 2), (slice(3, 6), 3), (slice(6, 9), 4), (slice(9, 12), 5)):
+        if i % stride == 0:
+            x[block] = 0.0
+        elif i % (stride + 5) == 0:
+            x[block] *= 1e-3
+    return np.concatenate([x, rng.uniform(1.0, 3.0, 2)]) if approximate else x
+
+
 def oracle_squared_defects(x, cls, mode):
     """Squared defect of each generator on branch 1, then on branch 2, at a
     coordinate vector, through scipy's expm and an index-sum partial trace,
@@ -209,8 +221,8 @@ def oracle_defect(x, cls, mode):
 
 
 def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
-    """Random points in both modes, with zero rotation vectors and zero
-    entangling angles mixed in so the |v| = 0 branch is exercised."""
+    """Random points in both modes, with zero and tiny rotation vectors and
+    zero entangling angles mixed in so the |v| = 0 branch is exercised."""
     pair = ObservableClass(
         ClassKind.TWO_PARAM_NONCOMMUTING,
         (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-1.1, 0.3, 0.5, -0.6]))),
@@ -219,25 +231,8 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
     for cls, mode in cases:
         fun = _objective(cls, mode)
         for i in range(40):
-            x = rng.uniform(-np.pi, np.pi, 12)
-            for block, stride in ((slice(0, 3), 2), (slice(3, 6), 3), (slice(6, 9), 4), (slice(9, 12), 5)):
-                if i % stride == 0:
-                    x[block] = 0.0
-            if mode == "approximate":
-                x = np.concatenate([x, rng.uniform(1.0, 3.0, 2)])
+            x = mixed_vector(rng, i, mode == "approximate")
             assert fun(x) == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
-
-
-def mixed_vector(rng, i, approximate):
-    """A random coordinate vector in which, by index i, some rotation vectors
-    and entangling angles are zero and some rotation vectors are tiny."""
-    x = rng.uniform(-np.pi, np.pi, 12)
-    for block, stride in ((slice(0, 3), 2), (slice(3, 6), 3), (slice(6, 9), 4), (slice(9, 12), 5)):
-        if i % stride == 0:
-            x[block] = 0.0
-        elif i % (stride + 5) == 0:
-            x[block] *= 1e-3
-    return np.concatenate([x, rng.uniform(1.0, 3.0, 2)]) if approximate else x
 
 
 def row_unit(cls):
@@ -262,25 +257,12 @@ ROW_CLASSES = (ONE_PARAM, X_NC, UNEQUAL_PAIR, GENERAL)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_residual_jacobian_matches_central_differences(rng, mode):
-    """200 points per mode, zero and tiny rotation vectors and zero entangling
-    angles among them, agree with central differences to 1e-9 relative to the
-    larger of the rows and their gradients (the differences' rounding scales
-    with the rows)."""
-    for i in range(200):
-        cls = ROW_CLASSES[i % len(ROW_CLASSES)]
-        rows = _residuals(cls, mode)
-        x = mixed_vector(rng, i, mode == "approximate").tolist()
-        phi, jac = rows(x)
-        fd = central_differences(lambda v: rows(v)[0], x)
-        assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_residual_rows_match_the_dense_oracle(rng, mode):
-    """The rows equal the oracle's squared defects at 200 points per mode; at
-    every twentieth point the Jacobian also equals central differences of the
-    oracle, to 1e-9 relative as above."""
+def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, mode):
+    """At 200 points per mode, zero and tiny rotation vectors and zero entangling
+    angles among them, the rows equal the oracle's squared defects to 1e-12 and
+    the Jacobian equals central differences of the rows, and at every twentieth
+    point of the oracle, to 1e-9 relative to the larger of the rows and their
+    gradients (the differences' rounding scales with the rows)."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
         rows, unit = _residuals(cls, mode), row_unit(cls)
@@ -288,8 +270,10 @@ def test_residual_rows_match_the_dense_oracle(rng, mode):
         phi, jac = rows(x)
         want = oracle_squared_defects(x, cls, mode)
         assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
+        references = [central_differences(lambda v: rows(v)[0], x)]
         if i % 20 == 0:
-            fd = central_differences(lambda v: oracle_squared_defects(v, cls, mode), x) / unit
+            references.append(central_differences(lambda v: oracle_squared_defects(v, cls, mode), x) / unit)
+        for fd in references:
             assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
 
 
