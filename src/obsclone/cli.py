@@ -46,7 +46,6 @@ from .machines import (
 from .pauli import Observable
 from .search import MODES, SearchConfig, result_to_dict, search_machine
 
-OBSERVABLE_SHRINK = 1.0 / np.sqrt(2.0)
 # Largest scan grid: its CSV text is held in memory until it is written.
 MAX_SCAN_STEPS = 100_000
 # Scan rows are computed this many at a time, which keeps the kernel's
@@ -197,7 +196,8 @@ def cmd_compare(args) -> int:
     # Evaluate the tailored machine at its own balancing angle, kept away
     # from the singular endpoints where a gain diverges.
     theta = float(np.clip(universal.optimal_theta, 1e-3, np.pi / 2 - 1e-3))
-    tailored = uncertainty_product(t_machine(theta), state)
+    machine = t_machine(theta)
+    tailored = uncertainty_product(machine, state)
     phase_cov = uncertainty_product(phase_covariant_machine(theta), state)
     payload = {
         "state": [float(v) for v in state.bloch],
@@ -205,7 +205,7 @@ def cmd_compare(args) -> int:
         "observable_product": tailored.product,
         "phase_covariant_product": phase_cov.product,
         "universal_product": universal.product,
-        "observable_shrink_factor": OBSERVABLE_SHRINK,
+        "observable_shrink_factor": [1.0 / g for g in machine.gains],
         "universal_shrink_factor": UNIVERSAL_SHRINK,
         "paper_reference_value": REFERENCE_UNIVERSAL_PRODUCT,
         "observable_report": uncertainty_to_dict(tailored),

@@ -167,27 +167,28 @@ def _sort(sim, fsim):
     return [sim[i] for i in order], values, tied
 
 
-def polish(fun, rows, x0, f0, maxfev, bounds=None, ftarget=None):
+def polish(fun, x0, f0, maxfev, bounds=None, ftarget=None):
     """Minimize max_i phi_i(x) from x0 by SQP on the epigraph form, min t s.t. phi_i(x) <= t.
 
-    rows(x) returns (phi, jac): the values phi_i and their gradients. fun is
-    an increasing function of max_i phi_i (the defect), f0 = fun(x0), and
-    fun decides which step is accepted. Each step solves the QP
+    fun(x, rows) appends each pair (phi_i, jac_i), a value and its gradient, to rows.
+    fun(x) is an increasing function of max_i phi_i (the defect), f0 =
+    fun(x0), and fun decides which step is accepted. Each step solves the QP
     min s + d.H.d / 2 s.t. phi_i + jac_i.d <= max(phi) + s through its dual
     (_simplex_qp), with H Powell's damped BFGS approximation of the
     Lagrangian's Hessian, then halves d until fun drops below its current
     value; a point outside bounds is clipped into the box. Stops on a failed
     line search, a relative decrease below 1e-15, a predicted decrease at
-    rounding level, a value below ftarget, or after maxfev calls of fun and
-    rows together. Returns (x, f, nfev) with f = fun(x) <= f0.
+    rounding level, a value below ftarget, or after maxfev calls of fun.
+    Returns (x, f, nfev) with f = fun(x) <= f0.
     """
     x, f, nfev = [float(v) for v in x0], f0, 0
     lo, hi = (None, None) if bounds is None else np.array(bounds, dtype=float).T
     hess = support = None
     while nfev < maxfev and not (ftarget is not None and f < ftarget):
-        phi, jac = rows(x)
+        rows = []
+        fun(x, rows)
         nfev += 1
-        phi, jac = np.array(phi), np.array(jac)
+        phi, jac = (np.array(v) for v in zip(*rows))
         if hess is None:
             hess, support = np.eye(len(x)), [int(np.argmax(phi))]
         else:

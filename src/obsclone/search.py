@@ -15,8 +15,10 @@ entries are closed forms in the 12 angles (see _objective). Each restart
 descends with obsclone.optimize.minimize, scipy's adaptive Nelder-Mead
 transcribed to plain floats; a restart that improves on the best defect
 is then polished by obsclone.optimize.polish, an SQP step on the minimax
-of the squared branch-generator defects, whose analytic gradients come
-from the same closed form (_residuals). The module needs numpy alone.
+of the squared branch-generator defects. Both take the one callable
+_objective returns, defect(x, rows=None), which also appends each squared
+defect and its analytic gradient to rows when given that list. The module
+needs numpy alone.
 MODES and SearchConfig's field defaults are the search surface the
 command line offers.
 """
@@ -181,7 +183,7 @@ def _conjugation_gradient(a: float, b: float, c: float) -> tuple:
 
 
 def _objective(cls: ObservableClass, mode: str):
-    """Defect as a plain function of the coordinate vector (hot path).
+    """Defect as a plain function of the coordinate vector (hot path), and on request the polish's rows.
 
     Branch b maps the traceless part a of a generator to the lift
     coefficients a . T_b, where T_b = Q(post_b) K_b diag(1, Q(pre)) is a
@@ -194,103 +196,55 @@ def _objective(cls: ObservableClass, mode: str):
     with c_l, s_l the cosine and sine of entangling angle l; the identity
     part lifts to itself. Plain floats, because numpy's per-call cost
     dwarfs arithmetic on arrays this small. Each generator enters divided
-    by the power of two of its largest entry and its defect is multiplied
-    back: exact, so ordinary classes give the same bits, while rows near
-    either end of the float range neither overflow nor underflow to zero.
-    A class whose traceless parts could carry a defect past the float range
-    is refused; identity parts never enter, whatever their size.
+    by the power of two 2**e of its largest entry, and its squared defect
+    phi is weighted by 4**(e - top), top the largest e, so defect(x) is
+    sqrt(max phi) * 2**top: exact, so ordinary classes give the same bits,
+    while rows near either end of the float range neither overflow nor
+    underflow to zero. A class whose traceless parts could carry a defect
+    past the float range is refused; identity parts never enter.
+
+    defect(x, rows) returns the same value and appends (phi, its gradient
+    in x) for generator i on branch b + 1 to the list rows, at index b G + i;
+    the rotations differentiate through _conjugation_gradient.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
     if i is not None:
         raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
-    gens = []
-    for g in cls.generators:
-        a, e = unit_scaled(g.coeffs[1:].tolist())
-        gens.append((*a, 2.0**e))
-
-    def defect(x) -> float:
-        p = _conjugation(x[0], x[1], x[2])
-        c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
-        s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
-        g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
-        worst = 0.0
-        for q, kern, gain in (
-            (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
-            (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
-        ):
-            k20, k01, k02, k11, k12, k23 = kern
-            for a1, a2, a3, scale in gens:
-                u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
-                u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
-                u3 = a1 * q[2] + a2 * q[5] + a3 * q[8]
-                w1 = u1 * k01 + u2 * k11
-                w2 = u1 * k02 + u2 * k12
-                w3 = u3 * k23
-                r0 = u3 * k20
-                r1 = gain * (w1 * p[0] + w2 * p[3] + w3 * p[6]) - a1
-                r2 = gain * (w1 * p[1] + w2 * p[4] + w3 * p[7]) - a2
-                r3 = gain * (w1 * p[2] + w2 * p[5] + w3 * p[8]) - a3
-                val = math.sqrt(2.0 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)) * scale
-                if val > worst:
-                    worst = val
-        return worst
-
-    return defect
-
-
-def _kernel_gradients(c1, c2, c3, s1, s2, s3) -> tuple:
-    """d/d(theta_l), l = 1, 2, 3, of each branch's kernel entries (k20, k01, k02, k11, k12, k23) in _objective.
-
-    Each entry is a product of one cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
-    """
-    return (
-        (
-            (c1 * s2, 0.0, 0.0, s1 * s3, -s1 * c3, -s1 * c2),
-            (s1 * c2, -s2 * c3, -s2 * s3, 0.0, 0.0, -c1 * s2),
-            (0.0, -c2 * s3, c2 * c3, -c1 * c3, -c1 * s3, 0.0),
-        ),
-        (
-            (-s1 * c2, 0.0, 0.0, c1 * c3, c1 * s3, c1 * s2),
-            (-c1 * s2, c2 * s3, -c2 * c3, 0.0, 0.0, s1 * c2),
-            (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
-        ),
-    )
-
-
-def _residuals(cls: ObservableClass, mode: str):
-    """Squared defects of the branch-generator pairs and their analytic gradients (the polish's rows).
-
-    rows(x) returns (phi, jac): phi[b G + i] is the squared defect of
-    generator i on branch b + 1, in units of the largest generator's power of
-    two, so sqrt(max(phi)) is _objective's defect up to that exact scale,
-    and jac[b G + i] is its gradient in x. The forward pass is _objective's
-    closed form; the rotations differentiate through _conjugation_gradient,
-    and the kernel entries through _kernel_gradients.
-    """
-    approximate = mode == "approximate"
     gens = [unit_scaled(g.coeffs[1:].tolist()) for g in cls.generators]
     top = max((e for a, e in gens if any(a)), default=0)
     # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
     gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens]
-    n = 14 if approximate else 12
 
-    def rows(x):
+    def defect(x, rows=None) -> float:
         p = _conjugation(x[0], x[1], x[2])
-        dp = _conjugation_gradient(x[0], x[1], x[2])
         c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
         s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
         g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
-        phi, jac = [], []
-        for b, v, kern, dkern, gain in zip(
-            (0, 1),
-            (x[6:9], x[9:12]),
-            ((s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2)),
-            _kernel_gradients(c1, c2, c3, s1, s2, s3),
-            (g1, g2),
+        if rows is not None:
+            dp = _conjugation_gradient(x[0], x[1], x[2])
+            # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
+            # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
+            dkerns = (
+                (
+                    (c1 * s2, 0.0, 0.0, s1 * s3, -s1 * c3, -s1 * c2),
+                    (s1 * c2, -s2 * c3, -s2 * s3, 0.0, 0.0, -c1 * s2),
+                    (0.0, -c2 * s3, c2 * c3, -c1 * c3, -c1 * s3, 0.0),
+                ),
+                (
+                    (-s1 * c2, 0.0, 0.0, c1 * c3, c1 * s3, c1 * s2),
+                    (-c1 * s2, c2 * s3, -c2 * c3, 0.0, 0.0, s1 * c2),
+                    (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
+                ),
+            )
+        worst = 0.0
+        for b, q, kern, gain in (
+            (0, _conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+            (1, _conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
         ):
-            q, dq = _conjugation(*v), _conjugation_gradient(*v)
             k20, k01, k02, k11, k12, k23 = kern
+            if rows is not None:
+                dq, dkern = _conjugation_gradient(*x[6 + 3 * b : 9 + 3 * b]), dkerns[b]
             for a1, a2, a3, weight in gens:
                 u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
                 u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
@@ -303,6 +257,11 @@ def _residuals(cls: ObservableClass, mode: str):
                 y2 = w1 * p[1] + w2 * p[4] + w3 * p[7]
                 y3 = w1 * p[2] + w2 * p[5] + w3 * p[8]
                 r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
+                phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
+                if phi > worst:
+                    worst = phi
+                if rows is None:
+                    continue
                 # gain * z is the gradient of |r|^2 / 2 in w.
                 z1 = gain * (p[0] * r1 + p[1] * r2 + p[2] * r3)
                 z2 = gain * (p[3] * r1 + p[4] * r2 + p[5] * r3)
@@ -315,7 +274,7 @@ def _residuals(cls: ObservableClass, mode: str):
                 gm = gain * m
                 x1, x2, x3 = a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1
                 o1, o2, o3 = u2 * e3 - u3 * e2, u3 * e1 - u1 * e3, u1 * e2 - u2 * e1
-                row = [0.0] * n
+                row = [0.0] * len(x)
                 row[0] = gm * (dp[0] * x1 + dp[1] * x2 + dp[2] * x3)
                 row[1] = gm * (dp[3] * x1 + dp[4] * x2 + dp[5] * x3)
                 row[2] = gm * (dp[6] * x1 + dp[7] * x2 + dp[8] * x3)
@@ -327,11 +286,10 @@ def _residuals(cls: ObservableClass, mode: str):
                 row[j + 2] = m * (dq[6] * o1 + dq[7] * o2 + dq[8] * o3)
                 if approximate:
                     row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
-                phi.append(weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
-                jac.append(row)
-        return phi, jac
+                rows.append((phi, row))
+        return math.ldexp(math.sqrt(worst), top)
 
-    return rows
+    return defect
 
 
 def _bounds(approximate: bool):
@@ -358,7 +316,6 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         raise ValueError(f"mode must be one of {MODES}")
     approximate = mode == "approximate"
     fun = _objective(cls, mode)
-    rows = _residuals(cls, mode)
     bounds = _bounds(approximate)
     rng = np.random.default_rng(config.seed)
     ftarget = config.tol * 1e-3
@@ -375,7 +332,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             if f >= config.tol:
-                x, f, n = optimize.polish(fun, rows, x, f, config.max_evals, bounds, ftarget)
+                x, f, n = optimize.polish(fun, x, f, config.max_evals, bounds, ftarget)
                 evals += n
             if f < best_f:
                 best_x, best_f = x, f

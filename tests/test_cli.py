@@ -761,10 +761,19 @@ class TestCompare:
         assert data["state"] == [0.0, 0.0, 1.0]
         assert data["observable_product"] == pytest.approx(4.0, abs=1e-10)
         assert data["universal_product"] == pytest.approx(81.0 / 16.0, abs=1e-12)
-        assert data["observable_shrink_factor"] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert data["observable_shrink_factor"] == pytest.approx([1.0 / np.sqrt(2.0)] * 2)
         assert data["universal_shrink_factor"] == pytest.approx(2.0 / 3.0)
         assert data["paper_reference_value"] == 4.5
         assert data["universal_product"] > data["observable_product"]
+
+    def test_shrink_factors_are_the_tailored_machines_branch_shrinks(self, capsys):
+        """Off the sigma3 axis the balancing angle leaves pi/4, and the shrinks (cos theta, sin theta) follow it."""
+        code, out, _ = run_cli(capsys, "compare", "--state", "0.8,0,0.3")
+        assert code == 0
+        data = json.loads(out)
+        theta = data["optimal_theta"]
+        assert data["observable_shrink_factor"] == pytest.approx([np.cos(theta), np.sin(theta)], rel=1e-15)
+        assert data["observable_shrink_factor"] == pytest.approx([0.790569, 0.612372], abs=1e-6)
 
     def test_phase_covariant_route_agrees_with_the_tailored_one(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--state", "0.2,0.1,0.6")

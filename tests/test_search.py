@@ -1,5 +1,7 @@
 """Tests for the restarted simplex search, the package's one no-cloning floor estimator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from obsclone.search import (
     SearchSpacePoint,
     _bounds,
     _objective,
-    _residuals,
     cloning_defect,
     result_to_dict,
     search_machine,
@@ -35,6 +36,11 @@ X_NC = ObservableClass(
 GENERAL = ObservableClass(
     ClassKind.GENERAL,
     tuple(Observable(row) for row in np.eye(4)),
+)
+# Identity parts, and traceless parts of the same binary exponent.
+SAME_EXPONENT_PAIR = ObservableClass(
+    ClassKind.TWO_PARAM_NONCOMMUTING,
+    (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-1.1, 0.3, 0.5, -0.6]))),
 )
 # Identity parts, and traceless parts whose largest entries differ by a factor 2**3.
 UNEQUAL_PAIR = ObservableClass(
@@ -223,11 +229,9 @@ def oracle_defect(x, cls, mode):
 def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
     """Random points in both modes, with zero and tiny rotation vectors and
     zero entangling angles mixed in so the |v| = 0 branch is exercised."""
-    pair = ObservableClass(
-        ClassKind.TWO_PARAM_NONCOMMUTING,
-        (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-1.1, 0.3, 0.5, -0.6]))),
+    cases = (
+        (ONE_PARAM, "exact"), (X_NC, "exact"), (X_NC, "approximate"), (SAME_EXPONENT_PAIR, "approximate"), (GENERAL, "exact")
     )
-    cases = ((ONE_PARAM, "exact"), (X_NC, "exact"), (X_NC, "approximate"), (pair, "approximate"), (GENERAL, "exact"))
     for cls, mode in cases:
         fun = _objective(cls, mode)
         for i in range(40):
@@ -235,9 +239,21 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
             assert fun(x) == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
 
 
-def row_unit(cls):
-    """4**e, e the largest binary exponent of any generator's traceless entries: the unit of the rows."""
-    return 4.0 ** max(int(np.frexp(np.abs(g.coeffs[1:]).max())[1]) for g in cls.generators if g.coeffs[1:].any())
+def row_top(cls):
+    """The largest binary exponent of any generator's traceless entries: the rows are in units of 4**top."""
+    return max(int(np.frexp(np.abs(g.coeffs[1:]).max())[1]) for g in cls.generators if g.coeffs[1:].any())
+
+
+def rows_of(fun):
+    """x -> (phi, jac): the squared defects and gradients that fun(x, rows) appends to rows."""
+
+    def rows(x):
+        out = []
+        fun(x, out)
+        phi, jac = zip(*out)
+        return list(phi), list(jac)
+
+    return rows
 
 
 def central_differences(f, x, h=1e-3):
@@ -262,12 +278,16 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
     angles among them, the rows equal the oracle's squared defects to 1e-12 and
     the Jacobian equals central differences of the rows, and at every twentieth
     point of the oracle, to 1e-9 relative to the larger of the rows and their
-    gradients (the differences' rounding scales with the rows)."""
+    gradients (the differences' rounding scales with the rows). With or without
+    rows the defect is the same float, sqrt(max(phi)) * 2**top, which the
+    polish relies on."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
-        rows, unit = _residuals(cls, mode), row_unit(cls)
+        fun, top = _objective(cls, mode), row_top(cls)
+        rows, unit = rows_of(fun), 4.0**top
         x = mixed_vector(rng, i, mode == "approximate").tolist()
         phi, jac = rows(x)
+        assert fun(x) == fun(x, []) == math.ldexp(math.sqrt(max(phi)), top)
         want = oracle_squared_defects(x, cls, mode)
         assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
         references = [central_differences(lambda v: rows(v)[0], x)]
@@ -278,22 +298,25 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
-def test_residual_rows_are_free_of_scale(rng, k):
-    """A class scaled by 2**k has the very same rows: they are in units of its largest power of two."""
-    scaled = ObservableClass(
-        UNEQUAL_PAIR.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in UNEQUAL_PAIR.generators)
-    )
-    for mode in MODES:
-        rows, scaled_rows = _residuals(UNEQUAL_PAIR, mode), _residuals(scaled, mode)
-        for i in range(10):
-            x = mixed_vector(rng, i, mode == "approximate").tolist()
-            assert scaled_rows(x) == rows(x)
+def test_defect_scales_exactly_with_a_power_of_two_and_its_rows_not_at_all(rng, k):
+    """A class scaled by 2**k scores exactly 2**k times the defect, so nothing
+    overflows or underflows to a false zero, and has the very same rows: they
+    are in units of its largest power of two."""
+    for cls in (SAME_EXPONENT_PAIR, UNEQUAL_PAIR):
+        scaled = ObservableClass(cls.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in cls.generators))
+        for mode in MODES:
+            fun, big = _objective(cls, mode), _objective(scaled, mode)
+            for i in range(20):
+                x = mixed_vector(rng, i, mode == "approximate").tolist()
+                assert big(x) == fun(x) * 2.0**k
+                assert rows_of(big)(x) == rows_of(fun)(x)
 
 
 def slsqp_floor(cls, starts=3):
     """Reference floor: scipy's SLSQP on the epigraph form min t s.t. phi_i(x) <= t,
     with its own finite-difference gradients, best of a few fixed starts."""
-    rows, fun = _residuals(cls, "exact"), _objective(cls, "exact")
+    fun = _objective(cls, "exact")
+    rows = rows_of(fun)
     rng = np.random.default_rng(2024)
     best = np.inf
     for _ in range(starts):
@@ -337,10 +360,10 @@ def test_polish_never_worsens_its_start(seed, name, mode, budget):
     with gains inside their bounds; a search with that budget reports the
     defect that cloning_defect recomputes at its point."""
     cls, approximate = POLISH_CLASSES[name], mode == "approximate"
-    fun, rows, bounds = _objective(cls, mode), _residuals(cls, mode), _bounds(approximate)
+    fun, bounds = _objective(cls, mode), _bounds(approximate)
     x0 = random_vector(np.random.default_rng(seed), approximate).tolist()
     f0 = fun(x0)
-    x, f, nfev = polish(fun, rows, x0, f0, budget, bounds)
+    x, f, nfev = polish(fun, x0, f0, budget, bounds)
     assert f <= f0
     assert f == fun(x)
     assert nfev <= budget
@@ -467,20 +490,6 @@ def test_nelder_mead_matches_scipy_when_new_points_tie_old_ones():
 
     for maxfev in (14, 20, 60, 400):
         assert_same_descent(fun, x0, maxfev)
-
-
-@pytest.mark.parametrize("k", [-1000, 1000])
-def test_objective_scales_exactly_with_a_power_of_two(rng, k):
-    """A class scaled by 2**k scores exactly 2**k times the defect: its rows
-    neither overflow nor underflow to a false zero."""
-    pair = (Observable(np.array([0.4, -0.2, 0.7, 0.1])), Observable(np.array([-1.1, 0.3, 0.5, -0.6])))
-    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, pair)
-    big = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, tuple(Observable(np.ldexp(g.coeffs, k)) for g in pair))
-    for mode in ("exact", "approximate"):
-        fun, scaled = _objective(cls, mode), _objective(big, mode)
-        for _ in range(20):
-            x = random_vector(rng, with_gains=mode == "approximate").tolist()
-            assert scaled(x) == fun(x) * 2.0**k
 
 
 def test_search_refuses_classes_whose_residuals_leave_the_float_range():
