@@ -12,13 +12,11 @@ that certifies the failure numerically (evidence, not a proof).
 The optimizer never builds a unitary: with the probe pinned, each output
 branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). Each restart
-descends with obsclone.optimize.minimize, scipy's adaptive Nelder-Mead
-transcribed to plain floats; a restart that improves on the best defect
-is then polished by obsclone.optimize.polish, an SQP step on the minimax
-of the squared branch-generator defects. Both take the one callable
-_objective returns, defect(x, rows=None), which also appends each squared
-defect and its analytic gradient to rows when given that list. The module
-needs numpy alone.
+descends with obsclone.optimize.minimize, SQP on the minimax of the
+squared branch-generator defects. It takes the one callable _objective
+returns, defect(x, rows=None), which also appends each squared defect and
+its analytic gradient to rows when given that list. The module needs
+numpy alone.
 MODES and SearchConfig's field defaults are the search surface the
 command line offers.
 """
@@ -183,7 +181,7 @@ def _conjugation_gradient(a: float, b: float, c: float) -> tuple:
 
 
 def _objective(cls: ObservableClass, mode: str):
-    """Defect as a plain function of the coordinate vector (hot path), and on request the polish's rows.
+    """Defect as a plain function of the coordinate vector (hot path), and on request the descent's rows.
 
     Branch b maps the traceless part a of a generator to the lift
     coefficients a . T_b, where T_b = Q(post_b) K_b diag(1, Q(pre)) is a
@@ -302,15 +300,13 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     """Minimize the cloning defect from seeded random starts.
 
     Deterministic for a fixed config: restarts draw their starting
-    vectors from one seeded stream, descend with Nelder-Mead (a descent
-    ends after the first iteration that scores below tol * 1e-3, which
-    keeps converging searches cheap), and stop early once the defect
-    passes below tol. Whenever a restart ends at or above tol and improves
-    on the best defect so far, its endpoint is polished: SQP steps on the
-    max of the squared defects of every branch and generator, with analytic
-    gradients, under the same evaluation budget and tol * 1e-3 stop. So
-    reported floors sit at the bottom of their basin, at their closed forms
-    where one is known (sqrt(2) - 1 for sigma1/sigma2).
+    vectors from one seeded stream, each descends by SQP steps on the max
+    of the squared defects of every branch and generator, with analytic
+    gradients, within max_evals evaluations (its start's included) and
+    until it scores below tol * 1e-3, and the search stops early once the
+    defect passes below tol. Floors that do not converge therefore sit at
+    the bottom of their basin, at their closed forms where one is known
+    (sqrt(2) - 1 for sigma1/sigma2).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -331,11 +327,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         evals += n
         performed += 1
         if f < best_f:
-            if f >= config.tol:
-                x, f, n = optimize.polish(fun, x, f, config.max_evals, bounds, ftarget)
-                evals += n
-            if f < best_f:
-                best_x, best_f = x, f
+            best_x, best_f = x, f
         if best_f < config.tol:
             break
     if best_x is None:

@@ -21,9 +21,11 @@ file are compared; the work directory is masked in argv and in the two
 streams. The outputs that differ are printed, and the exit code is 1 if
 any does, 0 if none does. Each differing search (a `search` command or a
 criterion-5 record) also says whether its exit code and `converged` are
-unchanged and whether `best_defect` went down, and a last line counts the
-differing outputs per command kind, so a change that should move only
-search floors can be read off at a glance.
+unchanged and whether `best_defect` went down. The last lines count the
+differing outputs per command kind and sum up the differing searches: how
+many changed exit code or `converged`, and how many `best_defect`s went
+down, stayed or went up. So a change that should move only search floors,
+and no verdict, can be read off at a glance.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def main(argv: list[str]) -> int:
         sys.stderr.write("the two trees planned different commands\n")
         return 2
     fields = ("exit code", "stdout", "stderr", "--out bytes")
-    total, differ = Counter(), Counter()
+    total, differ, moves = Counter(), Counter(), Counter()
+    verdicts = 0
     for a, b in zip(old, new):
         kind = a[0][0]
         total[kind] += 1
@@ -137,26 +140,38 @@ def main(argv: list[str]) -> int:
             differ[kind] += 1
             line = f"differs ({', '.join(changed)}): {' '.join(a[0])}"
             if kind in ("search", "criterion-5"):
-                line += f" [{search_change(a, b)}]"
+                note, verdict_moved, move = search_change(a, b)
+                verdicts += verdict_moved
+                moves[move] += 1
+                line += f" [{note}]"
             print(line)
     count = sum(differ.values())
     print(f"{len(old) - count} of {len(old)} outputs byte-identical, {count} differ")
     print("differ per kind: " + ", ".join(f"{kind} {differ[kind]} of {n}" for kind, n in total.items()))
+    print(
+        f"searches: {sum(moves.values())} differ, {verdicts} changed exit code or converged;"
+        f" best_defect down {moves['down']}, unchanged {moves['unchanged']}, up {moves['up']},"
+        f" unreadable {moves['unreadable']}"
+    )
     return 1 if count else 0
 
 
-def search_change(a: list, b: list) -> str:
-    """Whether a search record kept its exit code and converged flag, and how its best_defect moved."""
+def search_change(a: list, b: list) -> tuple[str, bool, str]:
+    """How a search record changed: a note, whether its exit code or converged flag moved, and how its best_defect moved.
+
+    A payload that cannot be read counts as a moved verdict, with best_defect "unreadable".
+    """
     docs = [search_payload(r) for r in (a, b)]
     notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
     if None in docs:
-        return ", ".join(notes + ["payload unreadable"])
+        return ", ".join(notes + ["payload unreadable"]), True, "unreadable"
     was, now = docs
-    notes.append("converged " + ("unchanged" if was["converged"] == now["converged"] else "changed"))
+    same = was["converged"] == now["converged"]
+    notes.append("converged " + ("unchanged" if same else "changed"))
     f0, f1 = was["best_defect"], now["best_defect"]
     move = "down" if f1 < f0 else "unchanged" if f1 == f0 else "up"
     notes.append(f"best_defect {move} {f0!r} -> {f1!r}")
-    return ", ".join(notes)
+    return ", ".join(notes), a[1] != b[1] or not same, move
 
 
 def search_payload(record: list) -> dict | None:
