@@ -395,6 +395,86 @@ def test_minimize_never_worsens_its_start(seed, name, mode, budget):
             assert GAIN_BOUNDS[0] <= min(gains) and max(gains) <= GAIN_BOUNDS[1]
 
 
+def logged(fun, log):
+    """fun, recording each call as (point, value, whether rows were asked for)."""
+    def f(x, rows=None):
+        v = fun(x, rows)
+        log.append(([float(t) for t in x], v, rows is not None))
+        return v
+
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CLASSES))
+@pytest.mark.parametrize("mode", MODES)
+def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
+    """With ftarget halfway between the start's value and the untargeted end,
+    the descent evaluates a prefix of the untargeted one's points and stops at
+    the first accepted step below the target, well inside the budget."""
+    cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
+    fun, bounds = _objective(cls, mode), _bounds(approximate)
+    x0 = random_vector(np.random.default_rng(7), approximate).tolist()
+    plain, targeted = [], []
+    _, f_end, _ = minimize(logged(fun, plain), x0, 300, bounds)
+    f0 = fun(x0)
+    assert f_end < f0
+    ftarget = 0.5 * (f0 + f_end)
+    x, f, nfev = minimize(logged(fun, targeted), x0, 300, bounds, ftarget)
+    assert f < ftarget
+    assert nfev == len(targeted) < len(plain)
+    assert targeted == plain[:nfev]
+    assert targeted[-1] == (x, f, False)
+    assert all(v >= ftarget for _, v, _ in targeted[:-1])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_minimize_returns_a_start_without_a_finite_value_at_once(value):
+    """The start is the one evaluation: no rows call, no step."""
+    log = []
+    x, f, nfev = minimize(logged(lambda x, rows=None: value, log), [0.5, -1.0, 2.0], 100)
+    assert x == [0.5, -1.0, 2.0]
+    assert f is value
+    assert nfev == 1
+    assert log == [([0.5, -1.0, 2.0], value, False)]
+
+
+def enclosing_ball(centres):
+    """fun for max_i |x - c_i|**2, whose minimax point is the centre of the
+    smallest ball around the c_i and whose floor is its squared radius."""
+    centres = np.array(centres, dtype=float)
+
+    def fun(x, rows=None):
+        diff = np.array(x) - centres
+        phi = (diff**2).sum(axis=1)
+        if rows is not None:
+            rows.extend(zip(phi.tolist(), (2.0 * diff).tolist()))
+        return float(phi.max())
+
+    return fun
+
+
+@pytest.mark.parametrize(
+    "centres, x0, bounds, centre, floor",
+    [
+        ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [0.3, 0.7, -0.4], None, [0.0, 0.0, 0.0], 1.0),
+        ([[1.0, 0.0], [-0.5, math.sqrt(0.75)], [-0.5, -math.sqrt(0.75)]], [0.4, 0.9], None, [0.0, 0.0], 1.0),
+        ([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.2]], [0.6, -0.8], None, [0.0, 0.0], 1.0),
+        ([[2.0, 0.0], [4.0, 0.0]], [-0.5, 0.5], [(-1.0, 1.0)] * 2, [1.0, 0.0], 9.0),
+    ],
+    ids=["two-points", "equilateral-triangle", "obtuse-triangle", "clipped-to-a-box"],
+)
+def test_minimize_finds_the_smallest_enclosing_ball(centres, x0, bounds, centre, floor):
+    """A minimax with a closed-form answer. Two or three functions tie at the
+    minimum, except in the obtuse triangle, where the third stays below the
+    others, and in the box, where the minimum sits on the boundary and only
+    the farther centre counts."""
+    fun = enclosing_ball(centres)
+    x, f, nfev = minimize(fun, x0, 200, bounds)
+    assert nfev < 200
+    assert abs(f - floor) <= 1e-12
+    assert np.abs(np.array(x) - centre).max() <= 1e-6
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
