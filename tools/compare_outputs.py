@@ -23,9 +23,10 @@ any does, 0 if none does. Each differing search (a `search` command or a
 criterion-5 record) also says whether its exit code and `converged` are
 unchanged and whether `best_defect` went down. The last lines count the
 differing outputs per command kind and sum up the differing searches: how
-many changed exit code or `converged`, and how many `best_defect`s went
-down, stayed or went up. So a change that should move only search floors,
-and no verdict, can be read off at a glance.
+many changed exit code or `converged`, how many `best_defect`s went down,
+stayed or went up, and their summed `evaluations`, old -> new. So a change
+that should move only search floors, and no verdict, can be read off at a
+glance, and so can a speed-up that came from spending fewer evaluations.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def main(argv: list[str]) -> int:
     fields = ("exit code", "stdout", "stderr", "--out bytes")
     total, differ, moves = Counter(), Counter(), Counter()
     verdicts = 0
+    evaluations = [0, 0]
     for a, b in zip(old, new):
         kind = a[0][0]
         total[kind] += 1
@@ -140,9 +142,10 @@ def main(argv: list[str]) -> int:
             differ[kind] += 1
             line = f"differs ({', '.join(changed)}): {' '.join(a[0])}"
             if kind in ("search", "criterion-5"):
-                note, verdict_moved, move = search_change(a, b)
+                note, verdict_moved, move, spent = search_change(a, b)
                 verdicts += verdict_moved
                 moves[move] += 1
+                evaluations = [e + n for e, n in zip(evaluations, spent)]
                 line += f" [{note}]"
             print(line)
     count = sum(differ.values())
@@ -151,27 +154,28 @@ def main(argv: list[str]) -> int:
     print(
         f"searches: {sum(moves.values())} differ, {verdicts} changed exit code or converged;"
         f" best_defect down {moves['down']}, unchanged {moves['unchanged']}, up {moves['up']},"
-        f" unreadable {moves['unreadable']}"
+        f" unreadable {moves['unreadable']}; evaluations {evaluations[0]} -> {evaluations[1]}"
     )
     return 1 if count else 0
 
 
-def search_change(a: list, b: list) -> tuple[str, bool, str]:
-    """How a search record changed: a note, whether its exit code or converged flag moved, and how its best_defect moved.
+def search_change(a: list, b: list) -> tuple[str, bool, str, tuple[int, int]]:
+    """How a search record changed: a note, whether its exit code or converged flag moved, how its best_defect moved.
 
-    A payload that cannot be read counts as a moved verdict, with best_defect "unreadable".
+    The fourth item is its (old, new) evaluations. A payload that cannot be read counts as a moved
+    verdict, with best_defect "unreadable" and (0, 0) evaluations.
     """
     docs = [search_payload(r) for r in (a, b)]
     notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
     if None in docs:
-        return ", ".join(notes + ["payload unreadable"]), True, "unreadable"
+        return ", ".join(notes + ["payload unreadable"]), True, "unreadable", (0, 0)
     was, now = docs
     same = was["converged"] == now["converged"]
     notes.append("converged " + ("unchanged" if same else "changed"))
     f0, f1 = was["best_defect"], now["best_defect"]
     move = "down" if f1 < f0 else "unchanged" if f1 == f0 else "up"
     notes.append(f"best_defect {move} {f0!r} -> {f1!r}")
-    return ", ".join(notes), a[1] != b[1] or not same, move
+    return ", ".join(notes), a[1] != b[1] or not same, move, (was["evaluations"], now["evaluations"])
 
 
 def search_payload(record: list) -> dict | None:
