@@ -153,19 +153,20 @@ def cmd_scan(args) -> int:
     if args.theta_max < args.theta_min:
         raise ValueError("--theta-max must not be below --theta-min")
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    lines = ["theta,di1,di2,dm1,dm2,product,bound"]
+    lines, warnings = ["theta,di1,di2,dm1,dm2,product,bound"], []
     for start in range(0, args.steps, SCAN_BLOCK):
         block = thetas[start : start + SCAN_BLOCK]
         u, gains, singular = t_machines(block)
-        # The generator checks the whole block when its first row is drawn, which is
-        # where a row-by-row scan checked its first report, so warnings keep their order.
+        # The generator checks the block once a row is drawn. Warnings wait until the output is
+        # written, so a scan that fails prints its one error line alone.
         rows = _scan_rows(block[~singular], u[~singular], gains[~singular], state)
         for theta, skip in zip(block.tolist(), singular.tolist()):
             if skip:
-                sys.stderr.write(f"warning: skipping singular angle theta={_fmt(theta)}\n")
+                warnings.append(f"warning: skipping singular angle theta={_fmt(theta)}\n")
             else:
                 lines.append(next(rows))
     _write("\n".join(lines) + "\n", args.out)
+    sys.stderr.write("".join(warnings))
     return 0
 
 

@@ -78,6 +78,7 @@ VERIFY_TOL = 1e-10
 # Copying residuals stay below a quarter of the float range (see overflowing_generator),
 # so rounding cannot carry a computed defect to inf.
 RESIDUAL_LIMIT = 2.0**1022
+_LOSSLESS_SQUARES = 2.0**-900
 OVERFLOW_MESSAGE = "a copying residual could exceed the float range"
 
 
@@ -186,13 +187,19 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
     """Frobenius residuals of lifts L against targets X (coefficient arrays, Pauli index last).
 
     A gain, broadcast per row, scales only the traceless part of L: every machine
-    copies the identity exactly. Each residual row is squared after dividing it
-    by the power of two of its largest entry. The division is exact, so ordinary
-    residuals come out bit for bit as without it, and residuals whose squares
-    leave the float range stay finite.
+    copies the identity exactly. Rows are squared as they are when every sum of squares
+    is finite and, unless its row is zero, at least 2**-900, so no square that counts lost
+    bits; otherwise each row is first divided by the power of two of its largest entry.
+    The division is exact, so both ways give the same bits, and no square overflows.
     """
     r0 = lifts[..., 0] - targets[..., 0]
     rb = np.asarray(gains, dtype=float)[..., None] * lifts[..., 1:] - targets[..., 1:]
+    with np.errstate(over="ignore"):
+        squares = 2.0 * (r0 * r0 + (rb * rb).sum(axis=-1))
+    values, low = squares.ravel().tolist(), squares < _LOSSLESS_SQUARES
+    exact = min(values) >= _LOSSLESS_SQUARES or not np.count_nonzero(r0[low]) + np.count_nonzero(rb[low])
+    if exact and math.isfinite(sum(values)):
+        return np.sqrt(squares)
     _, e = np.frexp(np.maximum(np.abs(r0), np.abs(rb).max(axis=-1)))
     r0, rb = np.ldexp(r0, -e), np.ldexp(rb, -e[..., None])
     return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)

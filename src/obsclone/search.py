@@ -145,13 +145,16 @@ def _conjugation(a: float, b: float, c: float) -> tuple:
     if t == 0.0:
         return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     s = math.sin(t)
-    cp = 1.0 - 2.0 * s * s
+    ss = 2.0 * s * s
+    cp = 1.0 - ss
     sp = 2.0 * s * math.cos(t) / t
-    k = 2.0 * s * s / (t * t)
+    k = ss / (t * t)
+    ka, kb = k * a, k * b
+    kab, kac, kbc = ka * b, ka * c, kb * c
     return (
-        cp + k * a * a, k * a * b + sp * c, k * a * c - sp * b,
-        k * a * b - sp * c, cp + k * b * b, k * b * c + sp * a,
-        k * a * c + sp * b, k * b * c - sp * a, cp + k * c * c,
+        cp + ka * a, kab + sp * c, kac - sp * b,
+        kab - sp * c, cp + kb * b, kbc + sp * a,
+        kac + sp * b, kbc - sp * a, cp + k * c * c,
     )
 
 
@@ -202,8 +205,10 @@ def _objective(cls: ObservableClass, mode: str):
     past the float range is refused; identity parts never enter.
 
     defect(x, rows) returns the same value and appends (phi, its gradient
-    in x) for generator i on branch b + 1 to the list rows, at index b G + i;
-    the rotations differentiate through _conjugation_gradient.
+    in x) for generator i on branch b + 1 to the list rows, at index b G' + i,
+    where i counts only the G' generators with a nonzero traceless part:
+    every machine copies the others, so they get no pair. The rotations
+    differentiate through _conjugation_gradient.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
@@ -212,15 +217,15 @@ def _objective(cls: ObservableClass, mode: str):
     gens = [unit_scaled(g.coeffs[1:].tolist()) for g in cls.generators]
     top = max((e for a, e in gens if any(a)), default=0)
     # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
-    gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens]
+    gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
 
     def defect(x, rows=None) -> float:
-        p = _conjugation(x[0], x[1], x[2])
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _conjugation(x[0], x[1], x[2])
         c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
         s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
         g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
         if rows is not None:
-            dp = _conjugation_gradient(x[0], x[1], x[2])
+            dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
             # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
             # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
             dkerns = (
@@ -236,24 +241,24 @@ def _objective(cls: ObservableClass, mode: str):
                 ),
             )
         worst = 0.0
-        for b, q, kern, gain in (
-            (0, _conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
-            (1, _conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
+        for b, j, (q0, q1, q2, q3, q4, q5, q6, q7, q8), (k20, k01, k02, k11, k12, k23), gain in (
+            (0, 6, _conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+            (1, 9, _conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
         ):
-            k20, k01, k02, k11, k12, k23 = kern
             if rows is not None:
-                dq, dkern = _conjugation_gradient(*x[6 + 3 * b : 9 + 3 * b]), dkerns[b]
+                dq0, dq1, dq2, dq3, dq4, dq5, dq6, dq7, dq8 = _conjugation_gradient(*x[j : j + 3])
+                (d10, d11, d12, d13, d14, d15), (d20, d21, d22, d23, d24, d25), (d30, d31, d32, d33, d34, d35) = dkerns[b]
             for a1, a2, a3, weight in gens:
-                u1 = a1 * q[0] + a2 * q[3] + a3 * q[6]
-                u2 = a1 * q[1] + a2 * q[4] + a3 * q[7]
-                u3 = a1 * q[2] + a2 * q[5] + a3 * q[8]
+                u1 = a1 * q0 + a2 * q3 + a3 * q6
+                u2 = a1 * q1 + a2 * q4 + a3 * q7
+                u3 = a1 * q2 + a2 * q5 + a3 * q8
                 w1 = u1 * k01 + u2 * k11
                 w2 = u1 * k02 + u2 * k12
                 w3 = u3 * k23
                 r0 = u3 * k20
-                y1 = w1 * p[0] + w2 * p[3] + w3 * p[6]
-                y2 = w1 * p[1] + w2 * p[4] + w3 * p[7]
-                y3 = w1 * p[2] + w2 * p[5] + w3 * p[8]
+                y1 = w1 * p0 + w2 * p3 + w3 * p6
+                y2 = w1 * p1 + w2 * p4 + w3 * p7
+                y3 = w1 * p2 + w2 * p5 + w3 * p8
                 r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
                 phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
                 if phi > worst:
@@ -261,27 +266,27 @@ def _objective(cls: ObservableClass, mode: str):
                 if rows is None:
                     continue
                 # gain * z is the gradient of |r|^2 / 2 in w.
-                z1 = gain * (p[0] * r1 + p[1] * r2 + p[2] * r3)
-                z2 = gain * (p[3] * r1 + p[4] * r2 + p[5] * r3)
-                z3 = gain * (p[6] * r1 + p[7] * r2 + p[8] * r3)
+                z1 = gain * (p0 * r1 + p1 * r2 + p2 * r3)
+                z2 = gain * (p3 * r1 + p4 * r2 + p5 * r3)
+                z3 = gain * (p6 * r1 + p7 * r2 + p8 * r3)
                 # Its gradient in u is e, and in the six kernel entries t.
                 e1, e2, e3 = z1 * k01 + z2 * k02, z1 * k11 + z2 * k12, r0 * k20 + z3 * k23
-                t = (r0 * u3, z1 * u1, z2 * u1, z1 * u2, z2 * u2, z3 * u3)
+                t0, t1, t2, t3, t4, t5 = r0 * u3, z1 * u1, z2 * u1, z1 * u2, z2 * u2, z3 * u3
                 # Rotations: gain * D_pre (a x y) and D_b (u x e).
                 m = 2.0 * weight
                 gm = gain * m
                 x1, x2, x3 = a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1
                 o1, o2, o3 = u2 * e3 - u3 * e2, u3 * e1 - u1 * e3, u1 * e2 - u2 * e1
                 row = [0.0] * len(x)
-                row[0] = gm * (dp[0] * x1 + dp[1] * x2 + dp[2] * x3)
-                row[1] = gm * (dp[3] * x1 + dp[4] * x2 + dp[5] * x3)
-                row[2] = gm * (dp[6] * x1 + dp[7] * x2 + dp[8] * x3)
-                for j, d in enumerate(dkern, 3):
-                    row[j] = m * (t[0] * d[0] + t[1] * d[1] + t[2] * d[2] + t[3] * d[3] + t[4] * d[4] + t[5] * d[5])
-                j = 6 + 3 * b
-                row[j] = m * (dq[0] * o1 + dq[1] * o2 + dq[2] * o3)
-                row[j + 1] = m * (dq[3] * o1 + dq[4] * o2 + dq[5] * o3)
-                row[j + 2] = m * (dq[6] * o1 + dq[7] * o2 + dq[8] * o3)
+                row[0] = gm * (dp0 * x1 + dp1 * x2 + dp2 * x3)
+                row[1] = gm * (dp3 * x1 + dp4 * x2 + dp5 * x3)
+                row[2] = gm * (dp6 * x1 + dp7 * x2 + dp8 * x3)
+                row[3] = m * (t0 * d10 + t1 * d11 + t2 * d12 + t3 * d13 + t4 * d14 + t5 * d15)
+                row[4] = m * (t0 * d20 + t1 * d21 + t2 * d22 + t3 * d23 + t4 * d24 + t5 * d25)
+                row[5] = m * (t0 * d30 + t1 * d31 + t2 * d32 + t3 * d33 + t4 * d34 + t5 * d35)
+                row[j] = m * (dq0 * o1 + dq1 * o2 + dq2 * o3)
+                row[j + 1] = m * (dq3 * o1 + dq4 * o2 + dq5 * o3)
+                row[j + 2] = m * (dq6 * o1 + dq7 * o2 + dq8 * o3)
                 if approximate:
                     row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
                 rows.append((phi, row))

@@ -339,6 +339,13 @@ class TestScan:
         assert len(lines) == 2
         assert err.count("warning: skipping singular angle") == 2
 
+    def test_singular_angles_are_not_reported_when_the_output_cannot_be_written(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--theta-min", "0", "--theta-max", str(np.pi / 2), "--steps", "3", f"--out={UNWRITABLE_OUT[0]}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {UNWRITABLE_OUT[0]}: ") and err.count("\n") == 1
+
     def test_uses_lf_line_endings(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"
         code, _, _ = run_cli(capsys, "scan", "--steps", "4", "--out", str(path))
@@ -702,11 +709,10 @@ def test_build_scan_and_compare_keep_the_exit_code_contract(data):
     assert code in (0, 2)
     if code == 2:
         assert out.getvalue() == ""
-        # A scan warns of each singular angle as it walks the grid, before its output is written.
+        # A scan holds its singular-angle warnings until its output is written.
         *warned, last = err.getvalue().splitlines()
         assert last.startswith("error:")
-        assert all(line.startswith("warning: skipping singular angle") for line in warned)
-        assert not warned or (command == "scan" and target is not None)
+        assert not warned
     if argv[1] == "one-param":
         values = [float(v) for v in obs]
         valid = len(values) == 4 and all(abs(v) <= 1e300 for v in values) and any(values[1:])

@@ -20,6 +20,7 @@ from obsclone.machines import (
     CloningMachine,
     SingularAngleError,
     VerificationReport,
+    _defects,
     axis_rotation,
     cnot_machine,
     commuting_machine,
@@ -248,6 +249,32 @@ def test_defects_scale_exactly_with_a_power_of_two(rng, k):
             want = verify(CloningMachine(u, probe, cls, gains), tol=np.inf).per_generator_defects
             got = verify(CloningMachine(u, probe, big, gains), tol=np.inf).per_generator_defects
             assert np.array_equal(got, np.ldexp(want, k))
+
+
+def always_scaled_defects(lifts, targets, gains):
+    """_defects with every residual row divided by the power of two of its largest entry before it is squared."""
+    r0 = lifts[..., 0] - targets[..., 0]
+    rb = gains[..., None] * lifts[..., 1:] - targets[..., 1:]
+    _, e = np.frexp(np.maximum(np.abs(r0), np.abs(rb).max(axis=-1)))
+    r0, rb = np.ldexp(r0, -e), np.ldexp(rb, -e[..., None])
+    return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-600, -538, -452, -451, -450, -449, -300, 0, 300, 510, 511, 512, 900])
+def test_defects_keep_the_scaled_bits_on_both_sides_of_the_switch(rng, k):
+    """Residual rows whose largest entry is about 2**k, with smaller entries down
+    to 2**(k - 600), beside a row of zeros and an ordinary row. _defects squares
+    them plainly only where every sum of squares lies in [2**-900, inf) or its
+    row is zero, and either way its defects equal the always-scaled formula's
+    bit for bit, without an overflow warning."""
+    for _ in range(50):
+        residual = np.ldexp(rng.uniform(-1.0, 1.0, (2, 3, 4)), k - rng.integers(0, 600, (2, 3, 4)))
+        residual[..., rng.integers(4)] = np.ldexp(rng.uniform(0.5, 1.0, (2, 3)), k)
+        residual[0, rng.integers(3)] = 0.0
+        residual[1, rng.integers(3)] = rng.normal(size=4)
+        lifts, targets, gains = np.zeros((2, 3, 4)), -residual, rng.uniform(0.5, 3.0, (2, 1))
+        assert np.array_equal(_defects(lifts, targets, gains), always_scaled_defects(lifts, targets, gains))
 
 
 def test_residuals_beyond_the_float_range_are_refused():

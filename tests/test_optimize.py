@@ -1,9 +1,9 @@
-"""The SQP descent's two linear-algebra pieces, each against an independent reference.
+"""The SQP descent's linear-algebra pieces, each against an independent reference.
 
 _simplex_qp is checked against a brute-force solution of its dual over
-every support, and _bfgs_update, which keeps the inverse of the Hessian
-approximation, against the direct damped BFGS update of the Hessian
-itself, inverted by numpy.
+every support, its face solve _solve against numpy's, and _bfgs_update,
+which keeps the inverse of the Hessian approximation, against the direct
+damped BFGS update of the Hessian itself, inverted by numpy.
 """
 
 import itertools
@@ -53,9 +53,9 @@ def brute_force_dual(m, gap):
     return best
 
 
-def qp_case(rng, kind):
-    """(M, gap) of a dual QP with n <= 8 pairs: M = J.J^T is positive semidefinite, and gap >= 0 has a 0."""
-    n = int(rng.integers(1, 9))
+def qp_case(rng, kind, n=None):
+    """(M, gap) of a dual QP with n pairs, by default 1 to 8: M = J.J^T is positive semidefinite, and gap >= 0 has a 0."""
+    n = int(rng.integers(1, 9)) if n is None else n
     jac = rng.normal(size=(n, 12))
     gap = rng.uniform(0.0, 1.0, n)
     if kind == "duplicated-rows" and n > 1:
@@ -73,27 +73,69 @@ def qp_case(rng, kind):
     return jac @ jac.T, gap
 
 
-@pytest.mark.parametrize("kind", ["positive-definite", "duplicated-rows", "dependent-rows", "tied-gaps"])
+QP_KINDS = ["positive-definite", "duplicated-rows", "dependent-rows", "tied-gaps"]
+
+
+def assert_solves(m, gap, support, floor):
+    """_simplex_qp from support, without a warning or an exception: the multipliers lie on the
+    simplex, the dual value is floor to 1e-12, and the predicted decrease is min(gap + M.lam)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, predicted = _simplex_qp(m.tolist(), gap.tolist(), [int(i) for i in support])
+    lam = np.array(lam)
+    assert lam.min() >= 0.0
+    assert abs(lam.sum() - 1.0) <= 1e-12
+    assert abs(dual(m, gap, lam) - floor) <= 1e-12
+    assert abs(predicted - (gap + m @ lam).min()) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", QP_KINDS)
 def test_simplex_qp_matches_a_brute_force_dual(rng, kind):
     """Started from the index with the least gap, from every index and from a
-    random support, the multipliers lie on the simplex, the dual value is the
-    brute-force minimum to 1e-12, and the predicted decrease is min(gap + M.lam).
-    No warning and no exception: the plain-float solve must meet singular
-    faces and multipliers that enter at exactly 0."""
+    random support, the QP reaches the brute-force minimum. The plain-float
+    solve must meet singular faces and multipliers that enter at exactly 0."""
     for _ in range(40):
         m, gap = qp_case(rng, kind)
         n = len(gap)
         floor = brute_force_dual(m, gap)
         some = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
         for support in ([int(np.argmin(gap))], list(range(n)), sorted(some)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                lam, predicted = _simplex_qp(m.tolist(), gap.tolist(), [int(i) for i in support])
-            lam = np.array(lam)
-            assert lam.min() >= 0.0
-            assert abs(lam.sum() - 1.0) <= 1e-12
-            assert abs(dual(m, gap, lam) - floor) <= 1e-12
-            assert abs(predicted - (gap + m @ lam).min()) <= 1e-12
+            assert_solves(m, gap, support, floor)
+
+
+@pytest.mark.parametrize("kind", QP_KINDS)
+@pytest.mark.parametrize("n", [4, 6])
+def test_simplex_qp_matches_a_brute_force_dual_from_warm_supports_of_every_size(rng, n, kind):
+    """The search's shapes: 4 pairs (two generators) and 6 (three), started as
+    a descent step is, from the last step's support, in the order it was left,
+    here of every size from 1 to n. Duplicated and dependent rows make its faces
+    singular."""
+    for _ in range(10):
+        m, gap = qp_case(rng, kind, n)
+        floor = brute_force_dual(m, gap)
+        for size in range(1, n + 1):
+            assert_solves(m, gap, rng.permutation(n)[:size], floor)
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_solve_matches_numpy_and_finds_null_vectors(rng, size):
+    """A positive definite system is solved to 1e-10 relative; where the factor of
+    row c repeats the first, elimination leaves exactly 0 at pivot c, and the
+    null vector has 1 there and 0 after it."""
+    for _ in range(20):
+        b = rng.normal(size=(size, size + 2))
+        a, rhs = b @ b.T, rng.normal(size=size)
+        x, singular = optimize._solve(np.column_stack([a, rhs]).tolist())
+        assert not singular
+        assert np.abs(np.array(x) - np.linalg.solve(a, rhs)).max() <= 1e-10 * np.abs(x).max()
+        if size >= 2:
+            c = int(rng.integers(1, size))
+            b[c] = b[0]
+            a = b @ b.T
+            v, singular = optimize._solve(np.column_stack([a, rhs]).tolist())
+            assert singular
+            assert v[c] == 1.0 and not any(v[c + 1 :])
+            assert np.abs(a @ v).max() <= 1e-9 * np.abs(a).max()
 
 
 def test_simplex_qp_lets_an_index_entering_at_exactly_zero_block():

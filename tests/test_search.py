@@ -1,6 +1,7 @@
 """Tests for the restarted SQP search, the package's one no-cloning floor estimator."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import optimize as scipy_optimize
 
 from obsclone.classes import ClassKind, ObservableClass
-from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary
+from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary, pauli_rotation
+from obsclone.machines import KET0, CloningMachine
 from obsclone.optimize import minimize
 from obsclone.pauli import Observable
 from obsclone.search import (
@@ -26,7 +28,7 @@ from obsclone.search import (
     result_to_dict,
     search_machine,
 )
-from support import expm_oracle, ptrace_loop, random_observable
+from support import dense_output, expm_oracle, ptrace_loop, random_observable, random_state
 
 ONE_PARAM = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 0.0, 0.0, 1.0])),))
 X_NC = ObservableClass(
@@ -222,6 +224,12 @@ def oracle_squared_defects(x, cls, mode):
     return squares
 
 
+def paired_squared_defects(x, cls, mode):
+    """The oracle's squared defects of the generators with a nonzero traceless part, the ones that get rows."""
+    paired = [bool(g.coeffs[1:].any()) for g in cls.generators] * 2
+    return [square for square, kept in zip(oracle_squared_defects(x, cls, mode), paired) if kept]
+
+
 def oracle_defect(x, cls, mode):
     return float(np.sqrt(max(oracle_squared_defects(x, cls, mode))))
 
@@ -280,7 +288,8 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
     point of the oracle, to 1e-9 relative to the larger of the rows and their
     gradients (the differences' rounding scales with the rows). With or without
     rows the defect is the same float, sqrt(max(phi)) * 2**top, which the
-    descent relies on."""
+    descent relies on. Only generators with a nonzero traceless part have
+    rows, so the Pauli basis's identity has none."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
         fun, top = _objective(cls, mode), row_top(cls)
@@ -288,11 +297,11 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
         x = mixed_vector(rng, i, mode == "approximate").tolist()
         phi, jac = rows(x)
         assert fun(x) == fun(x, []) == math.ldexp(math.sqrt(max(phi)), top)
-        want = oracle_squared_defects(x, cls, mode)
+        want = paired_squared_defects(x, cls, mode)
         assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
         references = [central_differences(lambda v: rows(v)[0], x)]
         if i % 20 == 0:
-            references.append(central_differences(lambda v: oracle_squared_defects(v, cls, mode), x) / unit)
+            references.append(central_differences(lambda v: paired_squared_defects(v, cls, mode), x) / unit)
         for fd in references:
             assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
 
@@ -310,6 +319,88 @@ def test_defect_scales_exactly_with_a_power_of_two_and_its_rows_not_at_all(rng, 
                 x = mixed_vector(rng, i, mode == "approximate").tolist()
                 assert big(x) == fun(x) * 2.0**k
                 assert rows_of(big)(x) == rows_of(fun)(x)
+
+
+# Classes with a generator whose traceless part is zero: the identity first in
+# the Pauli basis, a huge multiple of it beside a line, and nothing else.
+IDENTITY_CLASSES = {
+    "pauli-basis": GENERAL,
+    "huge-identity-and-a-line": ObservableClass(
+        ClassKind.TWO_PARAM_COMMUTING,
+        (Observable(np.array([2.0**700, 0.0, 0.0, 0.0])), Observable(np.array([0.3, 0.6, 0.0, -0.8]))),
+    ),
+    "identity-only": ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([3.0, 0.0, 0.0, 0.0])),)),
+}
+
+
+def paired_generators(cls):
+    """The generators of cls with a nonzero traceless part, in the one attribute _objective reads."""
+    return SimpleNamespace(generators=tuple(g for g in cls.generators if g.coeffs[1:].any()))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(IDENTITY_CLASSES))
+def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
+    """Every machine copies a multiple of the identity, so the objective gives
+    it no pair: a class scores the same float with it as without it, and has
+    the same rows, 2 G' of them for the G' generators with a traceless part."""
+    cls = IDENTITY_CLASSES[name]
+    paired = paired_generators(cls)
+    fun, bare = _objective(cls, mode), _objective(paired, mode)
+    for i in range(40):
+        x = mixed_vector(rng, i, mode == "approximate").tolist()
+        rows, bare_rows = [], []
+        assert fun(x) == fun(x, rows) == bare(x) == bare(x, bare_rows)
+        assert rows == bare_rows
+        assert len(rows) == 2 * len(paired.generators) < 2 * len(cls.generators)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_class_of_identity_multiples_has_nothing_to_descend(mode):
+    """Its defect is 0 everywhere. A search converges after its first
+    evaluation, and minimize without a target stops at the first rows call,
+    which comes back empty, without a step."""
+    cls, approximate = IDENTITY_CLASSES["identity-only"], mode == "approximate"
+    result = search_machine(cls, mode, SearchConfig())
+    assert (result.converged, result.best_defect, result.evaluations, result.restarts) == (True, 0.0, 1, 1)
+    fun, calls = _objective(cls, mode), []
+
+    def recorded(x, rows=None):
+        value = fun(x, rows)
+        calls.append((list(x), value, rows))
+        return value
+
+    x0 = random_vector(np.random.default_rng(1), approximate).tolist()
+    assert minimize(recorded, x0, 100, _bounds(approximate)) == (x0, 0.0, 2)
+    assert calls == [(x0, 0.0, None), (x0, 0.0, [])]
+
+
+def rotation_vector(c):
+    """v with pauli_rotation(v) = c, for c in SU(2) other than -I: c = cos|v| I + i sin|v| (v / |v|) . sigma."""
+    sine = np.array([np.trace(s @ c).imag / 2.0 for s in (SIGMA1, SIGMA2, SIGMA3)])
+    norm = np.linalg.norm(sine)
+    return math.atan2(norm, np.trace(c).real / 2.0) * sine / norm
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_t3_and_a_sigma3_pre_rotation_are_one_coordinate(rng, mode):
+    """With probe |0>, K(t1, t2, t3) (C x I) = K(t1, t2, 0) (C' x I) on every
+    signal, with C' = exp(i t3/2 sigma3) C: the kernel's sigma3 x sigma3 factor
+    meets the probe's sigma3 eigenvalue 1. So moving t3 into the pre-rotation
+    changes no output state (support's dense output) and no squared defect of
+    the Pauli basis (the expm oracle), and the objective agrees to rounding."""
+    fun = _objective(GENERAL, mode)
+    for i in range(40):
+        x = random_vector(rng, mode == "approximate")
+        pre = pauli_rotation((0.0, 0.0, x[5] / 2.0)) @ pauli_rotation(x[0:3])
+        y = x.copy()
+        y[0:3], y[5] = rotation_vector(pre), 0.0
+        assert np.abs(pauli_rotation(y[0:3]) - pre).max() <= 1e-12
+        state = random_state(rng)
+        outputs = [dense_output(CloningMachine(SearchSpacePoint.from_vector(v).unitary(), KET0, GENERAL), state) for v in (x, y)]
+        assert np.abs(outputs[0] - outputs[1]).max() <= 1e-12
+        assert np.abs(np.subtract(oracle_squared_defects(x, GENERAL, mode), oracle_squared_defects(y, GENERAL, mode))).max() <= 1e-12
+        assert abs(fun(x.tolist()) - fun(y.tolist())) <= 1e-14
 
 
 def slsqp_floor(cls, mode, starts=3):
