@@ -21,12 +21,15 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     value and appends each pair (phi_i, jac_i), a value and its gradient, to rows. The first call
     evaluates fun(x0); a start whose value is not finite is returned at once. Each step solves the QP
     min s + d.H.d / 2 s.t. phi_i + jac_i.d <= max(phi) + s through its dual (_simplex_qp), with H
-    Powell's damped BFGS approximation of the Lagrangian's Hessian, kept as B = H^-1, so d =
-    -B.jac^T.lam and a step s = alpha d has H.s = -alpha jac^T.lam for the update; it halves d until
-    fun drops below its current value. A point outside bounds, a sequence of (low, high) pairs, is
-    clipped into the box, and a clipped step solves B.(H.s) = s. Stops on a failed line search, a
-    relative decrease below 1e-15, a predicted decrease at rounding level, empty rows, a value below
-    ftarget, or after maxfev calls of fun, the start's included. Returns (x, f, nfev), f = fun(x) <= fun(x0).
+    Powell's damped BFGS approximation of the Lagrangian's Hessian, kept as B = H^-1, so a step is
+    s = alpha d with d = B.jac^T.lam and alpha = -1, -1/2, ... (exact sign flips), and H.s = alpha
+    jac^T.lam for the update; it halves alpha until fun drops below its current value. A point outside
+    bounds, a sequence of (low, high) pairs, is clipped into the box, and a clipped step solves
+    B.(H.s) = s. Stops on a failed line search, a relative decrease below 1e-15, a predicted decrease
+    at rounding level, empty rows, a value below ftarget, or after maxfev calls of fun, the start's
+    included. Each rows call is at the point that the last plain call scored, so fun may reuse that
+    call's pass (search._objective does); it still counts against maxfev. Returns (x, f, nfev),
+    f = fun(x) <= fun(x0).
     """
     x = [float(v) for v in x0]
     f, nfev = fun(x), 1
@@ -52,7 +55,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
             break
         lam = np.array(lam)
         grad = lam.dot(jac)
-        d, alpha = -inv.dot(grad), 1.0
+        d, alpha = inv.dot(grad), -1.0
         while True:
             ad = alpha * d
             raw = here + ad
@@ -68,7 +71,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
         # A step that a bound clipped is no multiple of d, so its H.s takes a solve.
         clipped = trial is not raw and point != raw.tolist()
         step = trial - here if clipped else ad
-        hs = np.linalg.solve(inv, step) if clipped else -alpha * grad
+        hs = np.linalg.solve(inv, step) if clipped else alpha * grad
         last, stalled = jac, f - ft <= 1e-15 * f
         here, x, f = trial, point, ft
         if stalled:
@@ -113,29 +116,35 @@ def _simplex_qp(m, gap, support):
     for i in support:
         lam[i], outside[i] = 1.0 / len(support), False
     for _ in range(4 * n):
-        *others, l = support
-        ml, wl = m[l], m[l][l] + gap[l]
+        l, others = support[-1], support[:-1]
+        ml = m[l]
+        mll, wl = ml[l], ml[l] + gap[l]
         p, singular = _solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
-                              for i in others for mi, c in [(m[i], m[i][l] - ml[l])]])
+                              for i in others for mi, c in [(m[i], m[i][l] - mll)]])
         cur = [lam[i] for i in support]
+        # p becomes the face's multipliers or, if singular, its null vector, and then the move.
         if singular:
-            w, null = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)], p + [-sum(p)]
-            move = [-v for v in null] if sum(w[i] * v for i, v in zip(support, null)) > 0.0 else null
-            blocking = [(c / -v, k) for k, (c, v) in enumerate(zip(cur, move)) if v < 0.0]
+            p.append(-sum(p))
+            w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
+            if sum(w[i] * v for i, v in zip(support, p)) > 0.0:
+                p = [-v for v in p]
+            blocking = [(c / -v, k) for k, (c, v) in enumerate(zip(cur, p)) if v < 0.0]
         else:
-            new = p + [1.0 - sum(p)]
-            move = [v - c for v, c in zip(new, cur)]
-            blocking = [(c / -v if c > 0.0 else 0.0, k) for k, (c, v) in enumerate(zip(cur, move)) if not new[k] > 0.0]
+            p.append(1.0 - sum(p))
+            blocking = [(c / (c - v) if c > 0.0 else 0.0, k) for k, (c, v) in enumerate(zip(cur, p)) if not v > 0.0]
+            p = [v - c for v, c in zip(p, cur)]
         t, k = min(blocking, default=(1.0, None))
-        for i, c, v in zip(support, cur, move):
+        for i, c, v in zip(support, cur, p):
             lam[i] = c + t * v
         if k is not None:
             i = support.pop(k)
             lam[i], outside[i] = 0.0, True
             continue
         w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
-        j = min((i for i in range(n) if outside[i]), key=w.__getitem__, default=None)
-        if j is None or not w[j] - w[l] < -1e-15 * abs(w[l]):
+        if len(support) == n:
+            return lam, min(w)
+        j = min((i for i in range(n) if outside[i]), key=w.__getitem__)
+        if not w[j] - w[l] < -1e-15 * abs(w[l]):
             return lam, min(w)
         support.append(j)
         outside[j] = False

@@ -81,13 +81,8 @@ class SearchSpacePoint:
         return cls(v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)
 
     def to_dict(self) -> dict:
-        return {
-            "local_pre": list(self.local_pre),
-            "entangling": list(self.entangling),
-            "local_post_1": list(self.local_post_1),
-            "local_post_2": list(self.local_post_2),
-            "gains": None if self.gains is None else list(self.gains),
-        }
+        gains = None if self.gains is None else list(self.gains)
+        return {**{name: list(getattr(self, name)) for name in _ANGLE_BLOCKS}, "gains": gains}
 
     @classmethod
     def from_dict(cls, data) -> "SearchSpacePoint":
@@ -208,7 +203,10 @@ def _objective(cls: ObservableClass, mode: str):
     in x) for generator i on branch b + 1 to the list rows, at index b G' + i,
     where i counts only the G' generators with a nonzero traceless part:
     every machine copies the others, so they get no pair. The rotations
-    differentiate through _conjugation_gradient.
+    differentiate through _conjugation_gradient. A plain call keeps its value
+    pass with a copy of x; a rows call at equal (==) coordinates, as at the
+    point the descent has just scored, only adds the gradients to it, and any
+    other rows call runs the value pass itself. The bits are the same.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
@@ -219,52 +217,65 @@ def _objective(cls: ObservableClass, mode: str):
     # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
     gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
 
+    last = None
+
     def defect(x, rows=None) -> float:
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _conjugation(x[0], x[1], x[2])
-        c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
-        s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
-        g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
-        if rows is not None:
-            dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
-            # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
-            # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
-            dkerns = (
-                (
-                    (c1 * s2, 0.0, 0.0, s1 * s3, -s1 * c3, -s1 * c2),
-                    (s1 * c2, -s2 * c3, -s2 * s3, 0.0, 0.0, -c1 * s2),
-                    (0.0, -c2 * s3, c2 * c3, -c1 * c3, -c1 * s3, 0.0),
-                ),
-                (
-                    (-s1 * c2, 0.0, 0.0, c1 * c3, c1 * s3, c1 * s2),
-                    (-c1 * s2, c2 * s3, -c2 * c3, 0.0, 0.0, s1 * c2),
-                    (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
-                ),
-            )
-        worst = 0.0
-        for b, j, (q0, q1, q2, q3, q4, q5, q6, q7, q8), (k20, k01, k02, k11, k12, k23), gain in (
-            (0, 6, _conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
-            (1, 9, _conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
-        ):
-            if rows is not None:
-                dq0, dq1, dq2, dq3, dq4, dq5, dq6, dq7, dq8 = _conjugation_gradient(*x[j : j + 3])
-                (d10, d11, d12, d13, d14, d15), (d20, d21, d22, d23, d24, d25), (d30, d31, d32, d33, d34, d35) = dkerns[b]
-            for a1, a2, a3, weight in gens:
-                u1 = a1 * q0 + a2 * q3 + a3 * q6
-                u2 = a1 * q1 + a2 * q4 + a3 * q7
-                u3 = a1 * q2 + a2 * q5 + a3 * q8
-                w1 = u1 * k01 + u2 * k11
-                w2 = u1 * k02 + u2 * k12
-                w3 = u3 * k23
-                r0 = u3 * k20
-                y1 = w1 * p0 + w2 * p3 + w3 * p6
-                y2 = w1 * p1 + w2 * p4 + w3 * p7
-                y3 = w1 * p2 + w2 * p5 + w3 * p8
-                r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
-                phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
-                if phi > worst:
-                    worst = phi
-                if rows is None:
-                    continue
+        nonlocal last
+        x = list(x)
+        if rows is None or last is None or x != last[0]:
+            # The value pass: last keeps x, the defect, the pre-rotation, the kernel's trig values and, per
+            # branch, its kernel entries, gain and each pair's u, r0, y, r and phi, for the rows.
+            p0, p1, p2, p3, p4, p5, p6, p7, p8 = p = _conjugation(x[0], x[1], x[2])
+            c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
+            s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
+            g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
+            worst, branches = 0.0, []
+            for (q0, q1, q2, q3, q4, q5, q6, q7, q8), kern, gain in (
+                (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+                (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
+            ):
+                k20, k01, k02, k11, k12, k23 = kern
+                pairs = []
+                for a1, a2, a3, weight in gens:
+                    u1 = a1 * q0 + a2 * q3 + a3 * q6
+                    u2 = a1 * q1 + a2 * q4 + a3 * q7
+                    u3 = a1 * q2 + a2 * q5 + a3 * q8
+                    w1 = u1 * k01 + u2 * k11
+                    w2 = u1 * k02 + u2 * k12
+                    w3, r0 = u3 * k23, u3 * k20
+                    y1 = w1 * p0 + w2 * p3 + w3 * p6
+                    y2 = w1 * p1 + w2 * p4 + w3 * p7
+                    y3 = w1 * p2 + w2 * p5 + w3 * p8
+                    r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
+                    phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
+                    if phi > worst:
+                        worst = phi
+                    pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
+                branches.append((kern, gain, pairs))
+            last = x, math.ldexp(math.sqrt(worst), top), p, (c1, c2, c3, s1, s2, s3), branches
+            if rows is None:
+                return last[1]
+        _, value, (p0, p1, p2, p3, p4, p5, p6, p7, p8), (c1, c2, c3, s1, s2, s3), branches = last
+        dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
+        # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
+        # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
+        dkerns = (
+            (
+                (c1 * s2, 0.0, 0.0, s1 * s3, -s1 * c3, -s1 * c2),
+                (s1 * c2, -s2 * c3, -s2 * s3, 0.0, 0.0, -c1 * s2),
+                (0.0, -c2 * s3, c2 * c3, -c1 * c3, -c1 * s3, 0.0),
+            ),
+            (
+                (-s1 * c2, 0.0, 0.0, c1 * c3, c1 * s3, c1 * s2),
+                (-c1 * s2, c2 * s3, -c2 * c3, 0.0, 0.0, s1 * c2),
+                (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
+            ),
+        )
+        for b, ((k20, k01, k02, k11, k12, k23), gain, pairs), dkern in zip((0, 1), branches, dkerns):
+            j = 6 + 3 * b
+            dq0, dq1, dq2, dq3, dq4, dq5, dq6, dq7, dq8 = _conjugation_gradient(x[j], x[j + 1], x[j + 2])
+            (d10, d11, d12, d13, d14, d15), (d20, d21, d22, d23, d24, d25), (d30, d31, d32, d33, d34, d35) = dkern
+            for (a1, a2, a3, weight), (u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi) in zip(gens, pairs):
                 # gain * z is the gradient of |r|^2 / 2 in w.
                 z1 = gain * (p0 * r1 + p1 * r2 + p2 * r3)
                 z2 = gain * (p3 * r1 + p4 * r2 + p5 * r3)
@@ -290,7 +301,7 @@ def _objective(cls: ObservableClass, mode: str):
                 if approximate:
                     row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
                 rows.append((phi, row))
-        return math.ldexp(math.sqrt(worst), top)
+        return value
 
     return defect
 
@@ -349,11 +360,5 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
 
 
 def result_to_dict(r: SearchResult) -> dict:
-    return {
-        "best_point": r.best_point.to_dict(),
-        "best_defect": r.best_defect,
-        "restarts": r.restarts,
-        "evaluations": r.evaluations,
-        "seed": r.seed,
-        "converged": r.converged,
-    }
+    """The fields of r in their order, the point as its to_dict."""
+    return {**vars(r), "best_point": r.best_point.to_dict()}

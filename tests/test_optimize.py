@@ -104,10 +104,11 @@ def test_simplex_qp_matches_a_brute_force_dual(rng, kind):
 
 
 @pytest.mark.parametrize("kind", QP_KINDS)
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8])
 def test_simplex_qp_matches_a_brute_force_dual_from_warm_supports_of_every_size(rng, n, kind):
-    """The search's shapes: 4 pairs (two generators) and 6 (three), started as
-    a descent step is, from the last step's support, in the order it was left,
+    """The search's shapes: 4 pairs (two generators), 6 (three) and 8 (four, the
+    largest, as in the class {I + sigma1, sigma1, sigma2, sigma3}), started as a
+    descent step is, from the last step's support, in the order it was left,
     here of every size from 1 to n. Duplicated and dependent rows make its faces
     singular."""
     for _ in range(10):

@@ -430,6 +430,43 @@ def seeded_pair():
     return ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (random_observable(rng), random_observable(rng)))
 
 
+def rows_bits(fun, x):
+    """fun(x, rows) as bits: the value's hex, and each pair's phi and gradient entries as hex."""
+    rows = []
+    value = fun(x, rows)
+    return value.hex(), [(phi.hex(), [g.hex() for g in grad]) for phi, grad in rows]
+
+
+REUSE_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-basis": GENERAL}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(REUSE_CLASSES))
+def test_a_rows_call_gives_a_fresh_objectives_bits_whatever_came_before(rng, name, mode):
+    """A plain call keeps its value pass for a rows call at equal coordinates.
+    Whether fun(x) came just before, or fun(x) and then fun(y), or fun(x) and an
+    in-place edit of the list x, or no plain call at all, fun(x, rows) returns
+    the value and rows of a fresh objective, bit for bit, and its value is the
+    plain call's."""
+    cls, approximate = REUSE_CLASSES[name], mode == "approximate"
+    for i in range(10):
+        x = mixed_vector(rng, i, approximate).tolist()
+        y = mixed_vector(rng, i + 1, approximate).tolist()
+        want = rows_bits(_objective(cls, mode), x)
+        assert want[0] == _objective(cls, mode)(x).hex()
+        fun = _objective(cls, mode)
+        assert rows_bits(fun, list(x)) == want
+        fun(list(x))
+        assert rows_bits(fun, list(x)) == want
+        fun(x)
+        fun(y)
+        assert rows_bits(fun, x) == want
+        edited = list(y)
+        fun(edited)
+        edited[:] = x
+        assert rows_bits(fun, edited) == want
+
+
 @pytest.mark.parametrize(
     "cls, mode, restarts",
     [(X_NC, "exact", 1), (GENERAL, "exact", 1), (seeded_pair(), "exact", 1), (GENERAL, "approximate", 5)],

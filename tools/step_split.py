@@ -46,10 +46,10 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def searches(seeds):
-    """(label, class, mode, config) of every search-floor pool search of the given workload seeds."""
-    from obsclone.classes import class_from_dict
+    """(label, class document, mode, SearchConfig arguments) of every search-floor pool search of the given workload seeds.
+
+    The plan and the command line are read with the `obsclone` package on sys.path."""
     from obsclone.cli import build_parser
-    from obsclone.search import SearchConfig
     from workloads import plan
 
     with tempfile.TemporaryDirectory(prefix="step_split_") as tmp:
@@ -57,8 +57,8 @@ def searches(seeds):
             for step in plan("search-floor", seed, Path(tmp) / str(seed)).steps:
                 cmd = step[0]
                 args = build_parser().parse_args(cmd.argv)
-                config = SearchConfig(args.restarts, args.max_evals, args.seed, args.tol)
-                yield f"seed {seed} {cmd.out.name}", class_from_dict(cmd.expect["class"]), args.mode, config
+                config = (args.restarts, args.max_evals, args.seed, args.tol)
+                yield f"seed {seed} {cmd.out.name}", cmd.expect["class"], args.mode, config
 
 
 def timed_run(cls, mode, config):
@@ -107,11 +107,13 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
-    from obsclone.search import result_to_dict, search_machine
+    from obsclone.classes import class_from_dict
+    from obsclone.search import SearchConfig, result_to_dict, search_machine
 
     seeds = parse_seeds(argv[1] if len(argv) == 2 else "1-10")
     total, descent, evaluations, count = Counter(), 0, 0, 0
-    for label, cls, mode, config in searches(seeds):
+    for label, doc, mode, args in searches(seeds):
+        cls, config = class_from_dict(doc), SearchConfig(*args)
         want = result_to_dict(search_machine(cls, mode, config))
         best = None
         for _ in range(PASSES):
