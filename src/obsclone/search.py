@@ -334,23 +334,20 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     best_x = None
     best_f = np.inf
     evals = 0
-    performed = 0
-    for _ in range(config.restarts):
+    for performed in range(1, config.restarts + 1):
         x0 = rng.uniform(-np.pi, np.pi, 12)
         if approximate:
             x0 = np.concatenate([x0, rng.uniform(1.0, 4.0, 2)])
         x, f, n = optimize.minimize(fun, x0, config.max_evals, bounds, ftarget)
         evals += n
-        performed += 1
         if f < best_f:
             best_x, best_f = x, f
         if best_f < config.tol:
             break
     if best_x is None:
         raise ValueError("no start gave a finite defect")
-    point = SearchSpacePoint.from_vector(best_x)
     return SearchResult(
-        best_point=point,
+        best_point=SearchSpacePoint.from_vector(best_x),
         best_defect=best_f,
         restarts=performed,
         evaluations=evals,
