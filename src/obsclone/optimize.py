@@ -109,7 +109,8 @@ def _simplex_qp(m, gap, support):
     the positive semidefinite Z^T.M.Z p = -Z^T (M e_l + gap); where that is singular, the dual is linear
     along its null vector, and the round goes downhill along it. It moves as far as lam >= 0 allows and
     drops the index that blocks (one that just entered at 0 blocks at once unless its new multiplier is
-    positive), or, at the minimum, adds the index whose multiplier is most negative.
+    positive), or, at the minimum, adds the index j whose multiplier w_j - w_l is most negative, if it is
+    below rounding: -1e-15 times the larger of |gap_i| + sum_k |M_ik lam_k| for i = j, l, the size of w's terms.
     """
     n = len(gap)
     lam, outside = [0.0] * n, [True] * n
@@ -117,8 +118,7 @@ def _simplex_qp(m, gap, support):
         lam[i], outside[i] = 1.0 / len(support), False
     for _ in range(4 * n):
         l, others = support[-1], support[:-1]
-        ml = m[l]
-        mll, wl = ml[l], ml[l] + gap[l]
+        ml, mll, wl = m[l], m[l][l], m[l][l] + gap[l]
         p, singular = _solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
                               for i in others for mi, c in [(m[i], m[i][l] - mll)]])
         cur = [lam[i] for i in support]
@@ -144,7 +144,10 @@ def _simplex_qp(m, gap, support):
         if len(support) == n:
             return lam, min(w)
         j = min((i for i in range(n) if outside[i]), key=w.__getitem__)
-        if not w[j] - w[l] < -1e-15 * abs(w[l]):
+        # |w_l| is at most the size of w's terms, so the test on it rules out most indices more cheaply.
+        shift = w[j] - w[l]
+        if not shift < -1e-15 * abs(w[l]) or not shift < -1e-15 * max(
+                abs(gap[i]) + sum(map(abs, map(mul, m[i], lam))) for i in (j, l)):
             return lam, min(w)
         support.append(j)
         outside[j] = False

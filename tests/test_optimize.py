@@ -139,18 +139,27 @@ def test_solve_matches_numpy_and_finds_null_vectors(rng, size):
             assert np.abs(a @ v).max() <= 1e-9 * np.abs(a).max()
 
 
-def test_simplex_qp_lets_an_index_entering_at_exactly_zero_block():
-    """Index 2 enters the support {0, 1} on a multiplier of -3e-16, negative
-    through rounding alone, and the face solve gives it exactly 0.0: its
-    ratio 0 / (0 - 0) is taken as 0, so it blocks at once and leaves again."""
+def test_simplex_qp_lets_an_index_entering_at_exactly_zero_block(monkeypatch):
+    """At the minimum on the support {0, 1}, index 2's multiplier w_2 - w_1 is
+    -3e-16, negative through rounding alone, next to terms of w of size ~1.
+    The entering test scales with those terms, so index 2 stays out: two face
+    solves, and the support ends as [0, 1]. Scaled by |w_1| alone, the test
+    let it enter; its face solve gave it exactly 0.0, its ratio 0 / (0 - 0)
+    was taken as 0, so it blocked at once, left and entered again, for twelve
+    solves in all."""
     m = [
         [0.8888888888888888, -0.6666666666666666, 0.8888888888888888],
         [-0.6666666666666666, 0.5555555555555555, -0.6666666666666666],
         [0.8888888888888888, -0.6666666666666666, 1.3333333333333333],
     ]
     gap = [0.0, 0.5, 0.0]
-    lam, predicted = _simplex_qp(m, gap, [0])
+    solves, solve = [], optimize._solve
+    monkeypatch.setattr(optimize, "_solve", lambda a: solves.append(len(a)) or solve(a))
+    support = [0]
+    lam, predicted = _simplex_qp(m, gap, support)
+    assert (len(solves), support) == (2, [0, 1])
     assert abs(dual(np.array(m), np.array(gap), np.array(lam)) - brute_force_dual(np.array(m), np.array(gap))) <= 1e-12
+    assert abs(predicted - (np.array(gap) + np.array(m) @ np.array(lam)).min()) <= 1e-12
 
 
 def direct_update(hess, s, y):
