@@ -81,8 +81,13 @@ class SearchSpacePoint:
         return cls(v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)
 
     def to_dict(self) -> dict:
-        gains = None if self.gains is None else list(self.gains)
-        return {**{name: list(getattr(self, name)) for name in _ANGLE_BLOCKS}, "gains": gains}
+        return {
+            "local_pre": list(self.local_pre),
+            "entangling": list(self.entangling),
+            "local_post_1": list(self.local_post_1),
+            "local_post_2": list(self.local_post_2),
+            "gains": None if self.gains is None else list(self.gains),
+        }
 
     @classmethod
     def from_dict(cls, data) -> "SearchSpacePoint":
@@ -334,20 +339,23 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     best_x = None
     best_f = np.inf
     evals = 0
-    for performed in range(1, config.restarts + 1):
+    performed = 0
+    for _ in range(config.restarts):
         x0 = rng.uniform(-np.pi, np.pi, 12)
         if approximate:
             x0 = np.concatenate([x0, rng.uniform(1.0, 4.0, 2)])
         x, f, n = optimize.minimize(fun, x0, config.max_evals, bounds, ftarget)
         evals += n
+        performed += 1
         if f < best_f:
             best_x, best_f = x, f
         if best_f < config.tol:
             break
     if best_x is None:
         raise ValueError("no start gave a finite defect")
+    point = SearchSpacePoint.from_vector(best_x)
     return SearchResult(
-        best_point=SearchSpacePoint.from_vector(best_x),
+        best_point=point,
         best_defect=best_f,
         restarts=performed,
         evaluations=evals,
@@ -357,5 +365,11 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
 
 
 def result_to_dict(r: SearchResult) -> dict:
-    """The fields of r in their order, the point as its to_dict."""
-    return {**vars(r), "best_point": r.best_point.to_dict()}
+    return {
+        "best_point": r.best_point.to_dict(),
+        "best_defect": r.best_defect,
+        "restarts": r.restarts,
+        "evaluations": r.evaluations,
+        "seed": r.seed,
+        "converged": r.converged,
+    }
