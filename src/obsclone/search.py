@@ -209,9 +209,10 @@ def _objective(cls: ObservableClass, mode: str):
     where i counts only the G' generators with a nonzero traceless part:
     every machine copies the others, so they get no pair. The rotations
     differentiate through _conjugation_gradient. A plain call keeps its value
-    pass with a copy of x; a rows call at equal (==) coordinates, as at the
+    pass with a copy of x; a rows call at the same coordinates, as at the
     point the descent has just scored, only adds the gradients to it, and any
-    other rows call runs the value pass itself. The bits are the same.
+    other rows call runs the value pass itself. The bits are the same: as
+    -0.0 == 0.0, a rows call at a point with a zero coordinate runs the pass.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
@@ -227,7 +228,7 @@ def _objective(cls: ObservableClass, mode: str):
     def defect(x, rows=None) -> float:
         nonlocal last
         x = list(x)
-        if rows is None or last is None or x != last[0]:
+        if rows is None or last is None or x != last[0] or 0.0 in x:
             # The value pass: last keeps x, the defect, the pre-rotation, the kernel's trig values and, per
             # branch, its kernel entries, gain and each pair's u, r0, y, r and phi, for the rows.
             p0, p1, p2, p3, p4, p5, p6, p7, p8 = p = _conjugation(x[0], x[1], x[2])

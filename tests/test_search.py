@@ -443,11 +443,13 @@ REUSE_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-basis":
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(REUSE_CLASSES))
 def test_a_rows_call_gives_a_fresh_objectives_bits_whatever_came_before(rng, name, mode):
-    """A plain call keeps its value pass for a rows call at equal coordinates.
+    """A plain call keeps its value pass for a rows call at the same coordinates.
     Whether fun(x) came just before, or fun(x) and then fun(y), or fun(x) and an
     in-place edit of the list x, or no plain call at all, fun(x, rows) returns
     the value and rows of a fresh objective, bit for bit, and its value is the
-    plain call's."""
+    plain call's. So does a rows call after fun(x) at x with each zero's sign
+    flipped, which equals x under ==: sin(-0.0) is -0.0, and such a sign can
+    reach a gradient entry that is exactly zero."""
     cls, approximate = REUSE_CLASSES[name], mode == "approximate"
     for i in range(10):
         x = mixed_vector(rng, i, approximate).tolist()
@@ -465,6 +467,9 @@ def test_a_rows_call_gives_a_fresh_objectives_bits_whatever_came_before(rng, nam
         fun(edited)
         edited[:] = x
         assert rows_bits(fun, edited) == want
+        flipped = [-v if v == 0.0 else v for v in x]
+        fun(x)
+        assert rows_bits(fun, flipped) == rows_bits(_objective(cls, mode), flipped)
 
 
 @pytest.mark.parametrize(
