@@ -2,7 +2,7 @@
 
 Usage, from the root of the repository:
 
-    python3 tools/ab_search.py OLD_SRC NEW_SRC [SEEDS] [--identical]
+    python3 tools/ab_search.py OLD_SRC NEW_SRC [SEEDS]
 
 OLD_SRC and NEW_SRC are the `src/` directories of two checkouts, for
 example a clone of the parent commit and this tree. SEEDS are workload
@@ -20,7 +20,7 @@ percent on a shared host, while this interleaved comparison repeats
 within a fraction of a percent. The output gives the two sums of
 per-search minima, their ratio new/old and the median of the per-search
 ratios, and names every search whose result (`result_to_dict`) differs
-between the trees. With --identical the exit code is 1 if any differs.
+between the trees.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ def load_trees(sources, tmp: Path) -> list:
 
 
 def main(argv: list[str]) -> int:
-    identical = "--identical" in argv
-    argv = [a for a in argv if a != "--identical"]
     if len(argv) not in (2, 3):
         sys.stderr.write(__doc__)
         return 2
@@ -88,7 +86,7 @@ def main(argv: list[str]) -> int:
     print(f"sums of per-search minima: old {old_total / 1e6:.1f} ms ({argv[0]}), new {new_total / 1e6:.1f} ms ({argv[1]})")
     print(f"total ratio new/old {new_total / old_total:.4f}, median per-search ratio {statistics.median(ratios):.4f}")
     print(f"results: {len(ratios) - len(differ)} identical, {len(differ)} differ")
-    return 1 if identical and differ else 0
+    return 0
 
 
 if __name__ == "__main__":
