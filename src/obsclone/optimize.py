@@ -144,9 +144,10 @@ def _simplex_qp(m, gap, support):
         if len(support) == n:
             return lam, min(w)
         j = min((i for i in range(n) if outside[i]), key=w.__getitem__)
-        # |w_l| is at most the size of w's terms, so the test on it rules out most indices more cheaply.
+        # Only a negative multiplier can enter, and most of the searches' tests here see none, so the
+        # size of w's terms is summed only for a negative one.
         shift = w[j] - w[l]
-        if not shift < -1e-15 * abs(w[l]) or not shift < -1e-15 * max(
+        if not shift < 0.0 or not shift < -1e-15 * max(
                 abs(gap[i]) + sum(map(abs, map(mul, m[i], lam))) for i in (j, l)):
             return lam, min(w)
         support.append(j)
