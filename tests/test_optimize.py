@@ -139,7 +139,7 @@ def test_solve_matches_numpy_and_finds_null_vectors(rng, size):
             assert np.abs(a @ v).max() <= 1e-9 * np.abs(a).max()
 
 
-def test_simplex_qp_lets_an_index_entering_at_exactly_zero_block(monkeypatch):
+def test_simplex_qp_keeps_an_index_at_rounding_level_out(monkeypatch):
     """At the minimum on the support {0, 1}, index 2's multiplier w_2 - w_1 is
     -3e-16, negative through rounding alone, next to terms of w of size ~1.
     The entering test scales with those terms, so index 2 stays out: two face
@@ -160,6 +160,23 @@ def test_simplex_qp_lets_an_index_entering_at_exactly_zero_block(monkeypatch):
     assert (len(solves), support) == (2, [0, 1])
     assert abs(dual(np.array(m), np.array(gap), np.array(lam)) - brute_force_dual(np.array(m), np.array(gap))) <= 1e-12
     assert abs(predicted - (np.array(gap) + np.array(m) @ np.array(lam)).min()) <= 1e-12
+
+
+def test_simplex_qp_drops_an_index_that_a_tie_leaves_at_exactly_zero(monkeypatch):
+    """From the support [0], index 1 enters, then index 2. The face {0, 1, 2}
+    has its minimum at e_2, so indices 0 and 1 block together at t = 1: index 0
+    leaves, and index 1 stays on the support at exactly 0.0. On the face {1, 2}
+    its multiplier is again exactly 0.0, so its ratio is 0 / (0 - 0), taken as
+    0: it blocks at once and leaves. Five face solves; the support ends as [2],
+    at the dual's minimum e_2, where every w_i is 1."""
+    m = [[1.0, -1.0, -1.0], [-1.0, 5.0, 1.0], [-1.0, 1.0, 1.0]]
+    gap = [2.0, 0.0, 0.0]
+    solves, solve = [], optimize._solve
+    monkeypatch.setattr(optimize, "_solve", lambda a: solves.append(len(a)) or solve(a))
+    support = [0]
+    lam, predicted = _simplex_qp(m, gap, support)
+    assert (solves, support, lam, predicted) == ([0, 1, 2, 1, 0], [2], [0.0, 0.0, 1.0], 1.0)
+    assert abs(dual(np.array(m), np.array(gap), np.array(lam)) - brute_force_dual(np.array(m), np.array(gap))) <= 1e-12
 
 
 def direct_update(hess, s, y):
