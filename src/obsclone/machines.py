@@ -270,8 +270,9 @@ def axis_rotation(a: Observable) -> np.ndarray:
 
 
 def _transport(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(W† (x) W†) U (W (x) I): the interaction U carried into the frame of W."""
-    return tensor(dagger(w), dagger(w)) @ u @ tensor(w, SIGMA0)
+    """(W† (x) W†) U (W (x) I): the interaction U carried into the frame of W, a checked 2x2 unitary."""
+    wd = dagger(w)
+    return np.kron(wd, wd) @ u @ np.kron(w, SIGMA0)
 
 
 def one_param_machine(a: Observable) -> CloningMachine:

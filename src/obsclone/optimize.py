@@ -17,33 +17,31 @@ import numpy as np
 def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     """Minimize max_i phi_i(x) from x0 by SQP on the epigraph form, min t s.t. phi_i(x) <= t.
 
-    fun(x) is an increasing function of max_i phi_i (the defect), and fun(x, rows) returns the same
-    value and appends each pair (phi_i, jac_i), a value and its gradient, to rows. The first call
-    evaluates fun(x0); a start whose value is not finite is returned at once. Each step solves the QP
+    fun(x) returns (f, rows): f an increasing function of max_i phi_i (the defect), and rows() the list
+    of pairs (phi_i, jac_i) at x, a value and its gradient. The first call evaluates fun(x0); a start
+    whose f is not finite is returned at once. Each step solves the QP
     min s + d.H.d / 2 s.t. phi_i + jac_i.d <= max(phi) + s through its dual (_simplex_qp), with H
     Powell's damped BFGS approximation of the Lagrangian's Hessian, kept as B = H^-1, so a step is
     s = alpha d with d = B.jac^T.lam and alpha = -1, -1/2, ... (exact sign flips), and H.s = alpha
     jac^T.lam for the update; it halves alpha until fun drops below its current value. A point outside
     bounds, a sequence of (low, high) pairs, is clipped into the box, and a clipped step solves
     B.(H.s) = s. Stops on a failed line search, a relative decrease below 1e-15, a predicted decrease
-    at rounding level, empty rows, a value below ftarget, or after maxfev calls of fun, the start's
-    included. Each rows call is at the point that the last plain call scored, so fun may reuse that
-    call's pass (search._objective does); it still counts against maxfev. Returns (x, f, nfev),
-    f = fun(x) <= fun(x0).
+    at rounding level, empty rows, a value below ftarget, or after maxfev calls of fun and rows, the
+    start's included. Each step calls the rows of the point it steps from, the start or the last
+    accepted trial, once. Returns (x, f, nfev), f = fun(x)[0] <= fun(x0)[0].
     """
     x = [float(v) for v in x0]
-    f, nfev = fun(x), 1
+    (f, rows), nfev = fun(x), 1
     if not math.isfinite(f):
         return x, f, nfev
     lo, hi = (None, None) if bounds is None else np.array(bounds, dtype=float).T
     here, inv, support = np.array(x), None, None
     while nfev < maxfev and not (ftarget is not None and f < ftarget):
-        rows = []
-        fun(x, rows)
+        pairs = rows()
         nfev += 1
-        if not rows:
+        if not pairs:
             break
-        phi, grads = zip(*rows)
+        phi, grads = zip(*pairs)
         jac = np.array(grads, dtype=float)
         if inv is None:
             inv, support = np.eye(len(x)), [phi.index(max(phi))]
@@ -63,7 +61,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
             point = trial.tolist()
             if nfev == maxfev or point == x:
                 return x, f, nfev
-            ft = fun(point)
+            ft, trial_rows = fun(point)
             nfev += 1
             if ft < f:
                 break
@@ -73,7 +71,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
         step = trial - here if clipped else ad
         hs = np.linalg.solve(inv, step) if clipped else alpha * grad
         last, stalled = jac, f - ft <= 1e-15 * f
-        here, x, f = trial, point, ft
+        here, x, f, rows = trial, point, ft, trial_rows
         if stalled:
             break
     return x, f, nfev

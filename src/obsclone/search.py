@@ -14,9 +14,9 @@ branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). Each restart
 descends with obsclone.optimize.minimize, SQP on the minimax of the
 squared branch-generator defects. It takes the one callable _objective
-returns, defect(x, rows=None), which also appends each squared defect and
-its analytic gradient to rows when given that list. The module needs
-numpy alone.
+returns: defect(x) gives the defect and a function whose call gives each
+squared defect with its analytic gradient at x. The module needs numpy
+alone.
 MODES and SearchConfig's field defaults are the search surface the
 command line offers.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -184,7 +185,7 @@ def _conjugation_gradient(a: float, b: float, c: float) -> tuple:
 
 
 def _objective(cls: ObservableClass, mode: str):
-    """Defect as a plain function of the coordinate vector (hot path), and on request the descent's rows.
+    """Defect as a function of the coordinate vector (hot path), with the descent's rows on request.
 
     Branch b maps the traceless part a of a generator to the lift
     coefficients a . T_b, where T_b = Q(post_b) K_b diag(1, Q(pre)) is a
@@ -198,21 +199,19 @@ def _objective(cls: ObservableClass, mode: str):
     part lifts to itself. Plain floats, because numpy's per-call cost
     dwarfs arithmetic on arrays this small. Each generator enters divided
     by the power of two 2**e of its largest entry, and its squared defect
-    phi is weighted by 4**(e - top), top the largest e, so defect(x) is
+    phi is weighted by 4**(e - top), top the largest e, so the defect is
     sqrt(max phi) * 2**top: exact, so ordinary classes give the same bits,
     while rows near either end of the float range neither overflow nor
     underflow to zero. A class whose traceless parts could carry a defect
     past the float range is refused; identity parts never enter.
 
-    defect(x, rows) returns the same value and appends (phi, its gradient
-    in x) for generator i on branch b + 1 to the list rows, at index b G' + i,
-    where i counts only the G' generators with a nonzero traceless part:
-    every machine copies the others, so they get no pair. The rotations
-    differentiate through _conjugation_gradient. A plain call keeps its value
-    pass with a copy of x; a rows call at the same coordinates, as at the
-    point the descent has just scored, only adds the gradients to it, and any
-    other rows call runs the value pass itself. The bits are the same: as
-    -0.0 == 0.0, a rows call at a point with a zero coordinate runs the pass.
+    defect(x) returns (defect, rows), and rows() the list of pairs (phi, its
+    gradient in x), generator i on branch b + 1 at index b G' + i, where i
+    counts only the G' generators with a nonzero traceless part: every
+    machine copies the others, so they get no pair. rows adds the gradients
+    to the value pass of its own copy of x, so neither later calls nor edits
+    of the caller's list change them. The rotations differentiate through
+    _conjugation_gradient.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
@@ -223,45 +222,43 @@ def _objective(cls: ObservableClass, mode: str):
     # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
     gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
 
-    last = None
-
-    def defect(x, rows=None) -> float:
-        nonlocal last
+    def defect(x):
         x = list(x)
-        if rows is None or last is None or x != last[0] or 0.0 in x:
-            # The value pass: last keeps x, the defect, the pre-rotation, the kernel's trig values and, per
-            # branch, its kernel entries, gain and each pair's u, r0, y, r and phi, for the rows.
-            p0, p1, p2, p3, p4, p5, p6, p7, p8 = p = _conjugation(x[0], x[1], x[2])
-            c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
-            s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
-            g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
-            worst, branches = 0.0, []
-            for (q0, q1, q2, q3, q4, q5, q6, q7, q8), kern, gain in (
-                (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
-                (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
-            ):
-                k20, k01, k02, k11, k12, k23 = kern
-                pairs = []
-                for a1, a2, a3, weight in gens:
-                    u1 = a1 * q0 + a2 * q3 + a3 * q6
-                    u2 = a1 * q1 + a2 * q4 + a3 * q7
-                    u3 = a1 * q2 + a2 * q5 + a3 * q8
-                    w1 = u1 * k01 + u2 * k11
-                    w2 = u1 * k02 + u2 * k12
-                    w3, r0 = u3 * k23, u3 * k20
-                    y1 = w1 * p0 + w2 * p3 + w3 * p6
-                    y2 = w1 * p1 + w2 * p4 + w3 * p7
-                    y3 = w1 * p2 + w2 * p5 + w3 * p8
-                    r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
-                    phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
-                    if phi > worst:
-                        worst = phi
-                    pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
-                branches.append((kern, gain, pairs))
-            last = x, math.ldexp(math.sqrt(worst), top), p, (c1, c2, c3, s1, s2, s3), branches
-            if rows is None:
-                return last[1]
-        _, value, (p0, p1, p2, p3, p4, p5, p6, p7, p8), (c1, c2, c3, s1, s2, s3), branches = last
+        # The value pass: rows gets x, the pre-rotation, the kernel's trig values and, per branch,
+        # its kernel entries, gain and each pair's u, r0, y, r and phi.
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = p = _conjugation(x[0], x[1], x[2])
+        c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
+        s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
+        g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
+        worst, branches = 0.0, []
+        for (q0, q1, q2, q3, q4, q5, q6, q7, q8), kern, gain in (
+            (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+            (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
+        ):
+            k20, k01, k02, k11, k12, k23 = kern
+            pairs = []
+            for a1, a2, a3, weight in gens:
+                u1 = a1 * q0 + a2 * q3 + a3 * q6
+                u2 = a1 * q1 + a2 * q4 + a3 * q7
+                u3 = a1 * q2 + a2 * q5 + a3 * q8
+                w1 = u1 * k01 + u2 * k11
+                w2 = u1 * k02 + u2 * k12
+                w3, r0 = u3 * k23, u3 * k20
+                y1 = w1 * p0 + w2 * p3 + w3 * p6
+                y2 = w1 * p1 + w2 * p4 + w3 * p7
+                y3 = w1 * p2 + w2 * p5 + w3 * p8
+                r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
+                phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
+                if phi > worst:
+                    worst = phi
+                pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
+            branches.append((kern, gain, pairs))
+        return math.ldexp(math.sqrt(worst), top), partial(rows, x, p, (c1, c2, c3, s1, s2, s3), branches)
+
+    def rows(x, p, trig, branches):
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+        c1, c2, c3, s1, s2, s3 = trig
+        out = []
         dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
         # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
         # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
@@ -306,8 +303,8 @@ def _objective(cls: ObservableClass, mode: str):
                 row[j + 2] = m * (dq6 * o1 + dq7 * o2 + dq8 * o3)
                 if approximate:
                     row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
-                rows.append((phi, row))
-        return value
+                out.append((phi, row))
+        return out
 
     return defect
 

@@ -241,10 +241,14 @@ def test_descent_updates_invert_the_direct_ones_where_bounds_clip_steps(monkeypa
     monkeypatch.setattr(optimize, "_bfgs_update", recorded)
     fun, points = _objective(cls, "approximate"), []
 
-    def logged(x, rows=None):
-        if rows is not None:
+    def logged(x):
+        value, rows = fun(x)
+
+        def logged_rows():
             points.append(x)
-        return fun(x, rows)
+            return rows()
+
+        return value, logged_rows
 
     rng = np.random.default_rng(3)
     x0 = np.concatenate([rng.uniform(-np.pi, np.pi, 12), [GAIN_BOUNDS[0], rng.uniform(1.0, 3.0)]])

@@ -183,7 +183,7 @@ def test_fast_objective_agrees_with_the_full_verifier(rng):
         fun = _objective(cls, mode)
         for _ in range(10):
             x = random_vector(rng, with_gains=gains)
-            assert fun(x) == pytest.approx(
+            assert fun(x)[0] == pytest.approx(
                 cloning_defect(SearchSpacePoint.from_vector(x), cls, mode), abs=1e-12
             )
 
@@ -244,7 +244,7 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
         fun = _objective(cls, mode)
         for i in range(40):
             x = mixed_vector(rng, i, mode == "approximate")
-            assert fun(x) == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
+            assert fun(x)[0] == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
 
 
 def row_top(cls):
@@ -253,15 +253,30 @@ def row_top(cls):
 
 
 def rows_of(fun):
-    """x -> (phi, jac): the squared defects and gradients that fun(x, rows) appends to rows."""
+    """x -> (phi, jac): the squared defects and gradients that the rows of fun(x) give."""
 
     def rows(x):
-        out = []
-        fun(x, out)
-        phi, jac = zip(*out)
+        phi, jac = zip(*fun(x)[1]())
         return list(phi), list(jac)
 
     return rows
+
+
+def logged(fun, log):
+    """fun, recording each call of it or of its rows as (point, value, whether it was the rows call)."""
+
+    def f(x):
+        x = [float(t) for t in x]
+        v, rows = fun(x)
+        log.append((x, v, False))
+
+        def logged_rows():
+            log.append((x, v, True))
+            return rows()
+
+        return v, logged_rows
+
+    return f
 
 
 def central_differences(f, x, h=1e-3):
@@ -286,9 +301,8 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
     angles among them, the rows equal the oracle's squared defects to 1e-12 and
     the Jacobian equals central differences of the rows, and at every twentieth
     point of the oracle, to 1e-9 relative to the larger of the rows and their
-    gradients (the differences' rounding scales with the rows). With or without
-    rows the defect is the same float, sqrt(max(phi)) * 2**top, which the
-    descent relies on. Only generators with a nonzero traceless part have
+    gradients (the differences' rounding scales with the rows). The defect is
+    the float sqrt(max(phi)) * 2**top, which the descent relies on. Only generators with a nonzero traceless part have
     rows, so the Pauli basis's identity has none."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
@@ -296,7 +310,7 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
         rows, unit = rows_of(fun), 4.0**top
         x = mixed_vector(rng, i, mode == "approximate").tolist()
         phi, jac = rows(x)
-        assert fun(x) == fun(x, []) == math.ldexp(math.sqrt(max(phi)), top)
+        assert fun(x)[0] == math.ldexp(math.sqrt(max(phi)), top)
         want = paired_squared_defects(x, cls, mode)
         assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
         references = [central_differences(lambda v: rows(v)[0], x)]
@@ -317,7 +331,7 @@ def test_defect_scales_exactly_with_a_power_of_two_and_its_rows_not_at_all(rng, 
             fun, big = _objective(cls, mode), _objective(scaled, mode)
             for i in range(20):
                 x = mixed_vector(rng, i, mode == "approximate").tolist()
-                assert big(x) == fun(x) * 2.0**k
+                assert big(x)[0] == fun(x)[0] * 2.0**k
                 assert rows_of(big)(x) == rows_of(fun)(x)
 
 
@@ -349,10 +363,10 @@ def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
     fun, bare = _objective(cls, mode), _objective(paired, mode)
     for i in range(40):
         x = mixed_vector(rng, i, mode == "approximate").tolist()
-        rows, bare_rows = [], []
-        assert fun(x) == fun(x, rows) == bare(x) == bare(x, bare_rows)
-        assert rows == bare_rows
-        assert len(rows) == 2 * len(paired.generators) < 2 * len(cls.generators)
+        (value, rows), (bare_value, bare_rows) = fun(x), bare(x)
+        assert value == bare_value
+        assert rows() == bare_rows()
+        assert len(rows()) == 2 * len(paired.generators) < 2 * len(cls.generators)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -363,16 +377,11 @@ def test_a_class_of_identity_multiples_has_nothing_to_descend(mode):
     cls, approximate = IDENTITY_CLASSES["identity-only"], mode == "approximate"
     result = search_machine(cls, mode, SearchConfig())
     assert (result.converged, result.best_defect, result.evaluations, result.restarts) == (True, 0.0, 1, 1)
-    fun, calls = _objective(cls, mode), []
-
-    def recorded(x, rows=None):
-        value = fun(x, rows)
-        calls.append((list(x), value, rows))
-        return value
-
+    fun, log = _objective(cls, mode), []
     x0 = random_vector(np.random.default_rng(1), approximate).tolist()
-    assert minimize(recorded, x0, 100, _bounds(approximate)) == (x0, 0.0, 2)
-    assert calls == [(x0, 0.0, None), (x0, 0.0, [])]
+    assert fun(x0)[1]() == []
+    assert minimize(logged(fun, log), x0, 100, _bounds(approximate)) == (x0, 0.0, 2)
+    assert log == [(x0, 0.0, False), (x0, 0.0, True)]
 
 
 def rotation_vector(c):
@@ -400,7 +409,7 @@ def test_t3_and_a_sigma3_pre_rotation_are_one_coordinate(rng, mode):
         outputs = [dense_output(CloningMachine(SearchSpacePoint.from_vector(v).unitary(), KET0, GENERAL), state) for v in (x, y)]
         assert np.abs(outputs[0] - outputs[1]).max() <= 1e-12
         assert np.abs(np.subtract(oracle_squared_defects(x, GENERAL, mode), oracle_squared_defects(y, GENERAL, mode))).max() <= 1e-12
-        assert abs(fun(x.tolist()) - fun(y.tolist())) <= 1e-14
+        assert abs(fun(x.tolist())[0] - fun(y.tolist())[0]) <= 1e-14
 
 
 def slsqp_floor(cls, mode, starts=3):
@@ -421,7 +430,7 @@ def slsqp_floor(cls, mode, starts=3):
             constraints=[{"type": "ineq", "fun": lambda z: z[-1] - np.array(rows(z[:-1].tolist())[0])}],
             options={"maxiter": 500, "ftol": 1e-16},
         )
-        best = min(best, fun(res.x[:-1].tolist()))
+        best = min(best, fun(res.x[:-1].tolist())[0])
     return best
 
 
@@ -430,46 +439,37 @@ def seeded_pair():
     return ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (random_observable(rng), random_observable(rng)))
 
 
-def rows_bits(fun, x):
-    """fun(x, rows) as bits: the value's hex, and each pair's phi and gradient entries as hex."""
-    rows = []
-    value = fun(x, rows)
-    return value.hex(), [(phi.hex(), [g.hex() for g in grad]) for phi, grad in rows]
+def bits(value, rows):
+    """A value and its rows as bits: the value's hex, and each pair's phi and gradient entries as hex."""
+    return value.hex(), [(phi.hex(), [g.hex() for g in grad]) for phi, grad in rows()]
 
 
-REUSE_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-basis": GENERAL}
+FRESH_BITS_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-basis": GENERAL}
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", sorted(REUSE_CLASSES))
-def test_a_rows_call_gives_a_fresh_objectives_bits_whatever_came_before(rng, name, mode):
-    """A plain call keeps its value pass for a rows call at the same coordinates.
-    Whether fun(x) came just before, or fun(x) and then fun(y), or fun(x) and an
-    in-place edit of the list x, or no plain call at all, fun(x, rows) returns
-    the value and rows of a fresh objective, bit for bit, and its value is the
-    plain call's. So does a rows call after fun(x) at x with each zero's sign
-    flipped, which equals x under ==: sin(-0.0) is -0.0, and such a sign can
-    reach a gradient entry that is exactly zero."""
-    cls, approximate = REUSE_CLASSES[name], mode == "approximate"
+@pytest.mark.parametrize("name", sorted(FRESH_BITS_CLASSES))
+def test_the_rows_of_fun_x_give_a_fresh_objectives_bits_at_x(rng, name, mode):
+    """The rows that fun(x) returns give the value and rows of a fresh
+    objective at x, bit for bit: after later calls fun(y), after the caller
+    edits its list x in place, and at x with each zero's sign flipped, which
+    equals x under == (sin(-0.0) is -0.0, and such a sign can reach a
+    gradient entry that is exactly zero)."""
+    cls, approximate = FRESH_BITS_CLASSES[name], mode == "approximate"
+    fun = _objective(cls, mode)
     for i in range(10):
         x = mixed_vector(rng, i, approximate).tolist()
         y = mixed_vector(rng, i + 1, approximate).tolist()
-        want = rows_bits(_objective(cls, mode), x)
-        assert want[0] == _objective(cls, mode)(x).hex()
-        fun = _objective(cls, mode)
-        assert rows_bits(fun, list(x)) == want
-        fun(list(x))
-        assert rows_bits(fun, list(x)) == want
-        fun(x)
-        fun(y)
-        assert rows_bits(fun, x) == want
-        edited = list(y)
-        fun(edited)
-        edited[:] = x
-        assert rows_bits(fun, edited) == want
         flipped = [-v if v == 0.0 else v for v in x]
-        fun(x)
-        assert rows_bits(fun, flipped) == rows_bits(_objective(cls, mode), flipped)
+        for point, twin in ((x, flipped), (flipped, x)):
+            want = bits(*_objective(cls, mode)(point))
+            got = fun(point)
+            fun(y)
+            fun(twin)
+            assert bits(*got) == want
+        got, original = fun(x), list(x)
+        x[:] = y
+        assert bits(*got) == bits(*_objective(cls, mode)(original))
 
 
 @pytest.mark.parametrize(
@@ -499,7 +499,7 @@ DESCENT_CLASSES = {"sigma-x-y": X_NC, "pauli-basis": GENERAL, "unequal-pair": UN
 @example(0, "pauli-basis", "approximate", 2)
 @settings(max_examples=25, deadline=None)
 def test_minimize_never_worsens_its_start(seed, name, mode, budget):
-    """From a random start minimize returns f = fun(x) <= fun(x0) within its
+    """From a random start minimize returns f = fun(x)[0] <= fun(x0)[0] within its
     budget, the start's evaluation included, with gains inside their bounds:
     budget 1 evaluates the start only, and budget 2 adds one rows call and no
     step. A search with that budget stays within it and reports the defect
@@ -507,35 +507,20 @@ def test_minimize_never_worsens_its_start(seed, name, mode, budget):
     cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
     fun, bounds = _objective(cls, mode), _bounds(approximate)
     x0 = random_vector(np.random.default_rng(seed), approximate).tolist()
-    with_rows = []
-
-    def counted(x, rows=None):
-        with_rows.append(rows is not None)
-        return fun(x, rows)
-
-    x, f, nfev = minimize(counted, x0, budget, bounds)
-    assert f <= fun(x0)
-    assert f == fun(x)
-    assert nfev == len(with_rows) <= budget
+    log = []
+    x, f, nfev = minimize(logged(fun, log), x0, budget, bounds)
+    assert f <= fun(x0)[0]
+    assert f == fun(x)[0]
+    assert nfev == len(log) <= budget
     if budget <= 2:
         assert x == x0
-        assert with_rows == [False, True][:budget]
+        assert [with_rows for _, _, with_rows in log] == [False, True][:budget]
     result = search_machine(cls, mode, SearchConfig(restarts=1, max_evals=budget, seed=seed))
     assert result.evaluations <= budget
     assert abs(cloning_defect(result.best_point, cls, mode) - result.best_defect) <= 1e-9
     if approximate:
         for gains in (x[12:], result.best_point.gains):
             assert GAIN_BOUNDS[0] <= min(gains) and max(gains) <= GAIN_BOUNDS[1]
-
-
-def logged(fun, log):
-    """fun, recording each call as (point, value, whether rows were asked for)."""
-    def f(x, rows=None):
-        v = fun(x, rows)
-        log.append(([float(t) for t in x], v, rows is not None))
-        return v
-
-    return f
 
 
 @pytest.mark.parametrize("name", sorted(DESCENT_CLASSES))
@@ -549,7 +534,7 @@ def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
     x0 = random_vector(np.random.default_rng(7), approximate).tolist()
     plain, targeted = [], []
     _, f_end, _ = minimize(logged(fun, plain), x0, 300, bounds)
-    f0 = fun(x0)
+    f0 = fun(x0)[0]
     assert f_end < f0
     ftarget = 0.5 * (f0 + f_end)
     x, f, nfev = minimize(logged(fun, targeted), x0, 300, bounds, ftarget)
@@ -564,7 +549,7 @@ def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
 def test_minimize_returns_a_start_without_a_finite_value_at_once(value):
     """The start is the one evaluation: no rows call, no step."""
     log = []
-    x, f, nfev = minimize(logged(lambda x, rows=None: value, log), [0.5, -1.0, 2.0], 100)
+    x, f, nfev = minimize(logged(lambda x: (value, list), log), [0.5, -1.0, 2.0], 100)
     assert x == [0.5, -1.0, 2.0]
     assert f is value
     assert nfev == 1
@@ -576,12 +561,10 @@ def enclosing_ball(centres):
     smallest ball around the c_i and whose floor is its squared radius."""
     centres = np.array(centres, dtype=float)
 
-    def fun(x, rows=None):
+    def fun(x):
         diff = np.array(x) - centres
         phi = (diff**2).sum(axis=1)
-        if rows is not None:
-            rows.extend(zip(phi.tolist(), (2.0 * diff).tolist()))
-        return float(phi.max())
+        return float(phi.max()), lambda: list(zip(phi.tolist(), (2.0 * diff).tolist()))
 
     return fun
 
@@ -635,7 +618,7 @@ def test_search_refuses_classes_whose_residuals_leave_the_float_range():
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_search_without_a_finite_defect_raises(monkeypatch, value):
-    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x: value)
+    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x: (value, list))
     with pytest.raises(ValueError, match="finite defect"):
         search_machine(ONE_PARAM, "exact", SearchConfig(restarts=2, max_evals=30))
 

@@ -5,22 +5,26 @@ Usage, from the root of the repository:
     python3 tools/step_split.py SRC [SEEDS]
 
 SRC is the `src/` directory of a checkout, for example this tree's or a
-clone of the parent commit. SEEDS are workload seeds, as a list (1,2,5),
+clone of the parent commit, whose objective returns (value, rows) from
+fun(x); a tree with the older fun(x, rows) objective is timed with the
+step_split.py of its own commit. SEEDS are workload seeds, as a list (1,2,5),
 a range (1-10) or both (1-3,7); the default is 1-10. For each seed the
 search-floor pool that perfbench/workloads.py's `plan()` draws is run
 in-process, as the `search` command would run it, through
 `obsclone.search.search_machine`.
 
 Each search runs once as it is, then PASSES times with the objective
-callable, `optimize._simplex_qp`, `optimize._bfgs_update` and
-`optimize.minimize` wrapped in timers from outside; every wrapped run
-must return the unwrapped run's result, field for field, or the tool
-exits 1. Per search the pass with the least descent time counts. The
-table gives, per SQP step (one QP), the calls and microseconds of the
-rows calls fun(x, rows), the plain calls fun(x), the QP, the BFGS update
-and the rest of the descent, which is minimize's time less the four
-timed parts; the timers' own cost (a few tenths of a microsecond per
-call) falls partly in each part and partly in the rest. The last lines
+callable, the rows it returns, `optimize._simplex_qp`,
+`optimize._bfgs_update` and `optimize.minimize` wrapped in timers from
+outside; every wrapped run must return the unwrapped run's result, field
+for field, or the tool exits 1. Per search the pass with the least
+descent time counts. The table gives, per SQP step (one QP), the calls
+and microseconds of the rows calls rows(), the plain calls fun(x), which
+score a point and return its rows, the QP, the BFGS update and the rest
+of the descent, which is minimize's time less the four timed parts; the
+timers' own cost (a few tenths of a microsecond per call, and the
+wrapping of each point's rows) falls partly in each part and partly in
+the rest. The last lines
 give the steps, the evaluations and the descent time in total.
 """
 
@@ -83,9 +87,13 @@ def timed_run(cls, mode, config):
         return timed
 
     def objective(c, mode):
-        fun = originals[0](c, mode)
-        rows_call, plain_call = wrap("rows", fun), wrap("plain", fun)
-        return lambda x, rows=None: plain_call(x) if rows is None else rows_call(x, rows)
+        plain_call = wrap("plain", originals[0](c, mode))
+
+        def fun(x):
+            value, rows = plain_call(x)
+            return value, wrap("rows", rows)
+
+        return fun
 
     def minimize(*args):
         t = clock()
