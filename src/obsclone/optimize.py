@@ -23,7 +23,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     min s + d.H.d / 2 s.t. phi_i + jac_i.d <= max(phi) + s through its dual (_simplex_qp), with H
     Powell's damped BFGS approximation of the Lagrangian's Hessian, kept as B = H^-1, so a step is
     s = alpha d with d = B.jac^T.lam and alpha = -1, -1/2, ... (exact sign flips), and H.s = alpha
-    jac^T.lam for the update; it halves alpha until fun drops below its current value. A point outside
+    jac^T.lam for the update; it halves alpha until f drops below its current value. A point outside
     bounds, a sequence of (low, high) pairs, is clipped into the box, and a clipped step solves
     B.(H.s) = s. Stops on a failed line search, a relative decrease below 1e-15, a predicted decrease
     at rounding level, empty rows, a value below ftarget, or after maxfev calls of fun and rows, the

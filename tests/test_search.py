@@ -302,8 +302,9 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
     the Jacobian equals central differences of the rows, and at every twentieth
     point of the oracle, to 1e-9 relative to the larger of the rows and their
     gradients (the differences' rounding scales with the rows). The defect is
-    the float sqrt(max(phi)) * 2**top, which the descent relies on. Only generators with a nonzero traceless part have
-    rows, so the Pauli basis's identity has none."""
+    the float sqrt(max(phi)) * 2**top, which the descent relies on. Only
+    generators with a nonzero traceless part have rows, so the Pauli basis's
+    identity has none."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
         fun, top = _objective(cls, mode), row_top(cls)

@@ -7,10 +7,10 @@ Usage, from the root of the repository:
 SRC is the `src/` directory of a checkout, for example this tree's or a
 clone of the parent commit, whose objective returns (value, rows) from
 fun(x); a tree with the older fun(x, rows) objective is timed with the
-step_split.py of its own commit. SEEDS are workload seeds, as a list (1,2,5),
-a range (1-10) or both (1-3,7); the default is 1-10. For each seed the
-search-floor pool that perfbench/workloads.py's `plan()` draws is run
-in-process, as the `search` command would run it, through
+step_split.py of its own commit. SEEDS are workload seeds, as a list
+(1,2,5), a range (1-10) or both (1-3,7); the default is 1-10. For each
+seed the search-floor pool that perfbench/workloads.py's `plan()` draws
+is run in-process, as the `search` command would run it, through
 `obsclone.search.search_machine`.
 
 Each search runs once as it is, then PASSES times with the objective
@@ -24,8 +24,8 @@ score a point and return its rows, the QP, the BFGS update and the rest
 of the descent, which is minimize's time less the four timed parts; the
 timers' own cost (a few tenths of a microsecond per call, and the
 wrapping of each point's rows) falls partly in each part and partly in
-the rest. The last lines
-give the steps, the evaluations and the descent time in total.
+the rest. The last lines give the steps, the evaluations and the descent
+time in total.
 """
 
 from __future__ import annotations
