@@ -137,20 +137,26 @@ def overflowing_generator(cls: ObservableClass, gain: float, bloch_only: bool = 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-generator, per-branch Frobenius defects of the cloning conditions."""
+    """Per-generator, per-branch Frobenius defects of the cloning conditions.
+
+    The verdict is scale-free: it passes when every defect is below tolerance times its generator's
+    Frobenius norm, that is when max_relative_defect, the largest ratio of a defect to that norm, is
+    below tolerance.
+    """
 
     per_generator_defects: tuple[tuple[float, float], ...]
     max_defect: float
     gains_used: tuple[float, float]
     passed: bool
     tolerance: float
+    max_relative_defect: float
 
     def __post_init__(self):
         worst = max(max(pair) for pair in self.per_generator_defects)
         if abs(worst - self.max_defect) > 1e-15:
             raise ValueError("max_defect must equal the largest per-generator defect")
-        if self.passed != (self.max_defect < self.tolerance):
-            raise ValueError("passed flag is inconsistent with max_defect and tolerance")
+        if self.passed != (self.max_relative_defect < self.tolerance):
+            raise ValueError("passed flag is inconsistent with max_relative_defect and tolerance")
 
 
 def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
@@ -216,7 +222,12 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
     per_branch = _copying_defects(m.unitary, m.probe, gens, gains)
     defects = tuple(zip(*per_branch.tolist()))
     worst = max(max(pair) for pair in defects)
-    return VerificationReport(defects, worst, gains, worst < tol, float(tol))
+    # ||g||_F = sqrt(2) |c| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(c), so the norm neither overflows nor underflows.
+    relative = max(
+        math.ldexp(max(pair), -e) / (math.sqrt(2.0) * math.hypot(*v))
+        for pair, (v, e) in zip(defects, map(unit_scaled, gens.tolist()))
+    )
+    return VerificationReport(defects, worst, gains, relative < tol, float(tol), relative)
 
 
 def verify_exact(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:

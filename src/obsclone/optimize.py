@@ -3,7 +3,10 @@
 minimize minimizes the max of a few smooth functions, kinked wherever two of them tie, from one
 start: SQP on the epigraph form with analytic gradients, a damped BFGS inverse Hessian and a
 backtracking line search. A step's linear algebra is a few ndarray.dot calls (the BLAS of @ at half
-its call cost) on 12-14 coordinates; its dual QP, over at most 8 pairs, runs on plain floats.
+its call cost) on 12-14 coordinates; its dual QP, over at most 8 pairs, runs on plain floats. Most
+QPs end after one round whose face minimum is interior, most often on a full support of four pairs
+(two generators): that round solves the face, straight-line for four pairs, moves there and forms
+the dual's gradient once, with the floats of the general round.
 """
 
 from __future__ import annotations
@@ -103,44 +106,47 @@ def _simplex_qp(m, gap, support):
     Its dual is min lam.M.lam / 2 + gap.lam over the simplex, with M = jac H^-1 jac^T (m, nested lists),
     d = -H^-1 jac^T lam and -s = min(gap + M.lam). A primal active set solves it on plain floats from the
     uniform lam on support, the last step's support (edited in place). Each round minimizes the dual on
-    the support's affine hull, lam = e_l + Z.p with l the support's last index and Z = [I; -1^T], through
-    the positive semidefinite Z^T.M.Z p = -Z^T (M e_l + gap); where that is singular, the dual is linear
-    along its null vector, and the round goes downhill along it. It moves as far as lam >= 0 allows and
-    drops the index that blocks (one that just entered at 0 blocks at once unless its new multiplier is
-    positive), or, at the minimum, adds the index j whose multiplier w_j - w_l is most negative, if it is
-    below rounding: -1e-15 times the larger of |gap_i| + sum_k |M_ik lam_k| for i = j, l, the size of w's terms.
+    the support's affine hull (_face). Where that minimum is interior, every multiplier positive, the
+    round moves lam there, c + (v - c) for each entry as the general move at t = 1 gives, and forms
+    w = gap + M.lam once. Otherwise it moves towards that minimum or, where the face system is singular
+    and the dual linear along its null vector, downhill along that vector, as far as lam >= 0 allows,
+    and drops the index that blocks (one that just entered at 0 blocks at once unless its new multiplier
+    is positive). At the minimum it adds the index j whose multiplier w_j - w_l is most negative, l the
+    support's last index, if it is below rounding: -1e-15 times the larger of |gap_i| + sum_k |M_ik lam_k|
+    for i = j, l, the size of w's terms.
     """
     n = len(gap)
     lam, outside = [0.0] * n, [True] * n
     for i in support:
         lam[i], outside[i] = 1.0 / len(support), False
     for _ in range(4 * n):
-        l, others = support[-1], support[:-1]
-        ml, mll, wl = m[l], m[l][l], m[l][l] + gap[l]
-        p, singular = _solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
-                              for i in others for mi, c in [(m[i], m[i][l] - mll)]])
-        cur = [lam[i] for i in support]
-        # p becomes the face's multipliers or, if singular, its null vector, and then the move.
-        if singular:
-            p.append(-sum(p))
-            w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
-            if sum(w[i] * v for i, v in zip(support, p)) > 0.0:
-                p = [-v for v in p]
-            blocking = [(c / -v, k) for k, (c, v) in enumerate(zip(cur, p)) if v < 0.0]
+        p, singular = _face(m, gap, support)
+        if not singular and all(v > 0.0 for v in p):
+            for i, v in zip(support, p):
+                c = lam[i]
+                lam[i] = c + (v - c)
         else:
-            p.append(1.0 - sum(p))
-            blocking = [(c / (c - v) if c > 0.0 else 0.0, k) for k, (c, v) in enumerate(zip(cur, p)) if not v > 0.0]
-            p = [v - c for v, c in zip(p, cur)]
-        t, k = min(blocking, default=(1.0, None))
-        for i, c, v in zip(support, cur, p):
-            lam[i] = c + t * v
-        if k is not None:
-            i = support.pop(k)
-            lam[i], outside[i] = 0.0, True
-            continue
+            cur = [lam[i] for i in support]
+            # p becomes the move: towards the face's minimum or, if singular, downhill along the null vector.
+            if singular:
+                w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
+                if sum(w[i] * v for i, v in zip(support, p)) > 0.0:
+                    p = [-v for v in p]
+                blocking = [(c / -v, k) for k, (c, v) in enumerate(zip(cur, p)) if v < 0.0]
+            else:
+                blocking = [(c / (c - v) if c > 0.0 else 0.0, k) for k, (c, v) in enumerate(zip(cur, p)) if not v > 0.0]
+                p = [v - c for v, c in zip(p, cur)]
+            t, k = min(blocking, default=(1.0, None))
+            for i, c, v in zip(support, cur, p):
+                lam[i] = c + t * v
+            if k is not None:
+                i = support.pop(k)
+                lam[i], outside[i] = 0.0, True
+                continue
         w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
         if len(support) == n:
             return lam, min(w)
+        l = support[-1]
         j = min((i for i in range(n) if outside[i]), key=w.__getitem__)
         # Only a negative multiplier can enter, and most of the searches' tests here see none, so the
         # size of w's terms is summed only for a negative one.
@@ -153,6 +159,47 @@ def _simplex_qp(m, gap, support):
     return lam, min(g + sum(map(mul, row, lam)) for g, row in zip(gap, m))
 
 
+def _face(m, gap, support):
+    """The dual's minimum on the affine hull of support, or a null vector: (p over support, singular).
+
+    With l the support's last index, lam = e_l + Z.q and Z = [I; -1^T], the minimum solves the positive
+    semidefinite Z^T.M.Z q = -Z^T (M e_l + gap) (_solve), and p is q with 1 - sum(q) appended; where the
+    system is singular, p is its null vector with -sum appended. A support of four, the search's common
+    face, is built and eliminated straight-line, in _solve's order and with its floats; a pivot that is
+    not positive, which the searches' four-pair faces almost never meet, leaves the face to _solve.
+    """
+    if len(support) == 4:
+        s0, s1, s2, l = support
+        m0, m1, m2, ml = m[s0], m[s1], m[s2], m[l]
+        mll, l0, l1, l2 = ml[l], ml[s0], ml[s1], ml[s2]
+        wl = mll + gap[l]
+        u, v, z = m0[l], m1[l], m2[l]
+        c0, c1, c2 = u - mll, v - mll, z - mll
+        a00, a01, a02, a03 = m0[s0] - l0 - c0, m0[s1] - l1 - c0, m0[s2] - l2 - c0, wl - u - gap[s0]
+        a10, a11, a12, a13 = m1[s0] - l0 - c1, m1[s1] - l1 - c1, m1[s2] - l2 - c1, wl - v - gap[s1]
+        a20, a21, a22, a23 = m2[s0] - l0 - c2, m2[s1] - l1 - c2, m2[s2] - l2 - c2, wl - z - gap[s2]
+        if a00 > 0.0:
+            f = a10 / a00
+            a11, a12, a13 = a11 - f * a01, a12 - f * a02, a13 - f * a03
+            f = a20 / a00
+            a21, a22, a23 = a21 - f * a01, a22 - f * a02, a23 - f * a03
+            if a11 > 0.0:
+                f = a21 / a11
+                a22, a23 = a22 - f * a12, a23 - f * a13
+                if a22 > 0.0:
+                    # Each back-substitution sum starts at 0.0, as _solve's does, which decides the sign of a zero.
+                    x2 = a23 / a22
+                    x1 = (a13 - (0.0 + a12 * x2)) / a11
+                    x0 = (a03 - (0.0 + a01 * x1 + a02 * x2)) / a00
+                    return [x0, x1, x2, 1.0 - (x0 + x1 + x2)], False
+    l, others = support[-1], support[:-1]
+    ml, mll, wl = m[l], m[l][l], m[l][l] + gap[l]
+    p, singular = _solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
+                          for i in others for mi, c in [(m[i], m[i][l] - mll)]])
+    p.append(-sum(p) if singular else 1.0 - sum(p))
+    return p, singular
+
+
 def _solve(a):
     """Solve the positive semidefinite system with augmented rows a, in place, by Gaussian elimination without pivoting.
 
@@ -160,16 +207,21 @@ def _solve(a):
     """
     n = end = len(a)
     for c, pivot in enumerate(a):
-        if not pivot[c] > 0.0:
+        d = pivot[c]
+        if not d > 0.0:
             # Column c is a combination of the ones before it: back-substitute for v with v_c = 1.
             end = c
             break
-        for row in a[c + 1 :]:
-            f = row[c] / pivot[c]
+        for r in range(c + 1, n):
+            row = a[r]
+            f = row[c] / d
             for k in range(c + 1, n + 1):
                 row[k] -= f * pivot[k]
     x = [0.0] * (n + 1)
     x[end] = 1.0
     for r in reversed(range(end)):
-        x[r] = ((a[r][n] if end == n else -a[r][end]) - sum(map(mul, a[r][r + 1 : end], x[r + 1 : end]))) / a[r][r]
+        row, s = a[r], 0.0
+        for k in range(r + 1, end):
+            s += row[k] * x[k]
+        x[r] = ((row[n] if end == n else -row[end]) - s) / row[r]
     return x[:n], end < n

@@ -5,6 +5,7 @@ import errno
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,31 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert report["max_defect"] < 1e-10
+
+    @pytest.mark.parametrize("family", ["one-param", "commuting"])
+    def test_a_built_machine_verifies_at_every_power_of_two_scale(self, capsys, tmp_path, family):
+        """build, then verify, for the class of (0.1, 0.7, -0.4, 0.5) and, for
+        commuting, b0 = 0.3 and b3 = -1.1, all scaled by 2**k, k = -600..600:
+        each machine is correct, so each verify passes and exits 0, whatever
+        its absolute defects, which scale with the class (up to ~1e165).
+        With an absolute tolerance the scales from about 2**19 up failed."""
+        path = tmp_path / "m.json"
+        for k in range(-600, 601):
+            obs = ",".join(repr(math.ldexp(v, k)) for v in (0.1, 0.7, -0.4, 0.5))
+            extra = [f"--b0={math.ldexp(0.3, k)!r}", f"--b3={math.ldexp(-1.1, k)!r}"] if family == "commuting" else []
+            assert run_cli(capsys, "build", family, "--obs", obs, *extra, "--out", str(path))[0] == 0
+            code, out, _ = run_cli(capsys, "verify", str(path))
+            assert (code, json.loads(out)["passed"]) == (0, True), k
+
+    def test_a_large_one_param_class_verifies(self, capsys, tmp_path):
+        """--obs 0.1,1e5,-1e5,0.5 gives max_defect 1.0442e-10, above the
+        default tolerance 1e-10, yet 7.4e-16 of the generator's norm."""
+        path = tmp_path / "m.json"
+        run_cli(capsys, "build", "one-param", "--obs", "0.1,1e5,-1e5,0.5", "--out", str(path))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        report = json.loads(out)
+        assert (code, report["passed"]) == (0, True)
+        assert report["max_defect"] > report["tolerance"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, tol):

@@ -1,5 +1,7 @@
 """Tests for machine construction, Heisenberg-picture verification, and transport."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -295,10 +297,29 @@ def test_residuals_beyond_the_float_range_are_refused():
 
 
 def test_verification_report_consistency_is_enforced():
+    """max_defect is the largest defect, and the verdict follows the relative
+    defect, not the absolute one."""
     with pytest.raises(ValueError):
-        VerificationReport(((0.0, 0.5),), 0.1, (1.0, 1.0), True, 1e-10)
+        VerificationReport(((0.0, 0.5),), 0.1, (1.0, 1.0), True, 1e-10, 0.5)
     with pytest.raises(ValueError):
-        VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), True, 1e-10)
+        VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), True, 1e-10, 0.5)
+    with pytest.raises(ValueError):
+        VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), False, 1e-10, 1e-11)
+    assert VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), True, 1e-10, 1e-11).passed
+
+
+def test_verify_compares_each_defect_with_its_generators_norm():
+    """A wrong machine, CNOT on {sigma1, 4 sigma3}, loses sigma1 on both
+    branches, a defect of sqrt(2), its norm, and clones 4 sigma3. Their
+    relative defects are 1 and 0, so the verdict turns at tol = 1, and
+    scaling the class by 2**k moves max_defect but not the verdict."""
+    for k in (-1000, 0, 1000):
+        cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.ldexp([0, 1, 0, 0], k)), Observable(np.ldexp([0, 0, 0, 4], k))))
+        machine = CloningMachine(CNOT, QubitState.ket0(), cls)
+        report = verify_exact(machine, tol=1.0)
+        assert report.max_defect == math.ldexp(math.sqrt(2.0), k)
+        assert (report.max_relative_defect, report.passed) == (1.0, False)
+        assert verify_exact(machine, tol=np.nextafter(1.0, 2.0)).passed
 
 
 def test_cnot_machine_verifies_exactly():

@@ -3,11 +3,15 @@
 _simplex_qp is checked against a brute-force solution of its dual over
 every support, its face solve _solve against numpy's, and _bfgs_update,
 which keeps the inverse of the Hessian approximation, against the direct
-damped BFGS update of the Hessian itself, inverted by numpy.
+damped BFGS update of the Hessian itself, inverted by numpy. The QP's
+interior round and its straight-line face of four pairs are checked bit
+for bit against the QP as it was before them (reference_simplex_qp); that
+holds where sum() adds floats left to right, as CPython before 3.12 does.
 """
 
 import itertools
 import warnings
+from operator import mul
 
 import numpy as np
 import pytest
@@ -177,6 +181,195 @@ def test_simplex_qp_drops_an_index_that_a_tie_leaves_at_exactly_zero(monkeypatch
     lam, predicted = _simplex_qp(m, gap, support)
     assert (solves, support, lam, predicted) == ([0, 1, 2, 1, 0], [2], [0.0, 0.0, 1.0], 1.0)
     assert abs(dual(np.array(m), np.array(gap), np.array(lam)) - brute_force_dual(np.array(m), np.array(gap))) <= 1e-12
+
+
+# The dual QP before its interior round and its straight-line face of four pairs, verbatim but for the two
+# names: the bit-for-bit reference of the tests below.
+def reference_simplex_qp(m, gap, support):
+    """Multipliers lam of the QP min s + d.H.d / 2 s.t. jac.d - s <= gap, and its predicted decrease -s.
+
+    Its dual is min lam.M.lam / 2 + gap.lam over the simplex, with M = jac H^-1 jac^T (m, nested lists),
+    d = -H^-1 jac^T lam and -s = min(gap + M.lam). A primal active set solves it on plain floats from the
+    uniform lam on support, the last step's support (edited in place). Each round minimizes the dual on
+    the support's affine hull, lam = e_l + Z.p with l the support's last index and Z = [I; -1^T], through
+    the positive semidefinite Z^T.M.Z p = -Z^T (M e_l + gap); where that is singular, the dual is linear
+    along its null vector, and the round goes downhill along it. It moves as far as lam >= 0 allows and
+    drops the index that blocks (one that just entered at 0 blocks at once unless its new multiplier is
+    positive), or, at the minimum, adds the index j whose multiplier w_j - w_l is most negative, if it is
+    below rounding: -1e-15 times the larger of |gap_i| + sum_k |M_ik lam_k| for i = j, l, the size of w's terms.
+    """
+    n = len(gap)
+    lam, outside = [0.0] * n, [True] * n
+    for i in support:
+        lam[i], outside[i] = 1.0 / len(support), False
+    for _ in range(4 * n):
+        l, others = support[-1], support[:-1]
+        ml, mll, wl = m[l], m[l][l], m[l][l] + gap[l]
+        p, singular = reference_solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
+                                       for i in others for mi, c in [(m[i], m[i][l] - mll)]])
+        cur = [lam[i] for i in support]
+        # p becomes the face's multipliers or, if singular, its null vector, and then the move.
+        if singular:
+            p.append(-sum(p))
+            w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
+            if sum(w[i] * v for i, v in zip(support, p)) > 0.0:
+                p = [-v for v in p]
+            blocking = [(c / -v, k) for k, (c, v) in enumerate(zip(cur, p)) if v < 0.0]
+        else:
+            p.append(1.0 - sum(p))
+            blocking = [(c / (c - v) if c > 0.0 else 0.0, k) for k, (c, v) in enumerate(zip(cur, p)) if not v > 0.0]
+            p = [v - c for v, c in zip(p, cur)]
+        t, k = min(blocking, default=(1.0, None))
+        for i, c, v in zip(support, cur, p):
+            lam[i] = c + t * v
+        if k is not None:
+            i = support.pop(k)
+            lam[i], outside[i] = 0.0, True
+            continue
+        w = [g + sum(map(mul, row, lam)) for g, row in zip(gap, m)]
+        if len(support) == n:
+            return lam, min(w)
+        j = min((i for i in range(n) if outside[i]), key=w.__getitem__)
+        # Only a negative multiplier can enter, and most of the searches' tests here see none, so the
+        # size of w's terms is summed only for a negative one.
+        shift = w[j] - w[l]
+        if not shift < 0.0 or not shift < -1e-15 * max(
+                abs(gap[i]) + sum(map(abs, map(mul, m[i], lam))) for i in (j, l)):
+            return lam, min(w)
+        support.append(j)
+        outside[j] = False
+    return lam, min(g + sum(map(mul, row, lam)) for g, row in zip(gap, m))
+
+
+def reference_solve(a):
+    """Solve the positive semidefinite system with augmented rows a, in place, by Gaussian elimination without pivoting.
+
+    Returns (x, False), or, at the first pivot that is not positive, (v, True) with v a null vector.
+    """
+    n = end = len(a)
+    for c, pivot in enumerate(a):
+        if not pivot[c] > 0.0:
+            # Column c is a combination of the ones before it: back-substitute for v with v_c = 1.
+            end = c
+            break
+        for row in a[c + 1 :]:
+            f = row[c] / pivot[c]
+            for k in range(c + 1, n + 1):
+                row[k] -= f * pivot[k]
+    x = [0.0] * (n + 1)
+    x[end] = 1.0
+    for r in reversed(range(end)):
+        x[r] = ((a[r][n] if end == n else -a[r][end]) - sum(map(mul, a[r][r + 1 : end], x[r + 1 : end]))) / a[r][r]
+    return x[:n], end < n
+
+
+def bits(values):
+    """Each float's exact bits, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
+def assert_same_qp(m, gap, support):
+    """_simplex_qp and the reference from the same support: the same lam and predicted decrease, bit for
+    bit, and the same support left."""
+    new, old = list(support), list(support)
+    (lam, predicted), (want_lam, want_predicted) = _simplex_qp(m, gap, new), reference_simplex_qp(m, gap, old)
+    assert (bits(lam), bits([predicted]), new) == (bits(want_lam), bits([want_predicted]), old)
+
+
+def reference_face(m, gap, support):
+    """The reference's face solve on support: its multipliers or null vector, the last entry appended."""
+    l, others = support[-1], support[:-1]
+    ml, mll, wl = m[l], m[l][l], m[l][l] + gap[l]
+    p, singular = reference_solve([[mi[j] - ml[j] - c for j in others] + [wl - mi[l] - gap[i]]
+                                   for i in others for mi, c in [(m[i], m[i][l] - mll)]])
+    p.append(-sum(p) if singular else 1.0 - sum(p))
+    return p, singular
+
+
+def warm_supports(rng, n):
+    """Every support of n pairs: every ordered one for n <= 4, and every subset in a random order for more."""
+    if n <= 4:
+        return [list(s) for size in range(1, n + 1) for s in itertools.permutations(range(n), size)]
+    subsets = (s for size in range(1, n + 1) for s in itertools.combinations(range(n), size))
+    return [[int(i) for i in rng.permutation(s)] for s in subsets]
+
+
+@pytest.mark.parametrize("kind", QP_KINDS)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_simplex_qp_gives_the_references_bits_from_every_warm_support(rng, n, kind):
+    """Random QPs of 2, 4 and 6 pairs (one, two and three generators), started
+    from every support: the interior round and the straight-line face change
+    no float of the QP's result and leave the support as the reference does."""
+    for _ in range(8):
+        m, gap = (a.tolist() for a in qp_case(rng, kind, n))
+        for support in warm_supports(rng, n):
+            assert_same_qp(m, gap, support)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_a_face_minimum_with_a_zero_multiplier_takes_the_general_round(n):
+    """With M = (n - 1) I and gap = e_0, the full support's face minimum gives
+    index 0 a multiplier of exactly 0.0, listed first or last. It is not
+    interior, so the round drops index 0 as the reference does, and the QP
+    ends on the other n - 1 indices with the reference's bits."""
+    m = [[float(n - 1) if i == j else 0.0 for j in range(n)] for i in range(n)]
+    gap = [1.0] + [0.0] * (n - 1)
+    for support in (list(range(n)), list(range(1, n)) + [0]):
+        p, singular = optimize._face(m, gap, support)
+        assert not singular and p[support.index(0)] == 0.0
+        assert_same_qp(m, gap, support)
+        optimize._simplex_qp(m, gap, support)
+        assert sorted(support) == list(range(1, n))
+
+
+@pytest.mark.parametrize("kind", QP_KINDS)
+def test_the_straight_line_face_matches_solve_bit_for_bit(rng, kind):
+    """Every ordered support of four pairs of random QPs of 4 and 6 pairs: the
+    straight-line face gives the reference solve's multipliers, or its null
+    vector, bit for bit. Duplicated rows meet each of the three pivots at
+    zero, dependent rows the second and the third."""
+    ends = set()
+    for n in (4, 6):
+        for _ in range(6):
+            m, gap = (a.tolist() for a in qp_case(rng, kind, n))
+            for support in itertools.permutations(range(n), 4):
+                (p, singular), (want, want_singular) = optimize._face(m, gap, list(support)), reference_face(m, gap, support)
+                assert (bits(p), singular) == (bits(want), want_singular)
+                # A null vector has 1 at the pivot that is not positive and 0 after it, the last entry aside.
+                ends.add(max(i for i in range(3) if p[i]) if singular else None)
+    assert ends >= {None} | {"duplicated-rows": {0, 1, 2}, "dependent-rows": {1, 2}}.get(kind, set())
+
+
+def test_the_straight_line_face_keeps_the_sign_of_a_zero(rng):
+    """Faces of four pairs whose entries are 0.0, -0.0, 1 and 2, with the last
+    index's row and column 0.0 but for m_ll = gap_l = -0.0: the face rows end
+    in -0.0, and elimination meets zeros of both signs. The straight-line face
+    gives the reference's signs of zero too, which the 0.0 that starts each of
+    _solve's back-substitution sums decides."""
+    signed = 0
+    for _ in range(3000):
+        m = [[*rng.choice([-0.0, 0.0, 1.0, 2.0], 3).tolist(), 0.0] for _ in range(3)] + [[0.0, 0.0, 0.0, -0.0]]
+        gap = [*rng.choice([-1.0, -0.0, 0.0], 3).tolist(), -0.0]
+        (p, singular), (want, want_singular) = optimize._face(m, gap, [0, 1, 2, 3]), reference_face(m, gap, [0, 1, 2, 3])
+        assert (bits(p), singular) == (bits(want), want_singular)
+        signed += "-0x0.0p+0" in bits(p)
+    assert signed
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_solve_gives_the_references_bits(rng, size):
+    """The index-loop _solve against the reference's slices: the same solution
+    or null vector, bit for bit, for positive definite systems and for ones
+    whose row c repeats the first."""
+    for _ in range(20):
+        b = rng.normal(size=(size, size + 2))
+        rows = [np.column_stack([b @ b.T, rng.normal(size=size)])]
+        if size >= 2:
+            b[int(rng.integers(1, size))] = b[0]
+            rows.append(np.column_stack([b @ b.T, rng.normal(size=size)]))
+        for a in rows:
+            (x, singular), (want, want_singular) = optimize._solve(a.tolist()), reference_solve(a.tolist())
+            assert (bits(x), singular) == (bits(want), want_singular)
 
 
 def direct_update(hess, s, y):

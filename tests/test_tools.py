@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under tools/: each runs and reports what it claims."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_ab_search_finds_a_tree_identical_to_itself():
     """tools/ab_search.py with this src as both trees runs the nine search-floor
-    searches of workload seed 1 in both copies and finds every result identical."""
+    searches of workload seed 1 in both copies and finds every result identical.
+    It prints the per-search ratios' median between their quartiles, and the
+    workload seed's ratio."""
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_search.py"), src, src, "1"],
@@ -19,12 +22,18 @@ def test_ab_search_finds_a_tree_identical_to_itself():
     assert "9 searches, workload seeds 1," in done.stdout
     assert "results: 9 identical, 0 differ" in done.stdout
     assert "differs:" not in done.stdout
+    spread = re.search(r"median per-search ratio (\S+), quartiles (\S+) (\S+)\n", done.stdout)
+    median, low, high = map(float, spread.groups())
+    assert low <= median <= high
+    assert re.search(r"^per workload seed: 1 \d\.\d{4}$", done.stdout, re.MULTILINE)
 
 
 def test_step_split_prints_each_part_of_a_step():
     """tools/step_split.py on this src and workload seed 1 finds every wrapped
     run's result equal to the unwrapped run's and prints one line for each
-    part of a step, then the total."""
+    part of a step, then the total, then the QPs by shape: pairs, support size
+    in and out, count, share and microseconds per call, at most ten shapes
+    and one line for the others, the counts adding up to the steps."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_split.py"), str(ROOT / "src"), "1"],
         capture_output=True, text=True, timeout=600,
@@ -34,3 +43,9 @@ def test_step_split_prints_each_part_of_a_step():
     assert lines[0].startswith("9 searches, workload seeds 1,")
     assert [line.split()[0] for line in lines[2:8]] == ["rows", "plain", "qp", "bfgs", "rest", "total"]
     assert lines[8].startswith("steps ")
+    assert lines[9].split() == ["shape", "pairs", "in", "out", "QPs", "share", "us/call"]
+    shapes = [line.split() for line in lines[10:]]
+    assert 1 <= len(shapes) <= 11 and all(row[0] == "shape" for row in shapes)
+    assert all(len(row) == 7 and row[1] in ("2", "4", "6", "8") for row in shapes[:10])
+    assert len(shapes) < 11 or shapes[10][1] == "other"
+    assert sum(int(row[-3]) for row in shapes) == int(lines[8].split()[1].rstrip(","))

@@ -18,9 +18,12 @@ taking turns to go first; per search and tree the fastest run counts.
 Separate processes of the same pair of trees can differ by several
 percent on a shared host, while this interleaved comparison repeats
 within a fraction of a percent. The output gives the two sums of
-per-search minima, their ratio new/old and the median of the per-search
-ratios, and names every search whose result (`result_to_dict`) differs
-between the trees.
+per-search minima, their ratio new/old, the median and the quartiles of
+the per-search ratios, the ratio of each workload seed's sums, and names
+every search whose result (`result_to_dict`) differs between the trees.
+The quartiles and the seeds' ratios show the spread: a tree timed against
+itself has read up to ~3% apart over three seeds, so a claim of a few
+percent needs ten seeds or more.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def main(argv: list[str]) -> int:
 
     seeds = parse_seeds(argv[2] if len(argv) == 3 else "1-10")
     clock = time.perf_counter_ns
-    spent, differ = [[], []], []
+    spent, differ, labels = [[], []], [], []
     with tempfile.TemporaryDirectory(prefix="ab_search_") as tmp:
         trees = load_trees(argv[:2], Path(tmp))
         for label, doc, mode, args in searches(seeds):
@@ -73,6 +76,7 @@ def main(argv: list[str]) -> int:
                     best[t] = ns if best[t] is None else min(best[t], ns)
             for t in (0, 1):
                 spent[t].append(best[t])
+            labels.append(label)
             old, new = (search.result_to_dict(result) for (_, search), result in zip(trees, results))
             if old != new:
                 differ.append(label)
@@ -82,9 +86,17 @@ def main(argv: list[str]) -> int:
                 )
     old_total, new_total = (sum(s) for s in spent)
     ratios = [b / a for a, b in zip(*spent)]
+    low, median, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    by_seed = {}
+    for label, a, b in zip(labels, *spent):
+        # A label is "seed <workload seed> <search>", from step_split.searches.
+        sums = by_seed.setdefault(label.split()[1], [0, 0])
+        sums[0] += a
+        sums[1] += b
     print(f"{len(ratios)} searches, workload seeds {','.join(map(str, seeds))}, {ROUNDS} rounds per tree")
     print(f"sums of per-search minima: old {old_total / 1e6:.1f} ms ({argv[0]}), new {new_total / 1e6:.1f} ms ({argv[1]})")
-    print(f"total ratio new/old {new_total / old_total:.4f}, median per-search ratio {statistics.median(ratios):.4f}")
+    print(f"total ratio new/old {new_total / old_total:.4f}, median per-search ratio {median:.4f}, quartiles {low:.4f} {high:.4f}")
+    print("per workload seed: " + ", ".join(f"{seed} {b / a:.4f}" for seed, (a, b) in by_seed.items()))
     print(f"results: {len(ratios) - len(differ)} identical, {len(differ)} differ")
     return 0
 

@@ -24,8 +24,12 @@ score a point and return its rows, the QP, the BFGS update and the rest
 of the descent, which is minimize's time less the four timed parts; the
 timers' own cost (a few tenths of a microsecond per call, and the
 wrapping of each point's rows) falls partly in each part and partly in
-the rest. The last lines give the steps, the evaluations and the descent
-time in total.
+the rest. Then come the steps, the evaluations and the descent time in
+total, and the QPs by shape: the pairs, the support's size on entry and
+on return (the QP edits it in place), the count and share of such QPs and
+their microseconds per call, for the SHAPES most common shapes and then
+the others together. The benchmark's tracer does not see inside
+`optimize.py`, so these lines show which QPs a change to the QP speeds up.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
 PARTS = ("rows", "plain", "qp", "bfgs")
+SHAPES = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -66,12 +71,13 @@ def searches(seeds):
 
 
 def timed_run(cls, mode, config):
-    """One search with the descent's parts wrapped in timers: (result, {part: [calls, ns]}, descent ns)."""
+    """One search with the descent's parts wrapped in timers: (result, {part: [calls, ns]}, descent ns, shapes),
+    shapes the QPs' {(pairs, support size in, out): [calls, ns]}."""
     from obsclone import optimize, search
 
     clock = time.perf_counter_ns
     stats = {part: [0, 0] for part in PARTS}
-    descent = [0]
+    descent, shapes = [0], {}
     originals = search._objective, optimize._simplex_qp, optimize._bfgs_update, optimize.minimize
 
     def wrap(part, f):
@@ -95,19 +101,28 @@ def timed_run(cls, mode, config):
 
         return fun
 
+    def qp(m, gap, support):
+        size, t = len(support), clock()
+        value = originals[1](m, gap, support)
+        ns = clock() - t
+        for record in stats["qp"], shapes.setdefault((len(gap), size, len(support)), [0, 0]):
+            record[0] += 1
+            record[1] += ns
+        return value
+
     def minimize(*args):
         t = clock()
         value = originals[3](*args)
         descent[0] += clock() - t
         return value
 
-    search._objective, optimize._simplex_qp = objective, wrap("qp", originals[1])
+    search._objective, optimize._simplex_qp = objective, qp
     optimize._bfgs_update, optimize.minimize = wrap("bfgs", originals[2]), minimize
     try:
         result = search.search_machine(cls, mode, config)
     finally:
         search._objective, optimize._simplex_qp, optimize._bfgs_update, optimize.minimize = originals
-    return result, stats, descent[0]
+    return result, stats, descent[0], shapes
 
 
 def main(argv: list[str]) -> int:
@@ -119,22 +134,26 @@ def main(argv: list[str]) -> int:
     from obsclone.search import SearchConfig, result_to_dict, search_machine
 
     seeds = parse_seeds(argv[1] if len(argv) == 2 else "1-10")
-    total, descent, evaluations, count = Counter(), 0, 0, 0
+    total, descent, evaluations, count, shapes = Counter(), 0, 0, 0, {}
     for label, doc, mode, args in searches(seeds):
         cls, config = class_from_dict(doc), SearchConfig(*args)
         want = result_to_dict(search_machine(cls, mode, config))
         best = None
         for _ in range(PASSES):
-            result, stats, ns = timed_run(cls, mode, config)
+            result, stats, ns, qps = timed_run(cls, mode, config)
             if result_to_dict(result) != want:
                 sys.stderr.write(f"{label}: the wrapped run's result differs from the unwrapped run's\n")
                 return 1
             if best is None or ns < best[1]:
-                best = stats, ns
-        stats, ns = best
+                best = stats, ns, qps
+        stats, ns, qps = best
         for part, (calls, spent) in stats.items():
             total[part + " calls"] += calls
             total[part] += spent
+        for shape, (calls, spent) in qps.items():
+            record = shapes.setdefault(shape, [0, 0])
+            record[0] += calls
+            record[1] += spent
         descent += ns
         evaluations += want["evaluations"]
         count += 1
@@ -148,6 +167,12 @@ def main(argv: list[str]) -> int:
     print(f"{'rest':<6} {'':>10} {rest / steps / 1e3:>8.1f}")
     print(f"{'total':<6} {'':>10} {descent / steps / 1e3:>8.1f}")
     print(f"steps {steps}, evaluations {evaluations}, descent {descent / 1e6:.1f} ms")
+    print(f"{'shape':<6} {'pairs':>5} {'in':>3} {'out':>3} {'QPs':>6} {'share':>6} {'us/call':>8}")
+    ranked = sorted(shapes.items(), key=lambda item: -item[1][0])
+    rest = [sum(record[i] for _, record in ranked[SHAPES:]) for i in (0, 1)]
+    rows = [(f"{pairs:>5} {size:>3} {left:>3}", record) for (pairs, size, left), record in ranked[:SHAPES]]
+    for label, (calls, spent) in rows + ([(f"{'other':>13}", rest)] if rest[0] else []):
+        print(f"{'shape':<6} {label} {calls:>6} {calls / steps:>6.1%} {spent / calls / 1e3:>8.1f}")
     return 0
 
 
