@@ -157,30 +157,21 @@ def cmd_scan(args) -> int:
     for start in range(0, args.steps, SCAN_BLOCK):
         block = thetas[start : start + SCAN_BLOCK]
         u, gains, singular = t_machines(block)
-        # The generator checks the block once a row is drawn. Warnings wait until the output is
-        # written, so a scan that fails prints its one error line alone.
-        rows = _scan_rows(block[~singular], u[~singular], gains[~singular], state)
-        for theta, skip in zip(block.tolist(), singular.tolist()):
-            if skip:
-                warnings.append(f"warning: skipping singular angle theta={_fmt(theta)}\n")
-            else:
-                lines.append(next(rows))
+        warnings += [f"warning: skipping singular angle theta={_fmt(theta)}\n" for theta in block[singular].tolist()]
+        # An all-singular block leaves an empty stack, which passes both checks.
+        u = u[~singular]
+        if not is_unitary(u).all():
+            raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
+        report = uncertainty_products(u, gains[~singular], KET0, SIGMA_XY, state)
+        # The intrinsic variances and the bound depend on the state alone.
+        di, bound = f"{_fmt(report.delta_i1)},{_fmt(report.delta_i2)}", _fmt(report.lower_bound)
+        columns = (block[~singular], report.delta_m1, report.delta_m2, report.product)
+        for theta, dm1, dm2, product in zip(*(c.tolist() for c in columns)):
+            lines.append(f"{_fmt(theta)},{di},{_fmt(dm1)},{_fmt(dm2)},{_fmt(product)},{bound}")
+    # Warnings wait until the output is written, so a scan that fails prints its one error line alone.
     _write("\n".join(lines) + "\n", args.out)
     sys.stderr.write("".join(warnings))
     return 0
-
-
-def _scan_rows(thetas, u, gains, state):
-    """CSV rows of the t-machines at thetas, after one unitarity check and one report check for them all."""
-    if not is_unitary(u).all():
-        raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
-    report = uncertainty_products(u, gains, KET0, SIGMA_XY, state)
-    # The intrinsic variances and the bound depend on the state alone.
-    di = f"{_fmt(report.delta_i1)},{_fmt(report.delta_i2)}"
-    bound = _fmt(report.lower_bound)
-    columns = (thetas, report.delta_m1, report.delta_m2, report.product)
-    for theta, dm1, dm2, product in zip(*(c.tolist() for c in columns)):
-        yield f"{_fmt(theta)},{di},{_fmt(dm1)},{_fmt(dm2)},{_fmt(product)},{bound}"
 
 
 def cmd_search(args) -> int:

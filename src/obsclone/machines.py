@@ -78,7 +78,6 @@ VERIFY_TOL = 1e-10
 # Copying residuals stay below a quarter of the float range (see overflowing_generator),
 # so rounding cannot carry a computed defect to inf.
 RESIDUAL_LIMIT = 2.0**1022
-_LOSSLESS_SQUARES = 2.0**-900
 OVERFLOW_MESSAGE = "a copying residual could exceed the float range"
 
 
@@ -153,7 +152,7 @@ class VerificationReport:
 
     def __post_init__(self):
         worst = max(max(pair) for pair in self.per_generator_defects)
-        if abs(worst - self.max_defect) > 1e-15:
+        if worst != self.max_defect:
             raise ValueError("max_defect must equal the largest per-generator defect")
         if self.passed != (self.max_relative_defect < self.tolerance):
             raise ValueError("passed flag is inconsistent with max_relative_defect and tolerance")
@@ -193,19 +192,13 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
     """Frobenius residuals of lifts L against targets X (coefficient arrays, Pauli index last).
 
     A gain, broadcast per row, scales only the traceless part of L: every machine
-    copies the identity exactly. Rows are squared as they are when every sum of squares
-    is finite and, unless its row is zero, at least 2**-900, so no square that counts lost
-    bits; otherwise each row is first divided by the power of two of its largest entry.
-    The division is exact, so both ways give the same bits, and no square overflows.
+    copies the identity exactly. Each residual row is divided by the power of two of
+    its largest entry before it is squared, and its root is scaled back. The division
+    is exact, so defects scale exactly with the class; no square overflows, and one
+    that underflows lies far below the rounding of its row's sum.
     """
     r0 = lifts[..., 0] - targets[..., 0]
     rb = np.asarray(gains, dtype=float)[..., None] * lifts[..., 1:] - targets[..., 1:]
-    with np.errstate(over="ignore"):
-        squares = 2.0 * (r0 * r0 + (rb * rb).sum(axis=-1))
-    values, low = squares.ravel().tolist(), squares < _LOSSLESS_SQUARES
-    exact = min(values) >= _LOSSLESS_SQUARES or not np.count_nonzero(r0[low]) + np.count_nonzero(rb[low])
-    if exact and math.isfinite(sum(values)):
-        return np.sqrt(squares)
     _, e = np.frexp(np.maximum(np.abs(r0), np.abs(rb).max(axis=-1)))
     r0, rb = np.ldexp(r0, -e), np.ldexp(rb, -e[..., None])
     return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)

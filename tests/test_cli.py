@@ -365,6 +365,11 @@ class TestScan:
         assert len(lines) == 2
         assert err.count("warning: skipping singular angle") == 2
 
+    def test_an_all_singular_scan_prints_its_header_and_every_warning(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3")
+        assert (code, out) == (0, "theta,di1,di2,dm1,dm2,product,bound\n")
+        assert err == "warning: skipping singular angle theta=0\n" * 3
+
     def test_singular_angles_are_not_reported_when_the_output_cannot_be_written(self, capsys):
         code, out, err = run_cli(
             capsys, "scan", "--theta-min", "0", "--theta-max", str(np.pi / 2), "--steps", "3", f"--out={UNWRITABLE_OUT[0]}"

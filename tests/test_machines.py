@@ -264,12 +264,11 @@ def always_scaled_defects(lifts, targets, gains):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [-600, -538, -452, -451, -450, -449, -300, 0, 300, 510, 511, 512, 900])
-def test_defects_keep_the_scaled_bits_on_both_sides_of_the_switch(rng, k):
+def test_defects_equal_the_always_scaled_formula_at_every_scale(rng, k):
     """Residual rows whose largest entry is about 2**k, with smaller entries down
-    to 2**(k - 600), beside a row of zeros and an ordinary row. _defects squares
-    them plainly only where every sum of squares lies in [2**-900, inf) or its
-    row is zero, and either way its defects equal the always-scaled formula's
-    bit for bit, without an overflow warning."""
+    to 2**(k - 600), beside a row of zeros and an ordinary row: where plain
+    squares would overflow, underflow or stay in range, _defects equals the
+    always-scaled formula bit for bit, without a RuntimeWarning."""
     for _ in range(50):
         residual = np.ldexp(rng.uniform(-1.0, 1.0, (2, 3, 4)), k - rng.integers(0, 600, (2, 3, 4)))
         residual[..., rng.integers(4)] = np.ldexp(rng.uniform(0.5, 1.0, (2, 3)), k)
@@ -306,6 +305,13 @@ def test_verification_report_consistency_is_enforced():
     with pytest.raises(ValueError):
         VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), False, 1e-10, 1e-11)
     assert VerificationReport(((0.0, 0.5),), 0.5, (1.0, 1.0), True, 1e-10, 1e-11).passed
+    # max_defect must equal the largest defect exactly, at any scale, and NaN equals nothing.
+    with pytest.raises(ValueError, match="max_defect"):
+        VerificationReport(((0.0, 2.0**-60),), 2.0**-59, (1.0, 1.0), True, 1e-10, 1e-11)
+    with pytest.raises(ValueError, match="max_defect"):
+        VerificationReport(((0.0, 0.5),), math.nan, (1.0, 1.0), True, 1e-10, 1e-11)
+    with pytest.raises(ValueError, match="max_defect"):
+        VerificationReport(((0.0, 1e200),), math.nextafter(1e200, 0.0), (1.0, 1.0), True, 1e-10, 1e-11)
 
 
 def test_verify_compares_each_defect_with_its_generators_norm():

@@ -49,3 +49,17 @@ def test_step_split_prints_each_part_of_a_step():
     assert all(len(row) == 7 and row[1] in ("2", "4", "6", "8") for row in shapes[:10])
     assert len(shapes) < 11 or shapes[10][1] == "other"
     assert sum(int(row[-3]) for row in shapes) == int(lines[8].split()[1].rstrip(","))
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself():
+    """tools/compare_outputs.py with this src as both trees runs the workloads'
+    commands, its 12 fixed commands and the criterion-5 searches, and finds
+    every output byte-identical."""
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), src, src],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "715 of 715 outputs byte-identical, 0 differ" in done.stdout
+    assert "differs" not in done.stdout

@@ -11,10 +11,14 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs the
-22 exact searches of acceptance criterion 5 (tests/test_acceptance.py:
-classes drawn from rng 505, restarts 50, seed 0) and records each
-result as the JSON the `search` command prints.
+because `verify` reads the document that `build` wrote. It then runs 12
+fixed commands that the workloads miss (`fixed_commands`): a scan of three
+blocks through singular angles, an all-singular scan, build then verify
+for one-param and commuting classes scaled by 2**600 and 2**-600, and a
+verify at --tol 1e-30. Last it runs the 22 exact searches of acceptance
+criterion 5 (tests/test_acceptance.py: classes drawn from rng 505,
+restarts 50, seed 0) and records each result as the JSON the `search`
+command prints.
 
 Per command, the exit code, stdout, stderr and the bytes of its --out
 file are compared; the work directory is masked in argv and in the two
@@ -34,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,22 +64,29 @@ def collect(src: str, workdir: str, result: str) -> None:
     def mask(text: str) -> str:
         return text.replace(workdir, MASK)
 
+    def record(argv: list[str], target: Path | None) -> list:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = obsclone.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a crash is an output to compare, not a crashed check
+                code = f"raised {exc!r}"
+        data = target.read_bytes().hex() if target is not None and target.exists() else None
+        return [[mask(a) for a in argv], code, mask(out.getvalue()), mask(err.getvalue()), data]
+
     records = []
     for workload in WORKLOADS:
         for seed in SEEDS:
             run_dir = Path(workdir) / f"{workload}-{seed}"
             p = plan(workload, seed, run_dir)
             for cmd in p.warmup + [cmd for step in p.steps for cmd in step]:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = obsclone.cli.main(list(cmd.argv))
-                    except SystemExit as exc:
-                        code = exc.code
-                    except Exception as exc:  # a crash is an output to compare, not a crashed check
-                        code = f"raised {exc!r}"
-                data = cmd.out.read_bytes().hex() if cmd.out.exists() else None
-                records.append([[mask(a) for a in cmd.argv], code, mask(out.getvalue()), mask(err.getvalue()), data])
+                records.append(record(list(cmd.argv), cmd.out))
+    fixed_dir = Path(workdir) / "fixed"
+    fixed_dir.mkdir(parents=True)
+    for argv, target in fixed_commands(fixed_dir):
+        records.append(record(argv, target))
     config = obsclone.search.SearchConfig(restarts=50, seed=0)
     for label, kind, gens in criterion_5_classes():
         try:
@@ -84,6 +96,29 @@ def collect(src: str, workdir: str, result: str) -> None:
             code, out = f"raised {exc!r}", ""
         records.append([["criterion-5", label], code, out, "", None])
     Path(result).write_text(json.dumps(records))
+
+
+def fixed_commands(run_dir: Path):
+    """(argv, --out path or None) of the commands run after the workloads, in order.
+
+    The workloads' scans are one block of non-singular angles, and their classes
+    have unit-sized coefficients. These cover a scan of three blocks with singular
+    angles at 0, pi/2 and pi (pi alone in the last block), an all-singular scan,
+    build then verify for one-param and commuting classes scaled by 2**600 and
+    2**-600, and a verify whose tolerance no defect meets.
+    """
+    yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
+    yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
+    for family in ("one-param", "commuting"):
+        for k in (600, -600):
+            machine = run_dir / f"{family}{k}.json"
+            obs = ",".join(repr(math.ldexp(v, k)) for v in (0.1, 0.7, -0.4, 0.5))
+            extra = [f"--b0={math.ldexp(0.3, k)!r}", f"--b3={math.ldexp(-1.1, k)!r}"] if family == "commuting" else []
+            yield ["build", family, f"--obs={obs}", *extra, "--out", str(machine)], machine
+            yield ["verify", str(machine)], None
+    machine = run_dir / "one-param.json"
+    yield ["build", "one-param", "--obs=0.1,0.7,-0.4,0.5", "--out", str(machine)], machine
+    yield ["verify", str(machine), "--tol", "1e-30"], None
 
 
 def criterion_5_classes():
