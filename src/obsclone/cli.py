@@ -163,11 +163,12 @@ def cmd_scan(args) -> int:
         if not is_unitary(u).all():
             raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
         report = uncertainty_products(u, gains[~singular], KET0, SIGMA_XY, state)
-        # The intrinsic variances and the bound depend on the state alone.
-        di, bound = f"{_fmt(report.delta_i1)},{_fmt(report.delta_i2)}", _fmt(report.lower_bound)
-        columns = (block[~singular], report.delta_m1, report.delta_m2, report.product)
-        for theta, dm1, dm2, product in zip(*(c.tolist() for c in columns)):
-            lines.append(f"{_fmt(theta)},{di},{_fmt(dm1)},{_fmt(dm2)},{_fmt(product)},{bound}")
+        columns = np.stack((block[~singular], report.delta_m1, report.delta_m2, report.product))
+        if not np.isfinite(columns).all():
+            raise ValueError("refusing to serialize a non-finite float")
+        # The intrinsic variances and the bound depend on the state alone; "%.17g" is _fmt's format.
+        row = f"%.17g,{_fmt(report.delta_i1)},{_fmt(report.delta_i2)},%.17g,%.17g,%.17g,{_fmt(report.lower_bound)}"
+        lines += [row % values for values in zip(*columns.tolist())]
     # Warnings wait until the output is written, so a scan that fails prints its one error line alone.
     _write("\n".join(lines) + "\n", args.out)
     sys.stderr.write("".join(warnings))

@@ -73,9 +73,11 @@ class QubitState:
 
     def __post_init__(self):
         b = np.array(reals(self.bloch, "bloch", 3))
-        # The entry test comes first: it refuses huge vectors before their norm can overflow.
-        if np.abs(b).max() > 1.0 + 1e-12 or np.linalg.norm(b) > 1.0 + 1e-12:
+        # Huge vectors fail the entry test before their norm overflows; a rounded pure state past the sphere goes onto it.
+        norm = np.linalg.norm(b) if np.abs(b).max() <= 1.0 + 1e-12 else math.inf
+        if norm > 1.0 + 1e-12:
             raise ValueError("Bloch vector must lie inside the unit ball")
+        b = b / max(norm, 1.0)
         b.setflags(write=False)
         object.__setattr__(self, "bloch", b)
 
@@ -91,6 +93,24 @@ class QubitState:
         rho = 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3)
         rho.setflags(write=False)
         return rho
+
+    @cached_property
+    def kraus_columns(self) -> np.ndarray:
+        """E (4 x 2r) with E E† = I (x) rho: the columns I (x) sqrt(p_m)|psi_m>, ordered (signal, m); read-only.
+
+        |psi_+> = (sqrt((1 + n3)/2), e^{i phi} sqrt((1 - n3)/2)) on the axis n = s/|s| of azimuth phi, or (0, 0, 1)
+        at s = 0, has weight (1 + |s|)/2, and |psi_-> on -n (1 - |s|)/2. A weight <= 0 is dropped, so r = 1 on the
+        sphere and |0> selects columns [0, 2] exactly. hypot errs by under an ulp, so |n3| <= 1."""
+        b1, b2, b3 = self.bloch.tolist()
+        s, h = math.hypot(b1, b2, b3), math.hypot(b1, b2)
+        n3, phase = b3 / s if s else 1.0, complex(b1, b2) / h if h else 1.0
+        up, down = math.sqrt((1.0 + n3) / 2.0), math.sqrt((1.0 - n3) / 2.0)
+        kets = [((1.0 + s) / 2.0, up, phase * down), ((1.0 - s) / 2.0, down, -phase * up)]
+        v = np.array([(math.sqrt(p) * a, math.sqrt(p) * c) for p, a, c in kets if p > 0.0]).T
+        e = np.zeros((4, 2 * v.shape[1]), dtype=complex)
+        e[:2, : v.shape[1]] = e[2:, v.shape[1] :] = v
+        e.setflags(write=False)
+        return e
 
 
 def pauli_rotation(v) -> np.ndarray:

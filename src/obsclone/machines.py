@@ -62,10 +62,11 @@ _FLIP_ON_PROBE = tensor(SIGMA0, PAULI_FLIP)
 
 # M[b, j]: sigma_j read on output branch b + 1 (sigma_j (x) I, then I (x) sigma_j).
 _BRANCH_OPS = np.array([[tensor(s, SIGMA0) for s in PAULIS], [tensor(SIGMA0, s) for s in PAULIS]])
-_PAULI_STACK = np.array(PAULIS)
-# The eight M side by side, columns ordered (b, j, column of M): U† times this is
-# every U† M at once, in one product of a 4 x 4 by a 4 x 32 matrix.
+# The eight M side by side, columns ordered (b, j, column of M): W† times this is
+# every W† M at once, in one product of a 2r x 4 by a 4 x 32 matrix.
 _BRANCH_ROW = _BRANCH_OPS.transpose(2, 0, 1, 3).reshape(4, 32)
+# Column k: sigma_k / 2 flattened in (re, im) pairs. A Hermitian 2 x 2 X so flattened times it is tr[sigma_k X] / 2.
+_PAULI_READ = 0.5 * np.array(PAULIS).view(float).reshape(4, 8).T
 
 # Probe |0> of the built-in machines, and the {sigma1, sigma2} class of the t and phase-covariant machines.
 KET0 = QubitState.ket0()
@@ -163,14 +164,17 @@ def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
 
     R[b, j, k] = tr[(sigma_k (x) rho_probe) U† M U] / 2 with M = sigma_j (x) I on branch 1
     (b = 0) and I (x) sigma_j on branch 2, so the lift of X on branch b + 1 is X.coeffs @ R[b].
-    A stack of unitaries (..., 4, 4) gives R of shape (..., 2, 4, 4). Every matrix goes
-    through the same products and sums whatever the stack, so stacked and single
-    calls agree bit for bit.
+    With W = U E, E = probe.kraus_columns (4 x 2r; r = 1 for a pure probe, 2 for a mixed one), R[b, j, k]
+    is sum_m tr[sigma_k W_m† M W_m] / 2, the W_m† M W_m being the even and the odd rows and columns of
+    W† M W. A stack of unitaries (..., 4, 4) gives R of shape (..., 2, 4, 4). Every matrix goes through
+    the same products and sums whatever the stack, so stacked and single calls agree bit for bit.
     """
-    batch = u.shape[:-2]
-    left = np.swapaxes((dagger(u) @ _BRANCH_ROW).reshape(batch + (4, 8, 4)), -3, -2)
-    k = (left.reshape(batch + (32, 4)) @ u).reshape(batch + (2, 4, 2, 2, 2, 2))
-    return 0.5 * np.einsum("kxy,pq,...bjyqxp->...bjk", _PAULI_STACK, probe.density, k).real
+    batch, e = u.shape[:-2], probe.kraus_columns
+    w, cols = u @ e, e.shape[1]
+    left = np.swapaxes((dagger(w) @ _BRANCH_ROW).reshape(batch + (cols, 8, 4)), -3, -2)
+    x = (left.reshape(batch + (8 * cols, 4)) @ w).reshape(batch + (8, cols, cols))
+    x = x[..., ::2, ::2] + x[..., 1::2, 1::2] if cols == 4 else x
+    return (x.reshape(batch + (8, 4)).view(float) @ _PAULI_READ).reshape(batch + (2, 4, 4))
 
 
 def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observable:

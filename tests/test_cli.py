@@ -820,6 +820,30 @@ class TestCompare:
             data["observable_product"], abs=1e-10
         )
 
+    @pytest.mark.parametrize("argv", [["compare"], ["scan", "--steps", "2"]])
+    def test_a_state_just_past_the_sphere_is_accepted(self, capsys, argv):
+        """QubitState accepts entries up to 1 + 1e-12; its intrinsic variance 1 - s1^2 would read -1.8e-12."""
+        code, out, err = run_cli(capsys, *argv, "--state", "1.0000000000009,0,0")
+        assert (code, err) == (0, "")
+        assert "-" not in out.replace("e-", "")
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scan_and_compare_accept_the_whole_accepted_shell(self, data):
+        """Every Bloch vector with 1 <= |s| <= 1 + 1e-12, which QubitState accepts, makes compare and a
+        two-step scan exit 0. Axes are drawn near the poles and the equator as well as anywhere."""
+        coords = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1.0, -1.0, 1e-9]))
+        axis = np.array(data.draw(st.lists(coords, min_size=3, max_size=3)))
+        assume(np.linalg.norm(axis) > 1e-3)
+        s = data.draw(st.floats(1.0, 1.0 + 1e-12)) * axis / np.linalg.norm(axis)
+        assume(np.abs(s).max() <= 1.0 + 1e-12 and np.linalg.norm(s) <= 1.0 + 1e-12)
+        state = "--state=" + ",".join(map(repr, s.tolist()))
+        for argv in (["compare", state], ["scan", state, "--steps", "2"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (0, ""), argv
+
     def test_bad_state_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--state", "1,1,1")
         assert code == 2

@@ -115,6 +115,18 @@ class TestQubitState:
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.allclose(rho, dagger(rho))
 
+    def test_a_vector_just_past_the_sphere_is_stored_on_it(self, rng):
+        """Past the sphere by at most 1e-12 a vector is divided by its norm; inside it, its bits are kept."""
+        assert QubitState(np.array([1.0000000000009, 0.0, 0.0])).bloch.tolist() == [1.0, 0.0, 0.0]
+        for _ in range(20):
+            v = rng.normal(size=3)
+            v *= (1.0 + rng.uniform(0.0, 1e-12)) / np.linalg.norm(v)
+            norm = np.linalg.norm(v)
+            if norm <= 1.0 + 1e-12:
+                assert np.array_equal(QubitState(v).bloch, v / max(norm, 1.0))
+            inside = random_state(rng).bloch.copy()
+            assert np.array_equal(QubitState(inside).bloch, inside)
+
     def test_rejects_bloch_outside_unit_ball(self):
         with pytest.raises(ValueError):
             QubitState(np.array([0.8, 0.8, 0.8]))

@@ -75,13 +75,41 @@ def test_pauli_flip_exchanges_sigma1_and_sigma2():
     assert np.allclose(dagger(PAULI_FLIP) @ SIGMA2 @ PAULI_FLIP, SIGMA1, atol=1e-15)
 
 
+def _edge_blochs(rng):
+    """Bloch vectors for both rank paths of the kernel: pure ones on random axes and at both poles,
+    the maximally mixed state, and radii 1 - 2**-40 (rank 2) and 1 + 5e-13 (past the sphere, rank 1)."""
+
+    def axis():
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    blochs = [axis() for _ in range(3)] + [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.zeros(3)]
+    return blochs + [(1.0 - 2.0**-40) * axis(), (1.0 + 5e-13) * axis()]
+
+
+def test_kraus_columns_factor_the_probe(rng):
+    """E E† = I (x) rho to 1e-12, with rho built from the Bloch vector as given, for the edge and
+    interior probes. The poles and the vector past the sphere take one column pair, the maximally
+    mixed state, radius 1 - 2**-40 and the interior states two, and |0> selects columns 0 and 2 exactly."""
+    blochs = _edge_blochs(rng) + [random_state(rng).bloch for _ in range(10)]
+    for b in blochs:
+        e = QubitState(b).kraus_columns
+        rho = 0.5 * (SIGMA0 + b[0] * SIGMA1 + b[1] * SIGMA2 + b[2] * SIGMA3)
+        assert np.allclose(e @ dagger(e), np.kron(SIGMA0, rho), rtol=0.0, atol=1e-12)
+        assert not e.flags.writeable
+    columns = [QubitState(b).kraus_columns.shape[1] for b in blochs]
+    assert columns[3:] == [2, 2, 4, 4, 2] + [4] * 10
+    assert np.array_equal(QubitState.ket0().kraus_columns, np.eye(4)[:, [0, 2]])
+
+
 def test_transfer_matrices_match_an_independent_oracle(rng):
     """R[b, j, k] = tr[sigma_k L] / 2, with L the probe-traced lift of sigma_j on
-    branch b + 1 computed from dense Kronecker products and a loop partial trace."""
+    branch b + 1 computed from dense Kronecker products and a loop partial trace.
+    The probes are interior mixed states and the edge probes of both rank paths."""
     eye = np.eye(2)
-    for _ in range(25):
+    probes = [random_state(rng) for _ in range(25)] + [QubitState(b) for b in _edge_blochs(rng)]
+    for probe in probes:
         u = random_unitary(rng, 4)
-        probe = random_state(rng)
         expected = np.empty((2, 4, 4))
         for b in range(2):
             for j, sj in enumerate(PAULIS):
@@ -94,11 +122,12 @@ def test_transfer_matrices_match_an_independent_oracle(rng):
 
 def test_stacked_transfer_matrices_equal_single_calls_bit_for_bit(rng):
     """A stack of Haar unitaries with a mixed probe gives, matrix by matrix, the
-    bits of one call per unitary, and both agree with the loop partial trace."""
+    bits of one call per unitary, and both agree with the loop partial trace. So do
+    stacks of seven with each edge probe of both rank paths."""
     eye = np.eye(2)
-    for n in (1, 2, 7, 33):
+    cases = [(n, random_state(rng, radius=0.9)) for n in (1, 2, 7, 33)] + [(7, QubitState(b)) for b in _edge_blochs(rng)]
+    for n, probe in cases:
         us = np.array([random_unitary(rng, 4) for _ in range(n)])
-        probe = random_state(rng, radius=0.9)
         stacked = transfer_matrices(us, probe)
         assert stacked.shape == (n, 2, 4, 4)
         for u, r in zip(us, stacked):

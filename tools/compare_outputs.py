@@ -25,12 +25,18 @@ file are compared; the work directory is masked in argv and in the two
 streams. The outputs that differ are printed, and the exit code is 1 if
 any does, 0 if none does. Each differing search (a `search` command or a
 criterion-5 record) also says whether its exit code and `converged` are
-unchanged and whether `best_defect` went down. The last lines count the
-differing outputs per command kind and sum up the differing searches: how
-many changed exit code or `converged`, how many `best_defect`s went down,
-stayed or went up, and their summed `evaluations`, old -> new. So a change
-that should move only search floors, and no verdict, can be read off at a
-glance, and so can a speed-up that came from spending fewer evaluations.
+unchanged and whether `best_defect` went down. Each differing `verify`
+says whether its exit code and `passed` are unchanged, and gives its largest
+change of a defect relative to that generator's Frobenius norm, read off the
+machine document that the tree's last `build` to that path wrote. The last
+lines count the differing outputs per command kind and sum up the differing
+searches: how many changed exit code or `converged`, how many `best_defect`s
+went down, stayed or went up, and their summed `evaluations`, old -> new.
+The line after sums up the differing verifies: how many changed exit code or
+`passed`, and their largest relative defect change. So a change that should
+move only search floors, or verify defects at rounding level, and no verdict,
+can be read off at a glance, and so can a speed-up that came from spending
+fewer evaluations.
 """
 
 from __future__ import annotations
@@ -167,11 +173,15 @@ def main(argv: list[str]) -> int:
         return 2
     fields = ("exit code", "stdout", "stderr", "--out bytes")
     total, differ, moves = Counter(), Counter(), Counter()
-    verdicts = 0
+    verdicts = verify_verdicts = 0
     evaluations = [0, 0]
+    verify_shift = 0.0
+    documents = {}
     for a, b in zip(old, new):
         kind = a[0][0]
         total[kind] += 1
+        if "--out" in a[0] and a[4] is not None:
+            documents[a[0][a[0].index("--out") + 1]] = a[4]
         changed = [f for f, x, y in zip(fields, a[1:], b[1:]) if x != y]
         if changed:
             differ[kind] += 1
@@ -182,6 +192,11 @@ def main(argv: list[str]) -> int:
                 moves[move] += 1
                 evaluations = [e + n for e, n in zip(evaluations, spent)]
                 line += f" [{note}]"
+            elif kind == "verify":
+                note, verdict_moved, shift = verify_change(a, b, documents.get(a[0][1]))
+                verify_verdicts += verdict_moved
+                verify_shift = max(verify_shift, shift)
+                line += f" [{note}]"
             print(line)
     count = sum(differ.values())
     print(f"{len(old) - count} of {len(old)} outputs byte-identical, {count} differ")
@@ -190,6 +205,10 @@ def main(argv: list[str]) -> int:
         f"searches: {sum(moves.values())} differ, {verdicts} changed exit code or converged;"
         f" best_defect down {moves['down']}, unchanged {moves['unchanged']}, up {moves['up']},"
         f" unreadable {moves['unreadable']}; evaluations {evaluations[0]} -> {evaluations[1]}"
+    )
+    print(
+        f"verifies: {differ['verify']} differ, {verify_verdicts} changed exit code or passed;"
+        f" largest defect change relative to its generator's norm {verify_shift:.3g}"
     )
     return 1 if count else 0
 
@@ -200,7 +219,7 @@ def search_change(a: list, b: list) -> tuple[str, bool, str, tuple[int, int]]:
     The fourth item is its (old, new) evaluations. A payload that cannot be read counts as a moved
     verdict, with best_defect "unreadable" and (0, 0) evaluations.
     """
-    docs = [search_payload(r) for r in (a, b)]
+    docs = [payload(r) for r in (a, b)]
     notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
     if None in docs:
         return ", ".join(notes + ["payload unreadable"]), True, "unreadable", (0, 0)
@@ -213,8 +232,32 @@ def search_change(a: list, b: list) -> tuple[str, bool, str, tuple[int, int]]:
     return ", ".join(notes), a[1] != b[1] or not same, move, (was["evaluations"], now["evaluations"])
 
 
-def search_payload(record: list) -> dict | None:
-    """The JSON a search record wrote to its --out file, or else printed."""
+def verify_change(a: list, b: list, document: str | None) -> tuple[str, bool, float]:
+    """How a verify record changed: a note, whether its exit code or passed flag moved, and its largest defect change.
+
+    The change of each defect is divided by the Frobenius norm sqrt(2) |c| of its generator, read off
+    the hex bytes of the machine document. A payload or document that cannot be read counts as a moved
+    verdict with an infinite change.
+    """
+    docs = [payload(r) for r in (a, b)]
+    notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
+    try:
+        gens = json.loads(bytes.fromhex(document))["class"]["generators"]
+        was, now = (d["per_generator_defects"] for d in docs)
+        shift = max(
+            abs(x - y) / (math.sqrt(2.0) * math.hypot(*g))
+            for g, old, new in zip(gens, was, now, strict=True)
+            for x, y in zip(old, new, strict=True)
+        )
+    except (TypeError, ValueError, KeyError):
+        return ", ".join(notes + ["payload or machine document unreadable"]), True, math.inf
+    same = docs[0]["passed"] == docs[1]["passed"]
+    notes += ["passed " + ("unchanged" if same else "changed"), f"largest relative defect change {shift:.3g}"]
+    return ", ".join(notes), a[1] != b[1] or not same, shift
+
+
+def payload(record: list) -> dict | None:
+    """The JSON a search or verify record wrote to its --out file, or else printed."""
     text = bytes.fromhex(record[4]).decode() if record[4] is not None else record[2]
     try:
         return json.loads(text)
