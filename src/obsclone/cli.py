@@ -20,8 +20,7 @@ import numpy as np
 from .classes import class_from_dict
 from .jointmeas import (
     REFERENCE_UNIVERSAL_PRODUCT,
-    UNIVERSAL_SHRINK,
-    uncertainty_product,
+    UNIVERSAL_TRANSFERS,
     uncertainty_products,
     uncertainty_to_dict,
     universal_clone_product,
@@ -40,6 +39,7 @@ from .machines import (
     report_to_dict,
     t_machine,
     t_machines,
+    transfer_matrices,
     verify_approximate,
     verify_exact,
 )
@@ -162,7 +162,7 @@ def cmd_scan(args) -> int:
         u = u[~singular]
         if not is_unitary(u).all():
             raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
-        report = uncertainty_products(u, gains[~singular], KET0, SIGMA_XY, state)
+        report = uncertainty_products(transfer_matrices(u, KET0), gains[~singular], SIGMA_XY, state)
         columns = np.stack((block[~singular], report.delta_m1, report.delta_m2, report.product))
         if not np.isfinite(columns).all():
             raise ValueError("refusing to serialize a non-finite float")
@@ -186,22 +186,24 @@ def cmd_search(args) -> int:
 def cmd_compare(args) -> int:
     state = QubitState(_parse_floats(args.state, 3, "--state"))
     universal = universal_clone_product(state)
-    # Evaluate the tailored machine at its own balancing angle, kept away
+    # Evaluate the tailored machines at their own balancing angle, kept away
     # from the singular endpoints where a gain diverges.
     theta = float(np.clip(universal.optimal_theta, 1e-3, np.pi / 2 - 1e-3))
     machine = t_machine(theta)
-    tailored = uncertainty_product(machine, state)
-    phase_cov = uncertainty_product(phase_covariant_machine(theta), state)
+    phase_cov = phase_covariant_machine(theta)
+    # One report on the stack of both machines (probe KET0, class SIGMA_XY): entry 0 is the t-machine.
+    stacked = transfer_matrices(np.array([machine.unitary, phase_cov.unitary]), KET0)
+    tailored = uncertainty_products(stacked, np.array([machine.gains, phase_cov.gains]), SIGMA_XY, state)
     payload = {
         "state": [float(v) for v in state.bloch],
         "optimal_theta": theta,
-        "observable_product": tailored.product,
-        "phase_covariant_product": phase_cov.product,
+        "observable_product": tailored.product[0],
+        "phase_covariant_product": tailored.product[1],
         "universal_product": universal.product,
         "observable_shrink_factor": [1.0 / g for g in machine.gains],
-        "universal_shrink_factor": UNIVERSAL_SHRINK,
+        "universal_shrink_factor": UNIVERSAL_TRANSFERS[0, 1, 1],
         "paper_reference_value": REFERENCE_UNIVERSAL_PRODUCT,
-        "observable_report": uncertainty_to_dict(tailored),
+        "observable_report": {k: v[0] if np.ndim(v) else v for k, v in uncertainty_to_dict(tailored).items()},
         "universal_report": uncertainty_to_dict(universal),
     }
     _write(dumps(payload), args.out)

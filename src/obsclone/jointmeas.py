@@ -15,10 +15,16 @@ import numpy as np
 
 from .classes import ClassKind, ObservableClass
 from .linalg import QubitState
-from .machines import CloningMachine, transfer_matrices
+from .machines import SIGMA_XY, CloningMachine, transfer_matrices
 from .pauli import Observable
 
-UNIVERSAL_SHRINK = 2.0 / 3.0
+# Transfer matrices R_b of the optimal universal cloner (Buzek and Hillery, Phys. Rev. A 54,
+# 1844 (1996)): both branches keep the identity and shrink the Bloch vector by 2/3, so the
+# gains 3/2 make each branch's estimators unbiased.
+UNIVERSAL_TRANSFERS = np.array([np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0])] * 2)
+UNIVERSAL_TRANSFERS.setflags(write=False)
+UNIVERSAL_GAINS = np.array([1.5, 1.5])
+UNIVERSAL_GAINS.setflags(write=False)
 
 # Optimum commonly quoted for joint measurement via universal cloning.
 # The unbiased-estimator convention used here gives 81/16 instead of 9/2
@@ -60,15 +66,14 @@ class UncertaintyReport:
 
 
 def _variance(x: Observable, r):
-    """Tr[rho X^2] - Tr[rho X]^2 at Bloch vectors r (last axis), from X^2 = (a0^2 + |a|^2) I + 2 a0 a.sigma.
+    """Tr[rho X^2] - Tr[rho X]^2 = |a|^2 - (a.r)^2 at Bloch vectors r (last axis).
 
+    The identity part a0 cancels in algebra but not in floats, so it does not enter.
     a.r is written out term by term, so each row's arithmetic is the same whatever the stack.
     """
-    a0, a1, a2, a3 = x.coeffs.tolist()
+    _, a1, a2, a3 = x.coeffs.tolist()
     ar = a1 * r[..., 0] + a2 * r[..., 1] + a3 * r[..., 2]
-    mean = a0 + ar
-    second = a0 * a0 + float(x.bloch @ x.bloch) + 2.0 * a0 * ar
-    return second - mean * mean
+    return float(x.bloch @ x.bloch) - ar * ar
 
 
 def intrinsic_variance(state: QubitState, x: Observable) -> float:
@@ -87,24 +92,23 @@ def _check_unit_traceless(x: Observable) -> None:
 
 
 def uncertainty_products(
-    unitaries: np.ndarray, gains: np.ndarray, probe: QubitState, cls: ObservableClass, state: QubitState
+    transfers: np.ndarray, gains: np.ndarray, cls: ObservableClass, state: QubitState
 ) -> UncertaintyReport:
-    """Joint-measurement noise reports of a stack of machines that share probe and class.
+    """Joint-measurement noise reports of a stack of machines that share a class, from their transfer matrices.
 
-    unitaries (..., 4, 4) must be unitary (they are not checked) and gains
-    has shape (..., 2). The variances, the product and theta are arrays over
-    the stack; the intrinsic variances, the bound and the balancing angle
-    depend on the state alone. Each entry equals uncertainty_product on that
-    machine bit for bit.
+    transfers (..., 2, 4, 4) holds each machine's R_b, as transfer_matrices
+    gives them (they are not checked), and gains has shape (..., 2). The
+    variances, the product and theta are arrays over the stack; the intrinsic
+    variances, the bound and the balancing angle depend on the state alone.
+    Each entry equals uncertainty_product on that machine bit for bit.
     """
     if cls.kind is not ClassKind.TWO_PARAM_NONCOMMUTING:
         raise ValueError("uncertainty products need a two-param-noncommuting class")
     g1, g2 = cls.generators
     _check_unit_traceless(g1)
     _check_unit_traceless(g2)
-    r = transfer_matrices(unitaries, probe)
-    dm1 = _estimator_variance(r[..., 0, :, :], gains[..., 0], state, g1)
-    dm2 = _estimator_variance(r[..., 1, :, :], gains[..., 1], state, g2)
+    dm1 = _estimator_variance(transfers[..., 0, :, :], gains[..., 0], state, g1)
+    dm2 = _estimator_variance(transfers[..., 1, :, :], gains[..., 1], state, g2)
     return _report(intrinsic_variance(state, g1), intrinsic_variance(state, g2), dm1, dm2, gains[..., 0], gains[..., 1])
 
 
@@ -118,7 +122,7 @@ def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyRepo
     """
     if m.gains is None:
         raise ValueError("uncertainty products are defined for machines with gains")
-    return uncertainty_products(m.unitary, np.array(m.gains), m.probe, m.observables, state)
+    return uncertainty_products(transfer_matrices(m.unitary, m.probe), np.array(m.gains), m.observables, state)
 
 
 def _report(di1, di2, dm1, dm2, g1, g2) -> UncertaintyReport:
@@ -138,26 +142,14 @@ def _report(di1, di2, dm1, dm2, g1, g2) -> UncertaintyReport:
     )
 
 
-def universal_clone_state(state: QubitState) -> QubitState:
-    """Each output clone of the optimal universal cloner: Bloch vector shrunk by 2/3."""
-    return QubitState(UNIVERSAL_SHRINK * state.bloch)
-
-
 def universal_clone_product(state: QubitState) -> UncertaintyReport:
-    """Joint-measurement noise when the clones come from the universal machine.
+    """Joint-measurement noise of sigma1 and sigma2 when the clones come from the universal machine.
 
-    Both branches carry the input shrunk by 2/3, so the unbiased gain is
-    3/2 per branch and each measured variance is 9/4 - s_h^2. On sigma3
-    eigenstates the product is 81/16, above the optimum 4 reachable with
-    machines tailored to the sigma1/sigma2 pair.
+    This is uncertainty_products on UNIVERSAL_TRANSFERS: each measured
+    variance is 9/4 - s_h^2, so on sigma3 eigenstates the product is 81/16,
+    above the optimum 4 reachable with machines tailored to the pair.
     """
-    s = state.bloch
-    g = 1.0 / UNIVERSAL_SHRINK
-    di1 = 1.0 - s[0] ** 2
-    di2 = 1.0 - s[1] ** 2
-    dm1 = g * g - s[0] ** 2
-    dm2 = g * g - s[1] ** 2
-    return _report(di1, di2, dm1, dm2, g, g)
+    return uncertainty_products(UNIVERSAL_TRANSFERS, UNIVERSAL_GAINS, SIGMA_XY, state)
 
 
 def uncertainty_to_dict(r: UncertaintyReport) -> dict:

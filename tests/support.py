@@ -71,3 +71,32 @@ def ptrace_loop(m, keep):
                 else:
                     out[i, j] += t[k, i, k, j]
     return out
+
+
+def universal_pair_oracle(rho):
+    """Two-clone joint state of the optimal symmetric cloner, built from the
+    symmetric-subspace projector rather than from the Bloch shrink rule."""
+    swap = np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    psym = 0.5 * (np.eye(4) + swap)
+    pair = psym @ np.kron(rho, np.eye(2) / 2.0) @ psym
+    return pair * (4.0 / 3.0)
+
+
+def buzek_hillery_pair(rho):
+    """Two-clone joint state of the Buzek-Hillery cloner, from its isometry and a loop trace over the ancilla.
+
+    The isometry maps |0> to sqrt(2/3)|000> + sqrt(1/6)(|011> + |101>) and |1>
+    to sqrt(2/3)|111> + sqrt(1/6)(|100> + |010>), the ancilla last.
+    """
+    v = np.zeros((8, 2), dtype=complex)
+    v[[0b000, 0b011, 0b101], 0] = np.sqrt([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
+    v[[0b111, 0b100, 0b010], 1] = np.sqrt([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
+    t = (v @ np.asarray(rho, dtype=complex) @ v.conj().T).reshape(4, 2, 4, 2)
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            for k in range(2):
+                out[i, j] += t[i, k, j, k]
+    return out

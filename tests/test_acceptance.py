@@ -11,10 +11,10 @@ import numpy as np
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.jointmeas import (
     REFERENCE_UNIVERSAL_PRODUCT,
+    UNIVERSAL_TRANSFERS,
     intrinsic_variance,
     uncertainty_product,
     universal_clone_product,
-    universal_clone_state,
 )
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, QubitState, dagger, tensor
 from obsclone.machines import (
@@ -152,8 +152,9 @@ def test_criterion_6_state_cloning_comparison():
                 assert abs(np.trace(clone @ SIGMA1).real - shrink * state.bloch[0]) < 1e-12
                 assert abs(np.trace(clone @ SIGMA2).real - shrink * state.bloch[1]) < 1e-12
 
-            universal = universal_clone_state(state)
-            assert np.all(np.abs(universal.bloch - (2.0 / 3.0) * state.bloch) < 1e-12)
+            for r in UNIVERSAL_TRANSFERS:
+                universal = r[1:, 0] + r[1:, 1:] @ state.bloch
+                assert np.all(np.abs(universal - (2.0 / 3.0) * state.bloch) < 1e-12)
 
         for z in (1.0, -1.0):
             report = universal_clone_product(QubitState(np.array([0.0, 0.0, z])))

@@ -32,6 +32,7 @@ from obsclone.machines import (
 from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
 from obsclone.search import MODES, SearchConfig
+from support import random_bloch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -164,16 +165,22 @@ class TestVerify:
         assert json.loads(out)["passed"] is False
 
     def test_tolerance_tighter_than_float_precision_fails(self, capsys, tmp_path):
-        # The controlled-flip unitary has integer entries and a defect of
-        # exactly zero, so even absurd tolerances pass there; a generic
-        # rotated machine keeps a rounding-level floor instead.
+        """A machine document whose sigma3 coefficient is 2**-40 off the class its unitary
+        clones has a defect of 2**-40 (the added term's part off the cloned axis, which holds
+        half its square): the default tolerance passes it, and a tolerance below it fails it,
+        whatever the rounding of the exactly cloned part."""
         path = tmp_path / "m.json"
         run_cli(capsys, "build", "one-param", "--obs", "0.1,0.4,-0.3,0.5", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["class"]["generators"][0][3] += 2.0**-40
+        path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "verify", str(path), "--tol", "1e-30")
         assert code == 1
         report = json.loads(out)
         assert report["passed"] is False
-        assert report["max_defect"] < 1e-10
+        assert report["max_defect"] == pytest.approx(2.0**-40, rel=1e-6)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert (code, json.loads(out)["passed"]) == (0, True)
 
     @pytest.mark.parametrize("family", ["one-param", "commuting"])
     def test_a_built_machine_verifies_at_every_power_of_two_scale(self, capsys, tmp_path, family):
@@ -843,6 +850,18 @@ class TestCompare:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert (code, err.getvalue()) == (0, ""), argv
+
+    def test_universal_product_is_the_closed_form(self, capsys):
+        """universal_product is (9/4 - s1^2)(9/4 - s2^2), the product perfbench checks, within
+        1e-12 on random states and on unit states along the axes and off them."""
+        rng = np.random.default_rng(22)
+        states = [random_bloch(rng) for _ in range(20)] + [np.eye(3)[i] * sign for i in range(3) for sign in (1, -1)]
+        states += [v / np.linalg.norm(v) for v in rng.normal(size=(10, 3))]
+        for s in states:
+            code, out, _ = run_cli(capsys, "compare", "--state=" + ",".join(map(repr, s.tolist())))
+            assert code == 0
+            want = (2.25 - s[0] * s[0]) * (2.25 - s[1] * s[1])
+            assert abs(json.loads(out)["universal_product"] - want) <= 1e-12, s
 
     def test_bad_state_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--state", "1,1,1")

@@ -1,24 +1,42 @@
 """Tests for joint-measurement variance accounting on cloned outputs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.jointmeas import (
     REFERENCE_UNIVERSAL_PRODUCT,
-    UNIVERSAL_SHRINK,
+    UNIVERSAL_GAINS,
+    UNIVERSAL_TRANSFERS,
     UncertaintyReport,
     intrinsic_variance,
     uncertainty_product,
     uncertainty_products,
     uncertainty_to_dict,
     universal_clone_product,
-    universal_clone_state,
 )
 from obsclone.linalg import QubitState, SIGMA0, tensor
-from obsclone.machines import KET0, SIGMA_XY, CloningMachine, covariant_transport, t_machine, t_machines
+from obsclone.machines import (
+    KET0,
+    SIGMA_XY,
+    CloningMachine,
+    covariant_transport,
+    t_machine,
+    t_machines,
+    transfer_matrices,
+)
 from obsclone.pauli import Observable
-from support import dense_output, ptrace_loop, random_observable, random_state, random_unitary
+from support import (
+    buzek_hillery_pair,
+    dense_output,
+    ptrace_loop,
+    random_observable,
+    random_state,
+    random_unitary,
+    universal_pair_oracle,
+)
 
 S1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
 S2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
@@ -82,6 +100,21 @@ def test_intrinsic_variance_matches_dense_trace_for_any_observable(rng):
         assert intrinsic_variance(state, x) == pytest.approx(
             np.trace(rho @ xm @ xm).real - np.trace(rho @ xm).real ** 2, abs=1e-12
         )
+
+
+def test_intrinsic_variance_of_a_large_identity_part_against_exact_arithmetic(rng):
+    """a0 I + a.sigma with a0 up to 1e12 and unit-sized a: the variance |a|^2 - (a.s)^2 does not
+    depend on a0, which a form second - mean^2 lets in through cancellation (2.0 in place of 0.99
+    at a0 = 1e8, 0.0 at 3e9). Checked against the same expression in Fractions of the inputs."""
+    for a0 in (0.0, 1.0, -1e4, 1e8, 3e9, -1e12, 1e12):
+        for _ in range(10):
+            state, a = random_state(rng), rng.uniform(-1.0, 1.0, 3)
+            exact_a, exact_s = [Fraction(v) for v in a.tolist()], [Fraction(v) for v in state.bloch.tolist()]
+            exact = sum(v * v for v in exact_a) - sum(v * w for v, w in zip(exact_a, exact_s)) ** 2
+            got = intrinsic_variance(state, Observable(np.concatenate([[a0], a])))
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**14), (a0, got, float(exact))
+    worked = Observable(np.array([1e8, 0.6, 0.0, 0.8]))
+    assert intrinsic_variance(QubitState(np.array([0.3, 0.2, -0.1])), worked) == pytest.approx(0.99, abs=1e-15)
 
 
 def test_uncertainty_product_balanced_point_attains_four():
@@ -177,7 +210,7 @@ def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
     thetas = rng.uniform(0.05, 1.5, 9)
     u, gains, _ = t_machines(thetas)
     state = random_state(rng)
-    stacked = uncertainty_products(u, gains, KET0, SIGMA_XY, state)
+    stacked = uncertainty_products(transfer_matrices(u, KET0), gains, SIGMA_XY, state)
     for i, theta in enumerate(thetas):
         one = uncertainty_product(t_machine(theta), state)
         for name, value in uncertainty_to_dict(one).items():
@@ -188,7 +221,7 @@ def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
     probe = random_state(rng, radius=0.8)
     us = np.array([random_unitary(rng, 4) for _ in range(6)])
     gains = rng.uniform(1.2, 3.0, (6, 2))
-    stacked = uncertainty_products(us, gains, probe, cls, state)
+    stacked = uncertainty_products(transfer_matrices(us, probe), gains, cls, state)
     for i in range(6):
         one = uncertainty_product(CloningMachine(us[i], probe, cls, tuple(gains[i])), state)
         assert (stacked.delta_m1[i], stacked.delta_m2[i], stacked.product[i], stacked.theta[i]) == (
@@ -199,33 +232,27 @@ def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
         )
 
 
-def _universal_pair_oracle(rho):
-    """Two-clone joint state of the optimal symmetric cloner, built from the
-    symmetric-subspace projector rather than from the Bloch shrink rule."""
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    psym = 0.5 * (np.eye(4) + swap)
-    pair = psym @ np.kron(rho, np.eye(2) / 2.0) @ psym
-    return pair * (4.0 / 3.0)
-
-
-def test_universal_clone_state_matches_projector_construction(rng):
+def test_universal_transfers_match_the_projector_and_isometry_oracles(rng):
+    """Each branch's clone of a random state, read off UNIVERSAL_TRANSFERS, against the
+    symmetric-projector pair and the Buzek-Hillery isometry, both traced by loops."""
     for _ in range(15):
         state = random_state(rng)
-        pair = _universal_pair_oracle(state.density)
-        assert np.trace(pair).real == pytest.approx(1.0, abs=1e-13)
-        for branch in (1, 2):
-            marginal = ptrace_loop(pair, branch)
-            assert np.allclose(
-                marginal, universal_clone_state(state).density, atol=1e-12
-            )
+        for pair in (universal_pair_oracle(state.density), buzek_hillery_pair(state.density)):
+            assert np.trace(pair).real == pytest.approx(1.0, abs=1e-13)
+            for branch in (1, 2):
+                r = UNIVERSAL_TRANSFERS[branch - 1]
+                clone = r[1:, 0] + r[1:, 1:] @ state.bloch
+                assert np.allclose(ptrace_loop(pair, branch), QubitState(clone).density, atol=1e-12)
 
 
-def test_universal_clone_state_shrinks_by_two_thirds(rng):
-    state = random_state(rng)
-    clone = universal_clone_state(state)
-    assert np.allclose(clone.bloch, UNIVERSAL_SHRINK * state.bloch, atol=1e-15)
+def test_universal_constant_shrinks_by_two_thirds_and_is_read_only():
+    """Both branches keep the identity and shrink every Bloch component by 2/3; the gains undo it."""
+    for r in UNIVERSAL_TRANSFERS:
+        assert np.array_equal(r, np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]))
+    assert UNIVERSAL_GAINS.tolist() == [1.5, 1.5]
+    for constant in (UNIVERSAL_TRANSFERS, UNIVERSAL_GAINS):
+        with pytest.raises(ValueError):
+            constant[0] = 0.0
 
 
 def test_universal_clone_product_on_pole_states():
@@ -254,15 +281,16 @@ def test_reference_product_is_reported_not_asserted():
 
 
 def test_universal_clone_product_matches_measured_variance_convention(rng):
-    """The closed form used for the universal clones must agree with the
-    generic estimator-variance definition applied to the shrunk state."""
+    """The report on the universal transfer matrices must agree with the
+    generic estimator-variance definition applied to the isometry's clones."""
     state = random_state(rng, radius=0.9)
     report = universal_clone_product(state)
-    g = 1.0 / UNIVERSAL_SHRINK
-    for gen, dm in ((S1, report.delta_m1), (S2, report.delta_m2)):
-        clone = universal_clone_state(state)
-        mean = float(np.trace(clone.density @ gen.matrix).real)
-        second = float(np.trace(clone.density @ gen.matrix @ gen.matrix).real)
+    pair = buzek_hillery_pair(state.density)
+    for branch, gen, dm in ((1, S1, report.delta_m1), (2, S2, report.delta_m2)):
+        g = UNIVERSAL_GAINS[branch - 1]
+        clone = ptrace_loop(pair, branch)
+        mean = float(np.trace(clone @ gen.matrix).real)
+        second = float(np.trace(clone @ gen.matrix @ gen.matrix).real)
         assert dm == pytest.approx(g * g * second - (g * mean) ** 2, abs=1e-12)
 
 

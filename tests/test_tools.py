@@ -54,7 +54,7 @@ def test_step_split_prints_each_part_of_a_step():
 def test_compare_outputs_finds_a_tree_identical_to_itself():
     """tools/compare_outputs.py with this src as both trees runs the workloads'
     commands, its 12 fixed commands and the criterion-5 searches, and finds
-    every output byte-identical, with no search and no verify differing."""
+    every output byte-identical, with no search, no verify and no compare differing."""
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), src, src],
@@ -64,4 +64,5 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
     assert "715 of 715 outputs byte-identical, 0 differ" in done.stdout
     assert "searches: 0 differ, 0 changed exit code or converged;" in done.stdout
     assert "verifies: 0 differ, 0 changed exit code or passed; largest defect change relative to its generator's norm 0\n" in done.stdout
+    assert "compares: 0 differ, 0 changed exit code; largest relative change 0; keys moved: none\n" in done.stdout
     assert "differs" not in done.stdout

@@ -28,13 +28,17 @@ criterion-5 record) also says whether its exit code and `converged` are
 unchanged and whether `best_defect` went down. Each differing `verify`
 says whether its exit code and `passed` are unchanged, and gives its largest
 change of a defect relative to that generator's Frobenius norm, read off the
-machine document that the tree's last `build` to that path wrote. The last
-lines count the differing outputs per command kind and sum up the differing
-searches: how many changed exit code or `converged`, how many `best_defect`s
-went down, stayed or went up, and their summed `evaluations`, old -> new.
-The line after sums up the differing verifies: how many changed exit code or
-`passed`, and their largest relative defect change. So a change that should
-move only search floors, or verify defects at rounding level, and no verdict,
+machine document that the tree's last `build` to that path wrote. Each
+differing `compare` says whether its exit code is unchanged, names the payload
+keys that moved (dotted, so `universal_report.product`) and gives the largest
+relative change among them. The last lines count the differing outputs per
+command kind and sum up the differing searches: how many changed exit code or
+`converged`, how many `best_defect`s went down, stayed or went up, and their
+summed `evaluations`, old -> new. The line after sums up the differing
+verifies: how many changed exit code or `passed`, and their largest relative
+defect change; the closing line does the same for the differing compares, with
+how many of them moved each key. So a change that should move only search
+floors, or verify defects or compare reports at rounding level, and no verdict,
 can be read off at a glance, and so can a speed-up that came from spending
 fewer evaluations.
 """
@@ -172,10 +176,10 @@ def main(argv: list[str]) -> int:
         sys.stderr.write("the two trees planned different commands\n")
         return 2
     fields = ("exit code", "stdout", "stderr", "--out bytes")
-    total, differ, moves = Counter(), Counter(), Counter()
-    verdicts = verify_verdicts = 0
+    total, differ, moves, compare_keys = Counter(), Counter(), Counter(), Counter()
+    verdicts = verify_verdicts = compare_codes = 0
     evaluations = [0, 0]
-    verify_shift = 0.0
+    verify_shift = compare_shift = 0.0
     documents = {}
     for a, b in zip(old, new):
         kind = a[0][0]
@@ -197,6 +201,12 @@ def main(argv: list[str]) -> int:
                 verify_verdicts += verdict_moved
                 verify_shift = max(verify_shift, shift)
                 line += f" [{note}]"
+            elif kind == "compare":
+                note, code_moved, keys, shift = compare_change(a, b)
+                compare_codes += code_moved
+                compare_keys.update(keys)
+                compare_shift = max(compare_shift, shift)
+                line += f" [{note}]"
             print(line)
     count = sum(differ.values())
     print(f"{len(old) - count} of {len(old)} outputs byte-identical, {count} differ")
@@ -209,6 +219,11 @@ def main(argv: list[str]) -> int:
     print(
         f"verifies: {differ['verify']} differ, {verify_verdicts} changed exit code or passed;"
         f" largest defect change relative to its generator's norm {verify_shift:.3g}"
+    )
+    print(
+        f"compares: {differ['compare']} differ, {compare_codes} changed exit code;"
+        f" largest relative change {compare_shift:.3g}; keys moved: "
+        + (", ".join(f"{key} {n}" for key, n in sorted(compare_keys.items())) or "none")
     )
     return 1 if count else 0
 
@@ -256,8 +271,40 @@ def verify_change(a: list, b: list, document: str | None) -> tuple[str, bool, fl
     return ", ".join(notes), a[1] != b[1] or not same, shift
 
 
+def compare_change(a: list, b: list) -> tuple[str, bool, list[str], float]:
+    """How a compare record changed: a note, whether its exit code moved, the payload keys that moved, their largest change.
+
+    A key's change is |new - old| / |old|. A payload that cannot be read, a key present in one
+    tree only, or a value that is not a number moves with an infinite change.
+    """
+    docs = [payload(r) for r in (a, b)]
+    notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
+    if None in docs:
+        return ", ".join(notes + ["payload unreadable"]), a[1] != b[1], ["<unreadable>"], math.inf
+    was, now = (leaves(d) for d in docs)
+    moved = sorted(key for key in was.keys() | now.keys() if was.get(key) != now.get(key))
+    shift = 0.0
+    for key in moved:
+        x, y = was.get(key), now.get(key)
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        shift = max(shift, abs(y - x) / abs(x) if numbers and x else math.inf)
+    notes += [f"moved {', '.join(moved) or 'nothing'}", f"largest relative change {shift:.3g}"]
+    return ", ".join(notes), a[1] != b[1], moved, shift
+
+
+def leaves(doc, prefix: str = "") -> dict:
+    """The leaves of a JSON document by dotted path, list entries by their index."""
+    if not isinstance(doc, (dict, list)):
+        return {prefix: doc}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
 def payload(record: list) -> dict | None:
-    """The JSON a search or verify record wrote to its --out file, or else printed."""
+    """The JSON a search, verify or compare record wrote to its --out file, or else printed."""
     text = bytes.fromhex(record[4]).decode() if record[4] is not None else record[2]
     try:
         return json.loads(text)
