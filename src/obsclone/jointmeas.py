@@ -15,7 +15,7 @@ import numpy as np
 
 from .classes import ClassKind, ObservableClass
 from .linalg import QubitState
-from .machines import SIGMA_XY, CloningMachine, transfer_matrices
+from .machines import SIGMA_XY, CloningMachine
 from .pauli import Observable
 
 # Transfer matrices R_b of the optimal universal cloner (Buzek and Hillery, Phys. Rev. A 54,
@@ -96,8 +96,8 @@ def uncertainty_products(
 ) -> UncertaintyReport:
     """Joint-measurement noise reports of a stack of machines that share a class, from their transfer matrices.
 
-    transfers (..., 2, 4, 4) holds each machine's R_b, as transfer_matrices
-    gives them (they are not checked), and gains has shape (..., 2). The
+    transfers (..., 2, 4, 4) holds each machine's R_b, as CloningMachine.transfers
+    holds them (they are not checked), and gains has shape (..., 2). The
     variances, the product and theta are arrays over the stack; the intrinsic
     variances, the bound and the balancing angle depend on the state alone.
     Each entry equals uncertainty_product on that machine bit for bit.
@@ -118,11 +118,11 @@ def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyRepo
     Generator 1 is measured on branch 1, generator 2 on branch 2. The
     lower bound (sqrt(di1*di2) + 1)^2 is attained when tan(theta)^4
     equals di1/di2, so the report also carries the balancing angle.
-    This is uncertainty_products on a stack of one machine.
+    This is uncertainty_products on a stack of one machine, m.transfers.
     """
     if m.gains is None:
         raise ValueError("uncertainty products are defined for machines with gains")
-    return uncertainty_products(transfer_matrices(m.unitary, m.probe), np.array(m.gains), m.observables, state)
+    return uncertainty_products(m.transfers, np.array(m.gains), m.observables, state)
 
 
 def _report(di1, di2, dm1, dm2, g1, g2) -> UncertaintyReport:

@@ -60,6 +60,14 @@ def is_unitary(m):
         return np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) < UNITARY_TOL
 
 
+def unitary(m, dim: int, name: str) -> np.ndarray:
+    """as_matrix(m, dim) once it is unitary to UNITARY_TOL; otherwise a ValueError naming name."""
+    a = as_matrix(m, dim)
+    if not is_unitary(a):
+        raise ValueError(f"{name} must be unitary to {UNITARY_TOL:g}")
+    return a
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators, signal on the left."""
     return np.kron(as_matrix(a, 2), as_matrix(b, 2))

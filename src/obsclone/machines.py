@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +24,9 @@ from .linalg import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    UNITARY_TOL,
     QubitState,
-    as_matrix,
     dagger,
     integer,
-    is_unitary,
     matrix_from_nested,
     matrix_to_nested,
     pauli_rotation,
@@ -36,6 +34,7 @@ from .linalg import (
     reals,
     tensor,
     unit_scaled,
+    unitary,
 )
 from .pauli import Observable
 
@@ -96,9 +95,7 @@ class CloningMachine:
     gains: tuple[float, float] | None = None
 
     def __post_init__(self):
-        u = as_matrix(self.unitary, 4).copy()
-        if not is_unitary(u):
-            raise ValueError(f"machine unitary must be unitary to {UNITARY_TOL:g}")
+        u = unitary(self.unitary, 4, "machine unitary").copy()
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
         if not isinstance(self.probe, QubitState):
@@ -112,6 +109,13 @@ class CloningMachine:
         if i is not None:
             where = "" if self.gains is None else f" under gains {list(self.gains)}"
             raise ValueError(f"generators[{i}]{where}: {OVERFLOW_MESSAGE}")
+
+    @cached_property
+    def transfers(self) -> np.ndarray:
+        """R (2 x 4 x 4) of (unitary, probe), the machine's one currency; built on first read, read-only."""
+        r = transfer_matrices(self.unitary, self.probe)
+        r.setflags(write=False)
+        return r
 
 
 def overflowing_generator(cls: ObservableClass, gain: float, bloch_only: bool = False) -> int | None:
@@ -184,9 +188,8 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
     every signal state rho, where M is X (x) I on branch 1 and I (x) X on
     branch 2. The machine clones X on that branch exactly when L = X.
     """
-    u = as_matrix(u, 4)
-    if not is_unitary(u):
-        raise ValueError("u must be unitary")
+    u = unitary(u, 4, "u")
+    probe = probe if isinstance(probe, QubitState) else QubitState(probe)
     if integer(branch, "branch", 1) > 2:
         raise ValueError("branch must be 1 or 2")
     return Observable(x.coeffs @ transfer_matrices(u, probe)[branch - 1])
@@ -208,15 +211,9 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
     return np.ldexp(np.sqrt(2.0 * (r0 * r0 + np.sum(rb * rb, axis=-1))), e)
 
 
-def _copying_defects(u: np.ndarray, probe: QubitState, gens: np.ndarray, gains) -> np.ndarray:
-    """D[b, i]: residual of generator row i on branch b + 1, its lift scaled by gains[b]; unvalidated."""
-    lifts = gens @ transfer_matrices(u, probe)
-    return _defects(lifts, gens, np.asarray(gains, dtype=float)[:, None])
-
-
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
     gens = np.array([g.coeffs for g in m.observables.generators])
-    per_branch = _copying_defects(m.unitary, m.probe, gens, gains)
+    per_branch = _defects(gens @ m.transfers, gens, np.array(gains)[:, None])
     defects = tuple(zip(*per_branch.tolist()))
     worst = max(max(pair) for pair in defects)
     # ||g||_F = sqrt(2) |c| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(c), so the norm neither overflows nor underflows.
@@ -333,25 +330,31 @@ def _gain_angles(thetas):
     return c, s, np.minimum(np.abs(c), np.abs(s)) <= SINGULAR_ANGLE_TOL
 
 
-def _refuse_singular(theta: float, singular) -> None:
+def _regular_angle(theta) -> tuple[float, float, float]:
+    """theta as a float with its cos and sin, once it is real and neither gain 1/cos nor 1/sin is unbounded there."""
+    theta = real(theta, "theta")
+    c, s, singular = _gain_angles(theta)
     if singular:
         raise SingularAngleError(f"singular angle theta={theta}: a gain becomes unbounded")
+    return theta, c, s
+
+
+def _t_unitary(thetas) -> np.ndarray:
+    """Unitaries (..., 4, 4) of the t-machines at finite angles; unitary by construction at every one."""
+    return _FLIP_ON_PROBE @ entangling_kernel(thetas, -thetas, 0.0)
 
 
 def t_machines(thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unitaries (..., 4, 4) and gains (..., 2) of t_machine over an array of finite angles; unvalidated.
+    """Transfer matrices (..., 2, 4, 4), gains (..., 2) and singular mask of t_machine over finite angles; unvalidated.
 
-    The third array masks the singular angles; their rows are not machines,
-    and their gains may be huge or infinite. Every other row equals
-    t_machine(theta)'s unitary and gains bit for bit. The machines share
-    the probe KET0 and the class SIGMA_XY.
+    Singular rows are not machines, and their gains may be huge or infinite. Every other row equals
+    t_machine(theta)'s transfers and gains bit for bit; the machines share the probe KET0 and the class SIGMA_XY.
     """
     thetas = np.asarray(thetas, dtype=float)
     c, s, singular = _gain_angles(thetas)
-    u = _FLIP_ON_PROBE @ entangling_kernel(thetas, -thetas, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         gains = 1.0 / np.stack([c, s], axis=-1)
-    return u, gains, singular
+    return transfer_matrices(_t_unitary(thetas), KET0), gains, singular
 
 
 def t_machine(theta: float) -> CloningMachine:
@@ -360,13 +363,11 @@ def t_machine(theta: float) -> CloningMachine:
     An entangling kernel exp[i theta/2 (s1 s1 - s2 s2)] followed by the
     sigma1/sigma2 exchange on the probe branch. Branch 1 returns sigma1
     and sigma2 shrunk by cos(theta); branch 2 by sin(theta); the gains
-    (1/cos, 1/sin) undo the shrink in the mean. This is t_machines on a
-    single angle.
+    (1/cos, 1/sin) undo the shrink in the mean. t_machines gives the
+    transfers and gains of a grid of these machines.
     """
-    theta = real(theta, "theta")
-    u, gains, singular = t_machines(theta)
-    _refuse_singular(theta, singular)
-    return CloningMachine(u, KET0, SIGMA_XY, tuple(gains.tolist()))
+    theta, c, s = _regular_angle(theta)
+    return CloningMachine(_t_unitary(theta), KET0, SIGMA_XY, (1.0 / c, 1.0 / s))
 
 
 def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> float:
@@ -381,7 +382,7 @@ def nccm_residual(t1: float, t2: float, t3: float, g1: float, g2: float) -> floa
     t1, t2, t3, g1, g2 = map(real, (t1, t2, t3, g1, g2), ("t1", "t2", "t3", "g1", "g2"))
     u = _FLIP_ON_PROBE @ entangling_kernel(2.0 * t1, 2.0 * t2, 2.0 * t3)
     sigma12 = np.eye(4)[1:3]
-    return float(_copying_defects(u, KET0, sigma12, (g1, g2)).sum())
+    return float(_defects(sigma12 @ transfer_matrices(u, KET0), sigma12, np.array([[g1], [g2]])).sum())
 
 
 def covariant_transport(m: CloningMachine, w) -> CloningMachine:
@@ -392,9 +393,7 @@ def covariant_transport(m: CloningMachine, w) -> CloningMachine:
     original machine. Branch 1 of W (x) I lifts X to W† X W whatever the
     probe, so one transfer-matrix call conjugates the whole class.
     """
-    w = as_matrix(w, 2)
-    if not is_unitary(w):
-        raise ValueError(f"transport unitary must be unitary to {UNITARY_TOL:g}")
+    w = unitary(w, 2, "transport unitary")
     frame = transfer_matrices(tensor(w, SIGMA0), KET0)[0]
     gens = tuple(Observable(g.coeffs @ frame) for g in m.observables.generators)
     cls = ObservableClass(m.observables.kind, gens)
@@ -408,9 +407,7 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
     and leaves |00> and |11> alone, so equatorial means are shared
     between the branches with the same (1/cos, 1/sin) gains as t_machine.
     """
-    theta = real(theta, "theta")
-    c, s, singular = _gain_angles(theta)
-    _refuse_singular(theta, singular)
+    _, c, s = _regular_angle(theta)
     u = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],

@@ -208,9 +208,9 @@ def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
     """uncertainty_products on a stack gives each machine's uncertainty_product
     exactly, for t-machines and for Haar unitaries on a rotated class with a mixed probe."""
     thetas = rng.uniform(0.05, 1.5, 9)
-    u, gains, _ = t_machines(thetas)
+    transfers, gains, _ = t_machines(thetas)
     state = random_state(rng)
-    stacked = uncertainty_products(transfer_matrices(u, KET0), gains, SIGMA_XY, state)
+    stacked = uncertainty_products(transfers, gains, SIGMA_XY, state)
     for i, theta in enumerate(thetas):
         one = uncertainty_product(t_machine(theta), state)
         for name, value in uncertainty_to_dict(one).items():

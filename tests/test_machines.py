@@ -1,9 +1,12 @@
 """Tests for machine construction, Heisenberg-picture verification, and transport."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import (
@@ -14,6 +17,7 @@ from obsclone.linalg import (
     SIGMA3,
     QubitState,
     dagger,
+    is_unitary,
     tensor,
 )
 from obsclone.machines import (
@@ -23,6 +27,7 @@ from obsclone.machines import (
     SingularAngleError,
     VerificationReport,
     _defects,
+    _t_unitary,
     axis_rotation,
     cnot_machine,
     commuting_machine,
@@ -155,17 +160,52 @@ def _reference_t_unitary(theta):
 
 def test_t_machines_rows_are_t_machine_bit_for_bit(rng):
     thetas = np.concatenate([rng.uniform(-4.0, 4.0, 40), [0.0, np.pi / 2, -np.pi, 1e-7, 0.3]])
-    u, gains, singular = t_machines(thetas)
-    assert u.shape == (45, 4, 4) and gains.shape == (45, 2) and singular.shape == (45,)
+    transfers, gains, singular = t_machines(thetas)
+    assert transfers.shape == (45, 2, 4, 4) and gains.shape == (45, 2) and singular.shape == (45,)
     assert singular.tolist()[-5:] == [True, True, True, True, False]
-    for theta, ui, gi, skip in zip(thetas, u, gains, singular):
+    for theta, ri, gi, skip in zip(thetas, transfers, gains, singular):
         if skip:
             with pytest.raises(SingularAngleError):
                 t_machine(theta)
             continue
         m = t_machine(theta)
-        assert m.unitary.tobytes() == ui.tobytes() == _reference_t_unitary(float(theta)).tobytes()
+        assert m.transfers.tobytes() == ri.tobytes()
+        assert m.unitary.tobytes() == _reference_t_unitary(float(theta)).tobytes()
         assert m.gains == tuple(gi.tolist()) == (1.0 / np.cos(theta), 1.0 / np.sin(theta))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+@example(np.pi / 2)
+@example(np.pi)
+@example(-np.pi / 2)
+@settings(max_examples=300, deadline=None)
+def test_t_family_unitaries_are_unitary_at_every_finite_angle(theta):
+    """The t-family unitary is unitary by construction, so nothing that prices t-machines checks it again:
+    at every finite angle, singular ones included, it passes is_unitary."""
+    assert is_unitary(_t_unitary(theta))
+
+
+def test_transfers_are_the_kernel_on_the_machines_unitary_and_probe(rng):
+    """m.transfers is transfer_matrices(m.unitary, m.probe) bit for bit, on Haar unitaries with pure,
+    pole, maximally mixed and near-sphere probes. It is read-only, a second read returns the same
+    object, and building a machine and writing its document never computes it."""
+    cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
+    for b in _edge_blochs(rng):
+        m = CloningMachine(random_unitary(rng, 4), QubitState(b), cls)
+        machine_to_dict(m)
+        assert "transfers" not in vars(m)
+        r = m.transfers
+        assert r.tobytes() == transfer_matrices(m.unitary, m.probe).tobytes()
+        assert r.shape == (2, 4, 4) and not r.flags.writeable
+        assert m.transfers is r
+        with pytest.raises(ValueError):
+            r[0, 0, 0] = 2.0
 
 
 def test_entangling_kernel_broadcasts_bit_for_bit(rng):
@@ -215,8 +255,16 @@ class TestHeisenbergLift:
     def test_rejects_bad_branch_and_non_unitary(self):
         with pytest.raises(ValueError):
             heisenberg_lift(CNOT, QubitState.ket0(), S3, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^u must be unitary to 1e-12"):
             heisenberg_lift(np.eye(4) * 2.0, QubitState.ket0(), S3, 1)
+
+    def test_reads_the_probe_as_the_machine_does(self, rng):
+        """A Bloch list is a probe, as it is to CloningMachine: the lift equals the one with its QubitState."""
+        for _ in range(5):
+            u, b, x = random_unitary(rng, 4), random_state(rng).bloch.tolist(), random_observable(rng)
+            for branch in (1, 2):
+                want = heisenberg_lift(u, QubitState(b), x, branch).coeffs
+                assert heisenberg_lift(u, b, x, branch).coeffs.tobytes() == want.tobytes()
 
 
 def test_defects_match_dense_frobenius_norms(rng):

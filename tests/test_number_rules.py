@@ -1,7 +1,8 @@
 """One rule per kind of number at every public entry point that takes numbers.
 
-Reals go through linalg.real / linalg.reals, integers through linalg.integer
-and complex matrices through the entry check of linalg.as_matrix. Each site
+Reals go through linalg.real / linalg.reals, integers through linalg.integer,
+complex matrices through the entry check of linalg.as_matrix and unitaries
+through linalg.unitary. Each site
 must refuse a bad value with a ValueError whose message starts with the
 argument's name, without any numpy warning, and must read Python and numpy
 numbers of the same value into bit-identical objects.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from obsclone.classes import ClassKind, ObservableClass
-from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation, tensor
+from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation, tensor, unitary
 from obsclone.machines import (
     CNOT,
     KET0,
@@ -62,6 +63,7 @@ REAL_SITES = [
     ("SearchSpacePoint.local_post_2", "local_post_2", lambda v: SearchSpacePoint(Z3, Z3, Z3, v), [1, 2, 3]),
     ("SearchSpacePoint.gains", "gains", lambda v: SearchSpacePoint(Z3, Z3, Z3, Z3, v), [2, 3]),
     ("CloningMachine.gains", "gains", lambda v: CloningMachine(CNOT, KET0, ONE_PARAM, v), [1, 2]),
+    ("heisenberg_lift.probe", "bloch", lambda v: heisenberg_lift(CNOT, v, S3, 1), [0, 0, 1]),
     ("observable_from_list", "observable", observable_from_list, [0, 1, 2, 3]),
 ]
 
@@ -81,6 +83,14 @@ MATRIX_SITES = [
     ("covariant_transport", lambda w: covariant_transport(T, w), np.eye(2)[::-1]),
     ("heisenberg_lift.u", lambda u: heisenberg_lift(u, KET0, S3, 1), CNOT.real),
     ("tensor", lambda a: tensor(a, np.eye(2)), np.eye(2)[::-1]),
+]
+
+# (site, argument name, call taking a matrix, its dimension)
+UNITARY_SITES = [
+    ("unitary", "m", lambda m: unitary(m, 3, "m"), 3),
+    ("CloningMachine", "machine unitary", lambda m: CloningMachine(m, KET0, ONE_PARAM), 4),
+    ("covariant_transport", "transport unitary", lambda w: covariant_transport(T, w), 2),
+    ("heisenberg_lift.u", "u", lambda u: heisenberg_lift(u, KET0, S3, 1), 4),
 ]
 
 BAD_SCALARS = {
@@ -139,7 +149,15 @@ def _matrix_cases():
             yield pytest.param(call, value, "matrix entries must be finite int, float or complex numbers", id=f"{site}-{label}")
 
 
-@pytest.mark.parametrize("call, value, pattern", [*_real_cases(), *_integer_cases(), *_matrix_cases()])
+def _unitary_cases():
+    for site, name, call, dim in UNITARY_SITES:
+        huge = np.eye(dim)
+        huge[0, -1] = 1e308
+        for label, value in {"twice-identity": 2.0 * np.eye(dim), "one-1e308-entry": huge}.items():
+            yield pytest.param(call, value, f"{name} must be unitary to 1e-12", id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("call, value, pattern", [*_real_cases(), *_integer_cases(), *_matrix_cases(), *_unitary_cases()])
 def test_every_site_refuses_a_bad_number_by_name(call, value, pattern):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -11,11 +11,13 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 12
+because `verify` reads the document that `build` wrote. It then runs 15
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
-for one-param and commuting classes scaled by 2**600 and 2**-600, and a
-verify at --tol 1e-30. Last it runs the 22 exact searches of acceptance
+for one-param and commuting classes scaled by 2**600 and 2**-600, a
+verify at --tol 1e-30, verifies of two machine documents whose unitary is
+not unitary (2·I, and one entry of 1e308), and a scan at theta = 1e308.
+Last it runs the 22 exact searches of acceptance
 criterion 5 (tests/test_acceptance.py: classes drawn from rng 505,
 restarts 50, seed 0) and records each result as the JSON the `search`
 command prints.
@@ -115,7 +117,9 @@ def fixed_commands(run_dir: Path):
     have unit-sized coefficients. These cover a scan of three blocks with singular
     angles at 0, pi/2 and pi (pi alone in the last block), an all-singular scan,
     build then verify for one-param and commuting classes scaled by 2**600 and
-    2**-600, and a verify whose tolerance no defect meets.
+    2**-600, and a verify whose tolerance no defect meets. Then the unitarity
+    rule's error text: verifies of two documents, written here, whose unitary is
+    2·I or the identity with one entry of 1e308; and a scan at the extreme angle 1e308.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -129,6 +133,16 @@ def fixed_commands(run_dir: Path):
     machine = run_dir / "one-param.json"
     yield ["build", "one-param", "--obs=0.1,0.7,-0.4,0.5", "--out", str(machine)], machine
     yield ["verify", str(machine), "--tol", "1e-30"], None
+    eye = [[float(i == j) for j in range(4)] for i in range(4)]
+    huge = [row[:] for row in eye]
+    huge[0][3] = 1e308
+    for name, u in (("twice-identity", [[2.0 * v for v in row] for row in eye]), ("huge-entry", huge)):
+        machine = run_dir / f"{name}.json"
+        cls = {"kind": "one-param", "generators": [[0.0, 0.0, 0.0, 1.0]]}
+        doc = {"unitary": [[[v, 0.0] for v in row] for row in u], "probe_bloch": [0.0, 0.0, 1.0], "class": cls}
+        machine.write_text(json.dumps(doc))
+        yield ["verify", str(machine)], None
+    yield ["scan", "--theta-min", "1e308", "--theta-max", "1e308", "--steps", "3"], None
 
 
 def criterion_5_classes():
