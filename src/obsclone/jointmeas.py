@@ -77,18 +77,9 @@ def _variance(x: Observable, r):
 
 
 def intrinsic_variance(state: QubitState, x: Observable) -> float:
-    """Tr[rho X^2] - Tr[rho X]^2 on the bare input state."""
+    """Tr[rho X^2] - Tr[rho X]^2 on the bare input state (a QubitState or its Bloch vector)."""
+    state = state if isinstance(state, QubitState) else QubitState(state)
     return float(_variance(x, state.bloch))
-
-
-def _estimator_variance(r_branch: np.ndarray, gain, state: QubitState, x: Observable):
-    # The branch's reduced Bloch vector is R[1:, 0] + R[1:, 1:] s; r_branch may be a stack (..., 4, 4).
-    return gain * gain * _variance(x, r_branch[..., 1:, 0] + r_branch[..., 1:, 1:] @ state.bloch)
-
-
-def _check_unit_traceless(x: Observable) -> None:
-    if abs(x.coeffs[0]) > 1e-12 or abs(np.linalg.norm(x.bloch) - 1.0) > 1e-12:
-        raise ValueError("generators must be unit-norm traceless observables")
 
 
 def uncertainty_products(
@@ -99,17 +90,35 @@ def uncertainty_products(
     transfers (..., 2, 4, 4) holds each machine's R_b, as CloningMachine.transfers
     holds them (they are not checked), and gains has shape (..., 2). The
     variances, the product and theta are arrays over the stack; the intrinsic
-    variances, the bound and the balancing angle depend on the state alone.
-    Each entry equals uncertainty_product on that machine bit for bit.
+    variances, the bound and the balancing angle depend on the state alone, a
+    QubitState or its Bloch vector. Each entry equals uncertainty_product on
+    that machine bit for bit.
     """
     if cls.kind is not ClassKind.TWO_PARAM_NONCOMMUTING:
         raise ValueError("uncertainty products need a two-param-noncommuting class")
-    g1, g2 = cls.generators
-    _check_unit_traceless(g1)
-    _check_unit_traceless(g2)
-    dm1 = _estimator_variance(transfers[..., 0, :, :], gains[..., 0], state, g1)
-    dm2 = _estimator_variance(transfers[..., 1, :, :], gains[..., 1], state, g2)
-    return _report(intrinsic_variance(state, g1), intrinsic_variance(state, g2), dm1, dm2, gains[..., 0], gains[..., 1])
+    state = state if isinstance(state, QubitState) else QubitState(state)
+    di, dm = [], []
+    for b, x in enumerate(cls.generators):
+        if abs(x.coeffs[0]) > 1e-12 or abs(np.linalg.norm(x.bloch) - 1.0) > 1e-12:
+            raise ValueError("generators must be unit-norm traceless observables")
+        r = transfers[..., b, 1:, :]  # branch b's reduced Bloch vectors are R_b[1:, 0] + R_b[1:, 1:] s
+        di.append(intrinsic_variance(state, x))
+        dm.append(gains[..., b] * gains[..., b] * _variance(x, r[..., 0] + r[..., 1:] @ state.bloch))
+    (di1, di2), (dm1, dm2) = di, dm
+    # The bound (sqrt(di1*di2) + 1)^2 and the balancing angle tan(theta)^4 = di1/di2.
+    di1c, di2c = max(di1, 0.0), max(di2, 0.0)
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(di1c, di2c)
+    return UncertaintyReport(
+        delta_i1=di1,
+        delta_i2=di2,
+        delta_m1=dm1,
+        delta_m2=dm2,
+        product=dm1 * dm2,
+        lower_bound=float((np.sqrt(di1c * di2c) + 1.0) ** 2),
+        theta=np.arctan2(gains[..., 0], gains[..., 1]),
+        optimal_theta=float(np.arctan(ratio**0.25)),
+    )
 
 
 def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyReport:
@@ -123,23 +132,6 @@ def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyRepo
     if m.gains is None:
         raise ValueError("uncertainty products are defined for machines with gains")
     return uncertainty_products(m.transfers, np.array(m.gains), m.observables, state)
-
-
-def _report(di1, di2, dm1, dm2, g1, g2) -> UncertaintyReport:
-    """Report with the bound (sqrt(di1*di2) + 1)^2 and the balancing angle tan(theta)^4 = di1/di2."""
-    di1c, di2c = max(di1, 0.0), max(di2, 0.0)
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(di1c, di2c)
-    return UncertaintyReport(
-        delta_i1=di1,
-        delta_i2=di2,
-        delta_m1=dm1,
-        delta_m2=dm2,
-        product=dm1 * dm2,
-        lower_bound=float((np.sqrt(di1c * di2c) + 1.0) ** 2),
-        theta=np.arctan2(g1, g2),
-        optimal_theta=float(np.arctan(ratio**0.25)),
-    )
 
 
 def universal_clone_product(state: QubitState) -> UncertaintyReport:

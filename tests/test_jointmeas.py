@@ -204,32 +204,56 @@ def test_batch_report_checks_run_entry_by_entry():
         UncertaintyReport(1.0, -1e-11, ok, ok, ok * ok, 4.0, ok, 0.7)
 
 
-def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
-    """uncertainty_products on a stack gives each machine's uncertainty_product
-    exactly, for t-machines and for Haar unitaries on a rotated class with a mixed probe."""
-    thetas = rng.uniform(0.05, 1.5, 9)
-    transfers, gains, _ = t_machines(thetas)
-    state = random_state(rng)
-    stacked = uncertainty_products(transfers, gains, SIGMA_XY, state)
-    for i, theta in enumerate(thetas):
-        one = uncertainty_product(t_machine(theta), state)
-        for name, value in uncertainty_to_dict(one).items():
-            assert np.broadcast_to(getattr(stacked, name), thetas.shape)[i] == value, name
+def _report_states(rng):
+    """A random state, the six poles, the maximally mixed state, and radii 1 - 2**-40 (mixed) and
+    1 + 5e-13 (past the sphere, read onto it) on random axes: the edge probes of the kernel's tests."""
+    axes = [rng.normal(size=3) for _ in range(2)]
+    edges = [(1.0 - 2.0**-40) * axes[0] / np.linalg.norm(axes[0]), (1.0 + 5e-13) * axes[1] / np.linalg.norm(axes[1])]
+    return [random_state(rng)] + [QubitState(b) for b in [*np.eye(3), *-np.eye(3), np.zeros(3), *edges]]
 
+
+def _assert_stack_matches(stacked, ones, single):
+    """Entry i of each per-machine field of a stacked report equals ones[i]'s bit for bit; the state-only
+    fields equal single's."""
+    for name, value in uncertainty_to_dict(single).items():
+        got = getattr(stacked, name)
+        if np.ndim(got):
+            assert got.shape == (len(ones),) and all(g == getattr(one, name) for g, one in zip(got, ones)), name
+        else:
+            assert got == value, name
+
+
+def test_stacked_reports_equal_single_machine_reports_bit_for_bit(rng):
+    """uncertainty_products on a stack gives each machine's uncertainty_product exactly, for t-machines
+    and for Haar unitaries on a rotated class with a mixed probe, at random, pole, maximally mixed and
+    edge-radius states. On an empty stack (transfers[:0]) the state-only fields still equal the single report's."""
+    thetas = rng.uniform(0.05, 1.5, 9)
+    t_transfers, t_gains, _ = t_machines(thetas)
     w = random_unitary(rng, 2)
     cls = covariant_transport(t_machine(0.4), w).observables
     probe = random_state(rng, radius=0.8)
     us = np.array([random_unitary(rng, 4) for _ in range(6)])
     gains = rng.uniform(1.2, 3.0, (6, 2))
-    stacked = uncertainty_products(transfer_matrices(us, probe), gains, cls, state)
-    for i in range(6):
-        one = uncertainty_product(CloningMachine(us[i], probe, cls, tuple(gains[i])), state)
-        assert (stacked.delta_m1[i], stacked.delta_m2[i], stacked.product[i], stacked.theta[i]) == (
-            one.delta_m1, one.delta_m2, one.product, one.theta
-        )
-        assert (stacked.delta_i1, stacked.lower_bound, stacked.optimal_theta) == (
-            one.delta_i1, one.lower_bound, one.optimal_theta
-        )
+    haar = [CloningMachine(u, probe, cls, tuple(g)) for u, g in zip(us, gains)]
+    h_transfers = transfer_matrices(us, probe)
+    for state in _report_states(rng):
+        pairs = ((t_transfers, t_gains, SIGMA_XY, map(t_machine, thetas)), (h_transfers, gains, cls, haar))
+        for transfers, g, c, machines in pairs:
+            ones = [uncertainty_product(m, state) for m in machines]
+            _assert_stack_matches(uncertainty_products(transfers, g, c, state), ones, ones[0])
+            _assert_stack_matches(uncertainty_products(transfers[:0], g[:0], c, state), [], ones[0])
+
+
+def test_noise_functions_read_a_list_state_as_a_qubit_state():
+    """uncertainty_product, universal_clone_product and intrinsic_variance take a Bloch vector as a list,
+    as CloningMachine takes its probe, and refuse one outside the ball by the state's own rule."""
+    m, pole = t_machine(0.7), QubitState(np.array([0.0, 0.0, 1.0]))
+    assert uncertainty_product(m, [0, 0, 1]) == uncertainty_product(m, pole)
+    assert universal_clone_product([0, 0, 1]) == universal_clone_product(pole)
+    assert intrinsic_variance([0, 0, 1], S1) == intrinsic_variance(pole, S1) == 1.0
+    for call in (lambda s: uncertainty_product(m, s), universal_clone_product, lambda s: intrinsic_variance(s, S1)):
+        with pytest.raises(ValueError, match="^Bloch vector must lie inside the unit ball"):
+            call([0, 0, 2])
 
 
 def test_universal_transfers_match_the_projector_and_isometry_oracles(rng):

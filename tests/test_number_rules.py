@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from obsclone.classes import ClassKind, ObservableClass
+from obsclone.jointmeas import intrinsic_variance, uncertainty_product
 from obsclone.linalg import QubitState, as_matrix, is_unitary, pauli_rotation, tensor, unitary
 from obsclone.machines import (
     CNOT,
@@ -64,6 +65,8 @@ REAL_SITES = [
     ("SearchSpacePoint.gains", "gains", lambda v: SearchSpacePoint(Z3, Z3, Z3, Z3, v), [2, 3]),
     ("CloningMachine.gains", "gains", lambda v: CloningMachine(CNOT, KET0, ONE_PARAM, v), [1, 2]),
     ("heisenberg_lift.probe", "bloch", lambda v: heisenberg_lift(CNOT, v, S3, 1), [0, 0, 1]),
+    ("uncertainty_product.state", "bloch", lambda v: uncertainty_product(T, v), [0, 0, 1]),
+    ("intrinsic_variance.state", "bloch", lambda v: intrinsic_variance(v, S3), [0, 0, 1]),
     ("observable_from_list", "observable", observable_from_list, [0, 1, 2, 3]),
 ]
 

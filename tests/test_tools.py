@@ -53,16 +53,19 @@ def test_step_split_prints_each_part_of_a_step():
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():
     """tools/compare_outputs.py with this src as both trees runs the workloads'
-    commands, its 15 fixed commands and the criterion-5 searches, and finds
-    every output byte-identical, with no search, no verify and no compare differing."""
+    commands, its 23 fixed commands and the criterion-5 searches, and finds
+    every output byte-identical, with no search, no verify and no compare differing.
+    Its last line gives both trees' src/obsclone/*.py line count, as `wc -l` counts it."""
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), src, src],
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "718 of 718 outputs byte-identical, 0 differ" in done.stdout
+    assert "726 of 726 outputs byte-identical, 0 differ" in done.stdout
     assert "searches: 0 differ, 0 changed exit code or converged;" in done.stdout
     assert "verifies: 0 differ, 0 changed exit code or passed; largest defect change relative to its generator's norm 0\n" in done.stdout
     assert "compares: 0 differ, 0 changed exit code; largest relative change 0; keys moved: none\n" in done.stdout
     assert "differs" not in done.stdout
+    lines = sum(len(path.read_text().splitlines()) for path in (ROOT / "src" / "obsclone").glob("*.py"))
+    assert done.stdout.endswith(f"src lines: {lines} -> {lines}\n")

@@ -11,12 +11,13 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 15
+because `verify` reads the document that `build` wrote. It then runs 23
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
 for one-param and commuting classes scaled by 2**600 and 2**-600, a
 verify at --tol 1e-30, verifies of two machine documents whose unitary is
-not unitary (2·I, and one entry of 1e308), and a scan at theta = 1e308.
+not unitary (2·I, and one entry of 1e308), a scan at theta = 1e308, and
+`compare` and `scan` at pure, maximally mixed and just-past-the-sphere states.
 Last it runs the 22 exact searches of acceptance
 criterion 5 (tests/test_acceptance.py: classes drawn from rng 505,
 restarts 50, seed 0) and records each result as the JSON the `search`
@@ -38,11 +39,12 @@ command kind and sum up the differing searches: how many changed exit code or
 `converged`, how many `best_defect`s went down, stayed or went up, and their
 summed `evaluations`, old -> new. The line after sums up the differing
 verifies: how many changed exit code or `passed`, and their largest relative
-defect change; the closing line does the same for the differing compares, with
+defect change; the line after that does the same for the differing compares, with
 how many of them moved each key. So a change that should move only search
 floors, or verify defects or compare reports at rounding level, and no verdict,
 can be read off at a glance, and so can a speed-up that came from spending
-fewer evaluations.
+fewer evaluations. The last line gives the code size of each tree, the summed
+lines of its obsclone/*.py as `wc -l` counts them: `src lines: OLD -> NEW`.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ def fixed_commands(run_dir: Path):
     2**-600, and a verify whose tolerance no defect meets. Then the unitarity
     rule's error text: verifies of two documents, written here, whose unitary is
     2·I or the identity with one entry of 1e308; and a scan at the extreme angle 1e308.
+    The workloads draw every noise state inside radius 0.95, so last come compares and
+    scans at pure states, where an intrinsic variance of 0 clips the balancing angle, at
+    the maximally mixed state, and at a state 9e-13 past the sphere, read onto it.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -143,6 +148,10 @@ def fixed_commands(run_dir: Path):
         machine.write_text(json.dumps(doc))
         yield ["verify", str(machine)], None
     yield ["scan", "--theta-min", "1e308", "--theta-max", "1e308", "--steps", "3"], None
+    for state in ("1,0,0", "0,-1,0", "0,0,-1", "0,0,0", "0.6,0.8,0", "1.0000000000009,0,0"):
+        yield ["compare", f"--state={state}"], None
+    for state in ("0,1,0", "1.0000000000009,0,0"):
+        yield ["scan", f"--state={state}", "--steps", "3"], None
 
 
 def criterion_5_classes():
@@ -239,7 +248,13 @@ def main(argv: list[str]) -> int:
         f" largest relative change {compare_shift:.3g}; keys moved: "
         + (", ".join(f"{key} {n}" for key, n in sorted(compare_keys.items())) or "none")
     )
+    print("src lines: " + " -> ".join(str(source_lines(src)) for src in argv))
     return 1 if count else 0
+
+
+def source_lines(src: str) -> int:
+    """The lines of src/obsclone/*.py, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(src).glob("obsclone/*.py"))
 
 
 def search_change(a: list, b: list) -> tuple[str, bool, str, tuple[int, int]]:
