@@ -20,10 +20,12 @@ import numpy as np
 from .classes import class_from_dict
 from .jointmeas import (
     REFERENCE_UNIVERSAL_PRODUCT,
+    UNIVERSAL_GAINS,
     UNIVERSAL_TRANSFERS,
+    balancing_angle,
+    intrinsic_variance,
     uncertainty_products,
     uncertainty_to_dict,
-    universal_clone_product,
 )
 from .linalg import QubitState
 from .machines import (
@@ -38,6 +40,7 @@ from .machines import (
     report_to_dict,
     t_machine,
     t_machines,
+    tailored_machines,
     verify_approximate,
     verify_exact,
 )
@@ -59,6 +62,14 @@ def _fmt(x: float) -> str:
 
 def dumps(obj) -> str:
     """Minimal JSON emitter with reproducible 17-significant-digit floats."""
+    # Nearly every value has one of these exact types; the rules below take the rest, a subclass as its plain copy.
+    kind = type(obj)
+    if kind is float:
+        return _fmt(obj)
+    if kind is list or kind is tuple:
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if kind is dict:
+        return "{" + ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
     if obj is None:
         return "null"
     if obj is True:
@@ -73,10 +84,9 @@ def dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+        return dumps(dict(obj))
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
+        return dumps(list(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -179,25 +189,27 @@ def cmd_search(args) -> int:
 
 def cmd_compare(args) -> int:
     state = QubitState(_parse_floats(args.state, 3, "--state"))
-    universal = universal_clone_product(state)
     # Evaluate the tailored machines at their own balancing angle, kept away
     # from the singular endpoints where a gain diverges.
-    theta = float(np.clip(universal.optimal_theta, 1e-3, np.pi / 2 - 1e-3))
-    t, pc = t_machine(theta), phase_covariant_machine(theta)
-    # One report on the stack of both machines (class SIGMA_XY): entry 0 is the t-machine.
-    transfers, gains = np.array([t.transfers, pc.transfers]), np.array([t.gains, pc.gains])
-    tailored = uncertainty_products(transfers, gains, SIGMA_XY, state)
+    di1, di2 = (intrinsic_variance(state, x) for x in SIGMA_XY.generators)
+    theta = float(np.clip(balancing_angle(di1, di2), 1e-3, np.pi / 2 - 1e-3))
+    transfers, gains = tailored_machines(theta)
+    # One report on three machines of class SIGMA_XY: the t-machine, the phase-covariant machine, the universal cloner.
+    stack = np.concatenate((transfers, UNIVERSAL_TRANSFERS[None])), np.concatenate((gains, UNIVERSAL_GAINS[None]))
+    report = uncertainty_products(*stack, SIGMA_XY, state)
+    # Python floats, which dumps formats first; the machine-dependent fields are lists over the three machines.
+    fields = {k: v.tolist() if np.ndim(v) else v for k, v in uncertainty_to_dict(report).items()}
     payload = {
-        "state": [float(v) for v in state.bloch],
+        "state": state.bloch.tolist(),
         "optimal_theta": theta,
-        "observable_product": tailored.product[0],
-        "phase_covariant_product": tailored.product[1],
-        "universal_product": universal.product,
-        "observable_shrink_factor": [1.0 / g for g in t.gains],
-        "universal_shrink_factor": UNIVERSAL_TRANSFERS[0, 1, 1],
+        "observable_product": fields["product"][0],
+        "phase_covariant_product": fields["product"][1],
+        "universal_product": fields["product"][2],
+        "observable_shrink_factor": (1.0 / gains[0]).tolist(),
+        "universal_shrink_factor": UNIVERSAL_TRANSFERS[0, 1, 1].item(),
         "paper_reference_value": REFERENCE_UNIVERSAL_PRODUCT,
-        "observable_report": {k: v[0] if np.ndim(v) else v for k, v in uncertainty_to_dict(tailored).items()},
-        "universal_report": uncertainty_to_dict(universal),
+        "observable_report": {k: v[0] if type(v) is list else v for k, v in fields.items()},
+        "universal_report": {k: v[2] if type(v) is list else v for k, v in fields.items()},
     }
     _write(dumps(payload), args.out)
     return 0

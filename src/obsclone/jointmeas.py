@@ -105,20 +105,26 @@ def uncertainty_products(
         di.append(intrinsic_variance(state, x))
         dm.append(gains[..., b] * gains[..., b] * _variance(x, r[..., 0] + r[..., 1:] @ state.bloch))
     (di1, di2), (dm1, dm2) = di, dm
-    # The bound (sqrt(di1*di2) + 1)^2 and the balancing angle tan(theta)^4 = di1/di2.
-    di1c, di2c = max(di1, 0.0), max(di2, 0.0)
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(di1c, di2c)
     return UncertaintyReport(
         delta_i1=di1,
         delta_i2=di2,
         delta_m1=dm1,
         delta_m2=dm2,
         product=dm1 * dm2,
-        lower_bound=float((np.sqrt(di1c * di2c) + 1.0) ** 2),
+        lower_bound=float((np.sqrt(max(di1, 0.0) * max(di2, 0.0)) + 1.0) ** 2),
         theta=np.arctan2(gains[..., 0], gains[..., 1]),
-        optimal_theta=float(np.arctan(ratio**0.25)),
+        optimal_theta=balancing_angle(di1, di2),
     )
+
+
+def balancing_angle(di1: float, di2: float) -> float:
+    """The angle theta in [0, pi/2] with tan(theta)^4 = di1/di2, at which gains (1/cos, 1/sin) attain the bound.
+
+    di1 and di2 are the intrinsic variances of the measured pair; a rounding below 0 counts as 0.
+    """
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(max(di1, 0.0), max(di2, 0.0))
+    return float(np.arctan(ratio**0.25))
 
 
 def uncertainty_product(m: CloningMachine, state: QubitState) -> UncertaintyReport:

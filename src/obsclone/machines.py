@@ -400,6 +400,16 @@ def covariant_transport(m: CloningMachine, w) -> CloningMachine:
     return CloningMachine(_transport(m.unitary, w), m.probe, cls, m.gains)
 
 
+def _phase_covariant_unitary(thetas) -> np.ndarray:
+    """Unitaries (..., 4, 4) of the phase-covariant machines at finite angles: a rotation by theta of {|10>, |01>}."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    u = np.zeros(np.shape(c) + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = 1.0
+    u[..., 1, 1] = u[..., 2, 2] = c
+    u[..., 1, 2], u[..., 2, 1] = s, -s
+    return u
+
+
 def phase_covariant_machine(theta: float) -> CloningMachine:
     """Excitation-preserving cloner for {sigma1, sigma2}.
 
@@ -407,17 +417,18 @@ def phase_covariant_machine(theta: float) -> CloningMachine:
     and leaves |00> and |11> alone, so equatorial means are shared
     between the branches with the same (1/cos, 1/sin) gains as t_machine.
     """
-    _, c, s = _regular_angle(theta)
-    u = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    return CloningMachine(u, KET0, SIGMA_XY, (1.0 / c, 1.0 / s))
+    theta, c, s = _regular_angle(theta)
+    return CloningMachine(_phase_covariant_unitary(theta), KET0, SIGMA_XY, (1.0 / c, 1.0 / s))
+
+
+def tailored_machines(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices (2, 2, 4, 4) and gains (2, 2) of t_machine(theta), then phase_covariant_machine(theta).
+
+    One kernel call on the two unitaries; each entry equals that machine's transfers and gains bit for bit.
+    """
+    theta, c, s = _regular_angle(theta)
+    u = np.stack((_t_unitary(theta), _phase_covariant_unitary(theta)))
+    return transfer_matrices(u, KET0), np.array([(1.0 / c, 1.0 / s)] * 2)
 
 
 def machine_to_dict(m: CloningMachine) -> dict:

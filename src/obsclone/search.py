@@ -323,7 +323,11 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     of the squared defects of every branch and generator, with analytic
     gradients, within max_evals evaluations (its start's included) and
     until it scores below tol * 1e-3, and the search stops early once the
-    defect passes below tol. Floors that do not converge therefore sit at
+    defect passes below tol. Both are relative, as verify's tolerance is:
+    a defect is compared with tol times the largest Frobenius norm of a
+    generator's traceless part, the only part a machine can fail to copy,
+    so the verdict does not change when the class is scaled by a power of
+    two. Floors that do not converge therefore sit at
     the bottom of their basin, at their closed forms where one is known
     (sqrt(2) - 1 for sigma1/sigma2).
     """
@@ -333,7 +337,12 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     fun = _objective(cls, mode)
     bounds = _bounds(approximate)
     rng = np.random.default_rng(config.seed)
-    ftarget = config.tol * 1e-3
+    # That norm is norm * 2**top, norm taken on every traceless part divided by 2**top (unit_scaled), so a
+    # defect's ratio to it is the same at every power-of-two scale; _objective has refused parts whose norm
+    # could overflow. A class of identity multiples, whose every defect is 0, takes norm 1.
+    bloch, top = unit_scaled([v for g in cls.generators for v in g.coeffs[1:].tolist()])
+    norm = math.sqrt(2.0) * max(math.hypot(*bloch[i : i + 3]) for i in range(0, len(bloch), 3)) or 1.0
+    ftarget = config.tol * 1e-3 * math.ldexp(norm, top)
     best_x = None
     best_f = np.inf
     evals = 0
@@ -347,7 +356,8 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             best_x, best_f = x, f
-        if best_f < config.tol:
+        converged = math.ldexp(best_f, -top) / norm < config.tol
+        if converged:
             break
     if best_x is None:
         raise ValueError("no start gave a finite defect")
@@ -358,7 +368,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         restarts=performed,
         evaluations=evals,
         seed=config.seed,
-        converged=bool(best_f < config.tol),
+        converged=converged,
     )
 
 

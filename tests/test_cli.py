@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obsclone.cli import MAX_SCAN_STEPS, SCAN_BLOCK, _fmt, build_parser, dumps, main
-from obsclone.jointmeas import uncertainty_product
+from obsclone.jointmeas import uncertainty_product, uncertainty_to_dict, universal_clone_product
 from obsclone.linalg import QubitState
 from obsclone.machines import (
     VERIFY_TOL,
@@ -25,6 +25,7 @@ from obsclone.machines import (
     cnot_machine,
     machine_from_dict,
     machine_to_dict,
+    phase_covariant_machine,
     t_machine,
     verify_approximate,
     verify_exact,
@@ -850,6 +851,40 @@ class TestCompare:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert (code, err.getvalue()) == (0, ""), argv
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_payload_is_the_three_single_machine_reports_bit_for_bit(self, data):
+        """On accepted states (inside the ball, at the poles, the maximally mixed state and the shell
+        out to 1 + 1e-12), compare's one stacked report gives, with the same bits, the reports of
+        t_machine and phase_covariant_machine at the clipped balancing angle and of the universal cloner."""
+        kind = data.draw(st.sampled_from(["interior", "pole", "mixed", "shell"]))
+        if kind == "pole":
+            s = np.eye(3)[data.draw(st.integers(0, 2))] * data.draw(st.sampled_from([1.0, -1.0]))
+        elif kind == "mixed":
+            s = np.zeros(3)
+        else:
+            axis = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+            assume(np.linalg.norm(axis) > 1e-3)
+            radius = data.draw(st.floats(0.0, 1.0) if kind == "interior" else st.floats(1.0, 1.0 + 1e-12))
+            s = radius * axis / np.linalg.norm(axis)
+            assume(np.linalg.norm(s) <= 1.0 + 1e-12)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", "--state=" + ",".join(map(repr, s.tolist()))]) == 0
+        doc = json.loads(out.getvalue())
+        state = QubitState(s)
+        universal = universal_clone_product(state)
+        theta = doc["optimal_theta"]
+        assert theta == float(np.clip(universal.optimal_theta, 1e-3, np.pi / 2 - 1e-3))
+        t, pc = t_machine(theta), phase_covariant_machine(theta)
+        tailored, covariant = uncertainty_product(t, state), uncertainty_product(pc, state)
+        assert dumps(doc["observable_product"]) == dumps(float(tailored.product))
+        assert dumps(doc["phase_covariant_product"]) == dumps(float(covariant.product))
+        assert dumps(doc["universal_product"]) == dumps(float(universal.product))
+        assert dumps(doc["observable_shrink_factor"]) == dumps([1.0 / g for g in t.gains])
+        assert dumps(doc["observable_report"]) == dumps(uncertainty_to_dict(tailored))
+        assert dumps(doc["universal_report"]) == dumps(uncertainty_to_dict(universal))
 
     def test_universal_product_is_the_closed_form(self, capsys):
         """universal_product is (9/4 - s1^2)(9/4 - s2^2), the product perfbench checks, within

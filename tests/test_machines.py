@@ -42,6 +42,7 @@ from obsclone.machines import (
     report_to_dict,
     t_machine,
     t_machines,
+    tailored_machines,
     transfer_matrices,
     verify_approximate,
     verify_exact,
@@ -652,6 +653,25 @@ def test_phase_covariant_machine_matrix_structure():
         dtype=complex,
     )
     assert np.allclose(phase_covariant_machine(theta).unitary, expected, atol=1e-15)
+
+
+def test_tailored_machines_are_the_t_and_phase_covariant_machines_bit_for_bit(rng):
+    """tailored_machines(theta) stacks t_machine(theta)'s and phase_covariant_machine(theta)'s
+    transfers and gains, with the same bits, and refuses the same singular angles; the
+    phase-covariant unitary keeps the bytes of its written-out matrix."""
+    for theta in (0.0, np.pi / 2, -np.pi):
+        for build in (tailored_machines, t_machine, phase_covariant_machine):
+            with pytest.raises(SingularAngleError):
+                build(theta)
+    for theta in rng.uniform(-4.0, 4.0, 40).tolist() + [1e-3, np.pi / 2 - 1e-3, 0.3]:
+        transfers, gains = tailored_machines(theta)
+        assert transfers.shape == (2, 2, 4, 4) and gains.shape == (2, 2)
+        for r, g, m in zip(transfers, gains, (t_machine(theta), phase_covariant_machine(theta))):
+            assert r.tobytes() == m.transfers.tobytes()
+            assert tuple(g.tolist()) == m.gains
+        c, s = np.cos(theta), np.sin(theta)
+        written = np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex)
+        assert phase_covariant_machine(theta).unitary.tobytes() == written.tobytes()
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, 1.0])

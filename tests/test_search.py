@@ -596,18 +596,41 @@ def test_minimize_finds_the_smallest_enclosing_ball(centres, x0, bounds, centre,
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
     """sigma1/sigma2 scaled by 2**k searches to a finite floor. The tolerance is
-    absolute, so the tiny class converges at once and the huge one never does;
-    in exact mode the huge class ends at 2**k times the unscaled floor, at the same point."""
+    relative to the class's norm, so at either scale the search converges in
+    approximate mode and not in exact mode (with an absolute one the tiny class
+    converged at once and the huge one never did); in exact mode each ends at
+    2**k times the unscaled floor, at the same point."""
     scaled = ObservableClass(X_NC.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in X_NC.generators))
     config = SearchConfig(restarts=1, max_evals=300, seed=3)
     result = search_machine(scaled, mode, config)
     assert np.isfinite(result.best_defect)
-    assert result.converged is (k < 0)
-    if mode == "exact" and k > 0:
+    assert result.converged is (mode == "approximate")
+    if mode == "exact":
         plain = search_machine(X_NC, mode, config)
         assert result.best_defect == plain.best_defect * 2.0**k
         assert result.best_point.to_dict() == plain.best_point.to_dict()
         assert abs(plain.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
+
+
+def test_the_verdict_does_not_depend_on_the_class_scale():
+    """For every k = -600..600, the one-param class of (0.1, 0.7, -0.4, 0.5)
+    scaled by 2**k converges and sigma1/sigma2 scaled by 2**k does not: tol is
+    relative to the largest generator norm. tol = 0.25 lies below sigma1/sigma2's
+    relative floor (sqrt(2) - 1) / sqrt(2) = 0.29, and seed 1 brings the
+    one-param class below it within 20 evaluations, so a short budget decides
+    each search. At the default tol, the one-param class at 1e12 converges and
+    sigma1/sigma2 at 1e-9 does not; with an absolute tolerance it was the other
+    way round."""
+    config = SearchConfig(restarts=1, max_evals=20, seed=1, tol=0.25)
+    for k in range(-600, 601):
+        one = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.ldexp([0.1, 0.7, -0.4, 0.5], k)),))
+        pair = ObservableClass(X_NC.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in X_NC.generators))
+        assert search_machine(one, "exact", config).converged, k
+        assert not search_machine(pair, "exact", config).converged, k
+    big = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([0.0, 0.0, 0.0, 1e12])),))
+    assert search_machine(big, "exact", SearchConfig(restarts=10, seed=1)).converged
+    tiny = ObservableClass(X_NC.kind, tuple(Observable(1e-9 * g.coeffs) for g in X_NC.generators))
+    assert not search_machine(tiny, "exact", SearchConfig(restarts=3, seed=1)).converged
 
 
 def test_search_refuses_classes_whose_residuals_leave_the_float_range():

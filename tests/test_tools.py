@@ -28,6 +28,25 @@ def test_ab_search_finds_a_tree_identical_to_itself():
     assert re.search(r"^per workload seed: 1 \d\.\d{4}$", done.stdout, re.MULTILINE)
 
 
+def test_ab_cli_finds_a_tree_identical_to_itself():
+    """tools/ab_cli.py with this src as both trees runs the 100 cli-mix pool
+    commands of workload seed 1 in both copies and finds every output identical.
+    It prints, per command kind, the per-command ratios' median between their quartiles."""
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_cli.py"), src, src, "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "100 cli-mix commands, workload seeds 1," in done.stdout
+    assert "outputs: 100 identical, 0 differ" in done.stdout
+    assert "differs:" not in done.stdout
+    for kind in ("build", "verify", "scan", "compare"):
+        spread = re.search(rf"^{kind}: 25 commands, median ratio new/old (\S+), quartiles (\S+) (\S+)$", done.stdout, re.MULTILINE)
+        median, low, high = map(float, spread.groups())
+        assert low <= median <= high
+
+
 def test_step_split_prints_each_part_of_a_step():
     """tools/step_split.py on this src and workload seed 1 finds every wrapped
     run's result equal to the unwrapped run's and prints one line for each

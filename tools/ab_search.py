@@ -41,14 +41,14 @@ ROUNDS = 5
 TREES = ("old", "new")
 
 
-def load_trees(sources, tmp: Path) -> list:
-    """Copy each tree's obsclone package under tmp as obsclone_<name> and import it; return the copies' modules."""
+def load_trees(sources, tmp: Path, *modules: str) -> list:
+    """Copy each tree's obsclone package under tmp as obsclone_<name> and import it; return, per tree, the named modules of its copy."""
     sys.path.insert(0, str(tmp))
     trees = []
     for src, name in zip(sources, TREES):
         package = f"obsclone_{name}"
         shutil.copytree(Path(src) / "obsclone", tmp / package, ignore=shutil.ignore_patterns("__pycache__"))
-        trees.append((importlib.import_module(f"{package}.classes"), importlib.import_module(f"{package}.search")))
+        trees.append(tuple(importlib.import_module(f"{package}.{module}") for module in modules))
     return trees
 
 
@@ -63,7 +63,7 @@ def main(argv: list[str]) -> int:
     clock = time.perf_counter_ns
     spent, differ, labels = [[], []], [], []
     with tempfile.TemporaryDirectory(prefix="ab_search_") as tmp:
-        trees = load_trees(argv[:2], Path(tmp))
+        trees = load_trees(argv[:2], Path(tmp), "classes", "search")
         for label, doc, mode, args in searches(seeds):
             runs = [(search.search_machine, classes.class_from_dict(doc), search.SearchConfig(*args)) for classes, search in trees]
             best, results = [None, None], [None, None]
