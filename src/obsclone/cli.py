@@ -165,11 +165,13 @@ def cmd_scan(args) -> int:
     for start in range(0, args.steps, SCAN_BLOCK):
         block = thetas[start : start + SCAN_BLOCK]
         transfers, gains, singular = t_machines(block)
-        warnings += [f"warning: skipping singular angle theta={_fmt(theta)}\n" for theta in block[singular].tolist()]
+        if singular.any():
+            warnings += [f"warning: skipping singular angle theta={_fmt(theta)}\n" for theta in block[singular].tolist()]
+            block, transfers, gains = block[~singular], transfers[~singular], gains[~singular]
         # The report's checks are the rows' finiteness check (the angles are finite by the range check).
         # An all-singular block leaves an empty stack, which passes them.
-        report = uncertainty_products(transfers[~singular], gains[~singular], SIGMA_XY, state)
-        columns = np.stack((block[~singular], report.delta_m1, report.delta_m2, report.product))
+        report = uncertainty_products(transfers, gains, SIGMA_XY, state)
+        columns = np.stack((block, report.delta_m1, report.delta_m2, report.product))
         # The intrinsic variances and the bound depend on the state alone; "%.17g" is _fmt's format.
         row = f"%.17g,{_fmt(report.delta_i1)},{_fmt(report.delta_i2)},%.17g,%.17g,%.17g,{_fmt(report.lower_bound)}"
         lines += [row % values for values in zip(*columns.tolist())]
@@ -215,7 +217,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by command name, the sub-parser it hands the rest of the arguments to."""
     parser = argparse.ArgumentParser(
         prog="obsclone",
         description="Build, verify, and search cloning machines for qubit observable classes.",
@@ -262,17 +265,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--state", default="0,0,1", help="input Bloch vector s1,s2,s3")
     p_compare.set_defaults(func=cmd_compare)
 
-    return parser
+    return parser, {"build": p_build, "verify": p_verify, "scan": p_scan, "search": p_search, "compare": p_compare}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call; parse_args fills a fresh namespace every time."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers main uses, built on its first call; each parse fills a fresh namespace."""
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, in one parse when argv[0] names a command.
+
+    The full parser hands what follows a command name to that command's parser and reports what
+    it leaves over; reading it with the command's parser alone gives the same texts and exit codes.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as exc:

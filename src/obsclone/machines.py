@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -170,15 +170,18 @@ def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
     (b = 0) and I (x) sigma_j on branch 2, so the lift of X on branch b + 1 is X.coeffs @ R[b].
     With W = U E, E = probe.kraus_columns (4 x 2r; r = 1 for a pure probe, 2 for a mixed one), R[b, j, k]
     is sum_m tr[sigma_k W_m† M W_m] / 2, the W_m† M W_m being the even and the odd rows and columns of
-    W† M W. A stack of unitaries (..., 4, 4) gives R of shape (..., 2, 4, 4). Every matrix goes through
-    the same products and sums whatever the stack, so stacked and single calls agree bit for bit.
+    W† M W. A stack of unitaries (..., 4, 4) gives R of shape (..., 2, 4, 4). A product whose other
+    operand the stack shares (E, the branch row, the Pauli read-out) runs as one 2-D product over the
+    flattened stack; only the product by W is batched. Every matrix goes through the same products
+    and sums whatever the stack, so stacked and single calls agree bit for bit.
     """
     batch, e = u.shape[:-2], probe.kraus_columns
-    w, cols = u @ e, e.shape[1]
-    left = np.swapaxes((dagger(w) @ _BRANCH_ROW).reshape(batch + (cols, 8, 4)), -3, -2)
+    cols = e.shape[1]
+    w = (u.reshape(-1, 4) @ e).reshape(batch + (4, cols))
+    left = np.swapaxes((dagger(w).reshape(-1, 4) @ _BRANCH_ROW).reshape(batch + (cols, 8, 4)), -3, -2)
     x = (left.reshape(batch + (8 * cols, 4)) @ w).reshape(batch + (8, cols, cols))
     x = x[..., ::2, ::2] + x[..., 1::2, 1::2] if cols == 4 else x
-    return (x.reshape(batch + (8, 4)).view(float) @ _PAULI_READ).reshape(batch + (2, 4, 4))
+    return (x.reshape(-1, 4).view(float) @ _PAULI_READ).reshape(batch + (2, 4, 4))
 
 
 def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observable:
@@ -315,13 +318,15 @@ def entangling_kernel(t1, t2, t3) -> np.ndarray:
     The three generators commute and square to the identity, so the
     exponential is the product of cos(t/2) I + i sin(t/2) G over them.
     Arrays of angles give a stack (..., 4, 4) whose matrices equal the
-    single-angle ones bit for bit.
+    single-angle ones bit for bit. The product starts from the first
+    factor, and a third angle that is a scalar zero (the t-family's) leaves
+    its identity factor out; either way every bit, signed zeros included,
+    is that of the full product I f1 f2 f3. A zero first angle keeps its
+    factor: leaving it out can flip the sign of a zero entry.
     """
-    out = _EYE4
-    for t, g in zip((t1, t2, t3), _COUPLINGS):
-        half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
-        out = out @ (np.cos(half) * _EYE4 + 1j * np.sin(half) * g)
-    return out
+    angles = (t1, t2) if np.ndim(t3) == 0 and t3 == 0 else (t1, t2, t3)
+    halves = (0.5 * np.asarray(t, dtype=float)[..., None, None] for t in angles)
+    return reduce(np.matmul, (np.cos(h) * _EYE4 + 1j * np.sin(h) * g for h, g in zip(halves, _COUPLINGS)))
 
 
 def _gain_angles(thetas):

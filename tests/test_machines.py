@@ -128,16 +128,18 @@ def test_transfer_matrices_match_an_independent_oracle(rng):
 
 def test_stacked_transfer_matrices_equal_single_calls_bit_for_bit(rng):
     """A stack of Haar unitaries with a mixed probe gives, matrix by matrix, the
-    bits of one call per unitary, and both agree with the loop partial trace. So do
-    stacks of seven with each edge probe of both rank paths."""
+    bytes of one call per unitary, and both agree with the loop partial trace. So do
+    stacks of seven, and 2 x 3 grids, with each edge probe of both rank paths and a
+    pure probe 9e-13 past the sphere. Bytes, because array_equal cannot see a signed zero."""
     eye = np.eye(2)
-    cases = [(n, random_state(rng, radius=0.9)) for n in (1, 2, 7, 33)] + [(7, QubitState(b)) for b in _edge_blochs(rng)]
+    edges = [QubitState(b) for b in _edge_blochs(rng)] + [QubitState([1.0000000000009, 0.0, 0.0])]
+    cases = [(n, random_state(rng, radius=0.9)) for n in (1, 2, 7, 33)] + [(7, probe) for probe in edges]
     for n, probe in cases:
         us = np.array([random_unitary(rng, 4) for _ in range(n)])
         stacked = transfer_matrices(us, probe)
         assert stacked.shape == (n, 2, 4, 4)
         for u, r in zip(us, stacked):
-            assert np.array_equal(r, transfer_matrices(u, probe))
+            assert r.tobytes() == transfer_matrices(u, probe).tobytes()
         u = us[-1]
         for b in range(2):
             for j, sj in enumerate(PAULIS):
@@ -145,18 +147,27 @@ def test_stacked_transfer_matrices_equal_single_calls_bit_for_bit(rng):
                 lift = ptrace_loop(np.kron(eye, probe.density) @ u.conj().T @ m @ u, keep=1)
                 want = [0.5 * np.trace(sk @ lift).real for sk in PAULIS]
                 assert np.allclose(stacked[-1, b, j], want, rtol=0.0, atol=1e-12)
-    grid = np.array([random_unitary(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-    probe = random_state(rng)
-    assert np.array_equal(transfer_matrices(grid, probe).reshape(6, 2, 4, 4), transfer_matrices(grid.reshape(6, 4, 4), probe))
+    for probe in [random_state(rng)] + edges:
+        grid = np.array([random_unitary(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        stacked = transfer_matrices(grid, probe)
+        assert stacked.shape == (2, 3, 2, 4, 4)
+        singles = np.array([transfer_matrices(u, probe) for u in grid.reshape(6, 4, 4)])
+        assert stacked.tobytes() == singles.tobytes()
+
+
+def _reference_kernel(t1, t2, t3):
+    """entangling_kernel as it was first written: I f1 f2 f3, every factor multiplied, the identity first."""
+    couplings = (tensor(SIGMA1, SIGMA1), tensor(SIGMA2, SIGMA2), tensor(SIGMA3, SIGMA3))
+    out = np.eye(4, dtype=complex)
+    for t, g in zip((t1, t2, t3), couplings):
+        half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
+        out = out @ (np.cos(half) * np.eye(4, dtype=complex) + 1j * np.sin(half) * g)
+    return out
 
 
 def _reference_t_unitary(theta):
-    """t_machine's unitary as the scalar product of the three kernel factors, one angle at a time."""
-    couplings = (tensor(SIGMA1, SIGMA1), tensor(SIGMA2, SIGMA2), tensor(SIGMA3, SIGMA3))
-    out = np.eye(4, dtype=complex)
-    for t, g in zip((theta, -theta, 0.0), couplings):
-        out = out @ (np.cos(0.5 * t) * np.eye(4, dtype=complex) + 1j * np.sin(0.5 * t) * g)
-    return tensor(SIGMA0, PAULI_FLIP) @ out
+    """t_machine's unitary as the flip on the probe times the full product of the three kernel factors."""
+    return tensor(SIGMA0, PAULI_FLIP) @ _reference_kernel(theta, -theta, 0.0)
 
 
 def test_t_machines_rows_are_t_machine_bit_for_bit(rng):
@@ -207,6 +218,31 @@ def test_transfers_are_the_kernel_on_the_machines_unitary_and_probe(rng):
         assert m.transfers is r
         with pytest.raises(ValueError):
             r[0, 0, 0] = 2.0
+
+
+ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(ANGLE, ANGLE, ANGLE)
+@example(0.0, 0.0, 0.0)
+@example(-0.0, -0.0, -0.0)
+@example(0.0, 1e308, 0.0)
+@example(-0.0, 5e-324, -0.0)
+@example(5e-324, -5e-324, 0.0)
+@example(1e308, -1e308, 0.0)
+@example(-1e308, 0.0, -0.0)
+@example(np.pi / 2, -np.pi / 2, 0.0)
+@example(0.7, -0.7, 5e-324)
+@settings(max_examples=300, deadline=None)
+def test_entangling_kernel_is_the_full_three_factor_product_bit_for_bit(t1, t2, t3):
+    """Starting from the first factor, and leaving out the factor of a scalar zero third angle, keeps
+    every byte of I f1 f2 f3, signed zeros included: on scalar angles, on stacks with a scalar or a
+    stacked third angle, and on the t-family's (theta, -theta, 0) stacks."""
+    assert entangling_kernel(t1, t2, t3).tobytes() == _reference_kernel(t1, t2, t3).tobytes()
+    a, b = np.array([t1, t2, t3, -t1]), np.array([[t2], [t3], [-t1]])
+    for third in (t3, 0.0, -0.0, np.full(4, t3), np.zeros(4)):
+        assert entangling_kernel(a, b, third).tobytes() == _reference_kernel(a, b, third).tobytes()
+    assert entangling_kernel(a, -a, 0.0).tobytes() == _reference_kernel(a, -a, 0.0).tobytes()
 
 
 def test_entangling_kernel_broadcasts_bit_for_bit(rng):

@@ -1,5 +1,7 @@
 """Smoke tests of the scripts under tools/: each runs and reports what it claims."""
 
+import importlib.util
+import math
 import re
 import subprocess
 import sys
@@ -72,8 +74,8 @@ def test_step_split_prints_each_part_of_a_step():
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():
     """tools/compare_outputs.py with this src as both trees runs the workloads'
-    commands, its 23 fixed commands and the criterion-5 searches, and finds
-    every output byte-identical, with no search, no verify and no compare differing.
+    commands, its 34 fixed commands and the criterion-5 searches, and finds
+    every output byte-identical, with no search, no verify, no compare and no scan differing.
     Its last line gives both trees' src/obsclone/*.py line count, as `wc -l` counts it."""
     src = str(ROOT / "src")
     done = subprocess.run(
@@ -81,10 +83,30 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "726 of 726 outputs byte-identical, 0 differ" in done.stdout
+    assert "737 of 737 outputs byte-identical, 0 differ" in done.stdout
     assert "searches: 0 differ, 0 changed exit code or converged;" in done.stdout
     assert "verifies: 0 differ, 0 changed exit code or passed; largest defect change relative to its generator's norm 0\n" in done.stdout
     assert "compares: 0 differ, 0 changed exit code; largest relative change 0; keys moved: none\n" in done.stdout
+    assert "scans: 0 differ, 0 changed exit code; largest relative change of a dm1, dm2 or product cell 0\n" in done.stdout
     assert "differs" not in done.stdout
     lines = sum(len(path.read_text().splitlines()) for path in (ROOT / "src" / "obsclone").glob("*.py"))
     assert done.stdout.endswith(f"src lines: {lines} -> {lines}\n")
+
+
+def test_compare_outputs_sums_up_a_moved_scan():
+    """A scan whose product cell moved reports that relative change with its exit code unchanged;
+    one that stopped printing its table, or whose rows moved, reports an infinite change."""
+    spec = importlib.util.spec_from_file_location("compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    header = "theta,di1,di2,dm1,dm2,product,bound\n"
+    old = [["scan"], 0, header + "0.5,0,1,0.25,4,2,1\n", "", None]
+    moved = [["scan"], 0, header + "0.5,0,1,0.25,4,2.5,1\n", "", None]
+    assert tool.scan_change(old, moved) == ("exit code unchanged, largest relative change of a dm1, dm2 or product cell 0.25", False, 0.25)
+    refused = [["scan"], 2, "", "error: measured product violates the joint-measurement bound\n", None]
+    note, code_moved, shift = tool.scan_change(old, refused)
+    assert note.startswith("exit code 0 -> 2,") and code_moved and shift == math.inf
+    shifted = [["scan"], 0, header + "0.6,0,1,0.25,4,2,1\n", "", None]
+    assert tool.scan_change(old, shifted)[2] == math.inf
+    written = [["scan"], 0, "", "", (header + "0.5,0,1,0.25,4,2,1\n").encode().hex()]
+    assert tool.scan_change(old, written)[2] == 0.0

@@ -11,13 +11,15 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 23
+because `verify` reads the document that `build` wrote. It then runs 34
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
 for one-param and commuting classes scaled by 2**600 and 2**-600, a
 verify at --tol 1e-30, verifies of two machine documents whose unitary is
-not unitary (2·I, and one entry of 1e308), a scan at theta = 1e308, and
-`compare` and `scan` at pure, maximally mixed and just-past-the-sphere states.
+not unitary (2·I, and one entry of 1e308), a scan at theta = 1e308,
+`compare` and `scan` at pure, maximally mixed and just-past-the-sphere states,
+and eleven single-angle scans within 1e-4 of a singular angle at the state on
+the measured axis, where the noise report cancels (ROADMAP item 19).
 Last it runs the 22 exact searches of acceptance
 criterion 5 (tests/test_acceptance.py: classes drawn from rng 505,
 restarts 50, seed 0) and records each result as the JSON the `search`
@@ -34,14 +36,18 @@ change of a defect relative to that generator's Frobenius norm, read off the
 machine document that the tree's last `build` to that path wrote. Each
 differing `compare` says whether its exit code is unchanged, names the payload
 keys that moved (dotted, so `universal_report.product`) and gives the largest
-relative change among them. The last lines count the differing outputs per
+relative change among them. Each differing `scan` says whether its exit code is
+unchanged and gives the largest relative change among its rows' dm1, dm2 and
+product cells; a table that cannot be read, or whose rows or angles moved,
+counts as an infinite change. The last lines count the differing outputs per
 command kind and sum up the differing searches: how many changed exit code or
 `converged`, how many `best_defect`s went down, stayed or went up, and their
 summed `evaluations`, old -> new. The line after sums up the differing
 verifies: how many changed exit code or `passed`, and their largest relative
 defect change; the line after that does the same for the differing compares, with
-how many of them moved each key. So a change that should move only search
-floors, or verify defects or compare reports at rounding level, and no verdict,
+how many of them moved each key, and the next for the differing scans. So a change
+that should move only search floors, or verify defects, compare reports or scan
+rows at rounding level, and no verdict,
 can be read off at a glance, and so can a speed-up that came from spending
 fewer evaluations. The last line gives the code size of each tree, the summed
 lines of its obsclone/*.py as `wc -l` counts them: `src lines: OLD -> NEW`.
@@ -122,9 +128,12 @@ def fixed_commands(run_dir: Path):
     2**-600, and a verify whose tolerance no defect meets. Then the unitarity
     rule's error text: verifies of two documents, written here, whose unitary is
     2·I or the identity with one entry of 1e308; and a scan at the extreme angle 1e308.
-    The workloads draw every noise state inside radius 0.95, so last come compares and
+    The workloads draw every noise state inside radius 0.95, so then come compares and
     scans at pure states, where an intrinsic variance of 0 clips the balancing angle, at
-    the maximally mixed state, and at a state 9e-13 past the sphere, read onto it.
+    the maximally mixed state, and at a state 9e-13 past the sphere, read onto it. Last
+    come single-angle scans 1.01e-6 to 8.5e-5 from a singular angle, above 0 at (1, 0, 0)
+    and below pi/2 at (0, -1, 0), where a variance cancels and a valid row can be refused
+    as below the bound; the last one, with its angle as written, is refused so.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -152,6 +161,12 @@ def fixed_commands(run_dir: Path):
         yield ["compare", f"--state={state}"], None
     for state in ("0,1,0", "1.0000000000009,0,0"):
         yield ["scan", f"--state={state}", "--steps", "3"], None
+    for state, end, sign in (("1,0,0", 0.0, 1.0), ("0,-1,0", math.pi / 2, -1.0)):
+        for offset in (1.01e-6, 3e-6, 1e-5, 3e-5, 8.5e-5):
+            theta = repr(end + sign * offset)
+            yield ["scan", f"--state={state}", f"--theta-min={theta}", f"--theta-max={theta}", "--steps", "1"], None
+    theta = "1.5707113155272596"
+    yield ["scan", "--state=0,-1,0", f"--theta-min={theta}", f"--theta-max={theta}", "--steps", "1"], None
 
 
 def criterion_5_classes():
@@ -200,9 +215,9 @@ def main(argv: list[str]) -> int:
         return 2
     fields = ("exit code", "stdout", "stderr", "--out bytes")
     total, differ, moves, compare_keys = Counter(), Counter(), Counter(), Counter()
-    verdicts = verify_verdicts = compare_codes = 0
+    verdicts = verify_verdicts = compare_codes = scan_codes = 0
     evaluations = [0, 0]
-    verify_shift = compare_shift = 0.0
+    verify_shift = compare_shift = scan_shift = 0.0
     documents = {}
     for a, b in zip(old, new):
         kind = a[0][0]
@@ -230,6 +245,11 @@ def main(argv: list[str]) -> int:
                 compare_keys.update(keys)
                 compare_shift = max(compare_shift, shift)
                 line += f" [{note}]"
+            elif kind == "scan":
+                note, code_moved, shift = scan_change(a, b)
+                scan_codes += code_moved
+                scan_shift = max(scan_shift, shift)
+                line += f" [{note}]"
             print(line)
     count = sum(differ.values())
     print(f"{len(old) - count} of {len(old)} outputs byte-identical, {count} differ")
@@ -247,6 +267,10 @@ def main(argv: list[str]) -> int:
         f"compares: {differ['compare']} differ, {compare_codes} changed exit code;"
         f" largest relative change {compare_shift:.3g}; keys moved: "
         + (", ".join(f"{key} {n}" for key, n in sorted(compare_keys.items())) or "none")
+    )
+    print(
+        f"scans: {differ['scan']} differ, {scan_codes} changed exit code;"
+        f" largest relative change of a dm1, dm2 or product cell {scan_shift:.3g}"
     )
     print("src lines: " + " -> ".join(str(source_lines(src)) for src in argv))
     return 1 if count else 0
@@ -321,6 +345,35 @@ def compare_change(a: list, b: list) -> tuple[str, bool, list[str], float]:
     return ", ".join(notes), a[1] != b[1], moved, shift
 
 
+def scan_change(a: list, b: list) -> tuple[str, bool, float]:
+    """How a scan record changed: a note, whether its exit code moved, and the largest change of a dm1, dm2 or product cell.
+
+    A cell's change is |new - old| / |old|. A table that cannot be read in either tree, or whose
+    rows differ in number or in their angles, moves with an infinite change.
+    """
+    tables = [scan_rows(r) for r in (a, b)]
+    notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
+    was, now = tables
+    if None in tables or [row[0] for row in was] != [row[0] for row in now]:
+        shift = math.inf
+    else:
+        cells = [(x, y) for old, new in zip(was, now) for x, y in zip(old[1:], new[1:]) if x != y]
+        shift = max((abs(y - x) / abs(x) if x else math.inf for x, y in cells), default=0.0)
+    notes.append(f"largest relative change of a dm1, dm2 or product cell {shift:.3g}")
+    return ", ".join(notes), a[1] != b[1], shift
+
+
+def scan_rows(record: list) -> list[list[float]] | None:
+    """The theta, dm1, dm2 and product cells of each row of a scan record's CSV, or None if it has no table."""
+    lines = output_text(record).splitlines()
+    if not lines or lines[0] != "theta,di1,di2,dm1,dm2,product,bound":
+        return None
+    try:
+        return [[float(cell) for i, cell in enumerate(line.split(",")) if i in (0, 3, 4, 5)] for line in lines[1:]]
+    except ValueError:
+        return None
+
+
 def leaves(doc, prefix: str = "") -> dict:
     """The leaves of a JSON document by dotted path, list entries by their index."""
     if not isinstance(doc, (dict, list)):
@@ -332,11 +385,15 @@ def leaves(doc, prefix: str = "") -> dict:
     return out
 
 
+def output_text(record: list) -> str:
+    """What a record's command wrote to its --out file, or else printed."""
+    return bytes.fromhex(record[4]).decode() if record[4] is not None else record[2]
+
+
 def payload(record: list) -> dict | None:
     """The JSON a search, verify or compare record wrote to its --out file, or else printed."""
-    text = bytes.fromhex(record[4]).decode() if record[4] is not None else record[2]
     try:
-        return json.loads(text)
+        return json.loads(output_text(record))
     except ValueError:
         return None
 
