@@ -62,7 +62,7 @@ def _fmt(x: float) -> str:
 
 def dumps(obj) -> str:
     """Minimal JSON emitter with reproducible 17-significant-digit floats."""
-    # Nearly every value has one of these exact types; the rules below take the rest, a subclass as its plain copy.
+    # One rule per JSON type, on exact Python types; payload builders convert numpy values, so those and subclasses raise.
     kind = type(obj)
     if kind is float:
         return _fmt(obj)
@@ -76,18 +76,12 @@ def dumps(obj) -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, str):
+    if kind is str:
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, dict):
-        return dumps(dict(obj))
-    if isinstance(obj, (list, tuple)):
-        return dumps(list(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is int:
+        return str(obj)
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -199,8 +193,8 @@ def cmd_compare(args) -> int:
     # One report on three machines of class SIGMA_XY: the t-machine, the phase-covariant machine, the universal cloner.
     stack = np.concatenate((transfers, UNIVERSAL_TRANSFERS[None])), np.concatenate((gains, UNIVERSAL_GAINS[None]))
     report = uncertainty_products(*stack, SIGMA_XY, state)
-    # Python floats, which dumps formats first; the machine-dependent fields are lists over the three machines.
-    fields = {k: v.tolist() if np.ndim(v) else v for k, v in uncertainty_to_dict(report).items()}
+    # The machine-dependent fields are lists over the three machines.
+    fields = uncertainty_to_dict(report)
     payload = {
         "state": state.bloch.tolist(),
         "optimal_theta": theta,
@@ -272,10 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers main uses, built on its first call; each parse fills a fresh namespace."""
-    return _build_parsers()
+# The parsers main uses, built on its first call; each parse fills a fresh namespace.
+_parsers = functools.cache(_build_parsers)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -99,7 +99,8 @@ def uncertainty_products(
     state = state if isinstance(state, QubitState) else QubitState(state)
     di, dm = [], []
     for b, x in enumerate(cls.generators):
-        if abs(x.coeffs[0]) > 1e-12 or abs(np.linalg.norm(x.bloch) - 1.0) > 1e-12:
+        # |a|^2 is what _variance subtracts from, so each intrinsic variance is at most 1 + 1e-12 at every state.
+        if abs(x.coeffs[0]) > 1e-12 or abs(float(x.bloch @ x.bloch) - 1.0) > 1e-12:
             raise ValueError("generators must be unit-norm traceless observables")
         r = transfers[..., b, 1:, :]  # branch b's reduced Bloch vectors are R_b[1:, 0] + R_b[1:, 1:] s
         di.append(intrinsic_variance(state, x))
@@ -151,4 +152,5 @@ def universal_clone_product(state: QubitState) -> UncertaintyReport:
 
 
 def uncertainty_to_dict(r: UncertaintyReport) -> dict:
-    return {f.name: getattr(r, f.name) for f in fields(r)}
+    """The report's fields as Python floats, or as lists of them over a stack of machines."""
+    return {f.name: np.asarray(getattr(r, f.name)).tolist() for f in fields(r)}

@@ -113,6 +113,7 @@ class SearchConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
         if not (is_real(self.tol) and self.tol > 0):
             raise ValueError("tol must be a positive real")
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 @dataclass(frozen=True, eq=False)

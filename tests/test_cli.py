@@ -17,25 +17,41 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obsclone.cli import MAX_SCAN_STEPS, SCAN_BLOCK, _fmt, build_parser, dumps, main
-from obsclone.jointmeas import uncertainty_product, uncertainty_to_dict, universal_clone_product
+from obsclone.jointmeas import uncertainty_product, uncertainty_products, uncertainty_to_dict, universal_clone_product
 from obsclone.linalg import QubitState
 from obsclone.machines import (
+    SIGMA_XY,
     VERIFY_TOL,
     SingularAngleError,
     cnot_machine,
     machine_from_dict,
     machine_to_dict,
+    one_param_machine,
     phase_covariant_machine,
+    report_to_dict,
     t_machine,
+    tailored_machines,
     verify_approximate,
     verify_exact,
 )
 from obsclone.classes import class_from_dict, class_to_dict
 from obsclone.pauli import Observable
-from obsclone.search import MODES, SearchConfig
+from obsclone.search import MODES, SearchConfig, result_to_dict, search_machine
 from support import random_bloch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class Subdict(dict):
+    pass
+
+
+class Sublist(list):
+    pass
+
+
+class Substr(str):
+    pass
 
 
 def run_cli(capsys, *argv):
@@ -67,8 +83,59 @@ class TestFloatFormatting:
         assert parsed["y"]["z"] == 1 / 3
 
     def test_dumps_rejects_unknown_types(self):
-        with pytest.raises(TypeError):
-            dumps(object())
+        """dumps has one rule per exact Python type; numpy values and subclasses are the builders' to convert."""
+        values = [object(), np.float64(1.0), np.int64(1), np.bool_(True), np.zeros(2), Subdict(a=1), Sublist([1]), Substr()]
+        for value in values:
+            for obj in (value, {"nested": [value]}):
+                with pytest.raises(TypeError, match="cannot serialize"):
+                    dumps(obj)
+
+
+def _assert_python_leaves(payload, path="payload"):
+    """Every leaf of payload is exactly float, int, str, bool or None, inside lists, tuples and str-keyed dicts."""
+    kind = type(payload)
+    if kind is list or kind is tuple:
+        for i, value in enumerate(payload):
+            _assert_python_leaves(value, f"{path}[{i}]")
+    elif kind is dict:
+        for key, value in payload.items():
+            assert type(key) is str, f"{path} has a {type(key).__name__} key"
+            _assert_python_leaves(value, f"{path}[{key!r}]")
+    else:
+        assert kind in (float, int, str, bool, type(None)), f"{path} is a {kind.__name__}"
+
+
+class TestPayloadTypes:
+    """Each payload builder converts numpy-typed inputs to Python types, so dumps and json.dumps both write it."""
+
+    @staticmethod
+    def _payloads():
+        state = QubitState(np.array([0.3, -0.4, 0.5]))
+        t = t_machine(np.float64(0.7))
+        transfers, gains = tailored_machines(np.float64(0.7))
+        klass = class_from_dict({"kind": "one-param", "generators": [[0, 0, 0, 1]]})
+        config = SearchConfig(np.int64(1), np.int64(60), np.uint64(3), np.float64(1e-6))
+        return {
+            "t machine": machine_to_dict(t),
+            "one-param machine": machine_to_dict(one_param_machine(Observable(np.array([0.25, 0.5, -1.0, 2.0])))),
+            "verification report": report_to_dict(verify_approximate(t, tol=np.float64(1e-10))),
+            "search result": result_to_dict(search_machine(klass, "exact", config)),
+            "noise report": uncertainty_to_dict(uncertainty_product(t, state)),
+            "stacked noise report": uncertainty_to_dict(uncertainty_products(transfers, gains, SIGMA_XY, state)),
+        }
+
+    def test_every_builder_gives_python_types_that_dumps_writes_as_json_does(self):
+        for name, payload in self._payloads().items():
+            _assert_python_leaves(payload, name)
+            assert json.loads(dumps(payload)) == json.loads(json.dumps(payload)), name
+
+    def test_a_numpy_tolerance_gives_the_search_payload_of_a_python_one(self):
+        klass = class_from_dict({"kind": "one-param", "generators": [[0, 0, 0, 1]]})
+        payloads = [
+            dumps(result_to_dict(search_machine(klass, "exact", SearchConfig(1, 60, 3, tol))))
+            for tol in (np.float64(1e-6), 1e-6)
+        ]
+        assert payloads[0] == payloads[1]
 
 
 class TestBuild:

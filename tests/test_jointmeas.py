@@ -179,6 +179,35 @@ def test_uncertainty_product_validates_machine_and_class():
         uncertainty_product(bad, KET0)
 
 
+def test_a_generator_past_unit_norm_is_refused_at_every_state(rng):
+    """A generator with |a|^2 above 1 + 1e-12 is refused up front, whatever the state. |a| = 1 + 9e-13 is within
+    1e-12 of 1, but its |a|^2 gives an intrinsic variance past the report's [0, 1] rule at (0, 0, 1), not at (1, 0, 0)."""
+    t = t_machine(0.7)
+    wide = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.array([0.0, 1.0 + 9e-13, 0.0, 0.0])), S2))
+    machine = CloningMachine(t.unitary, t.probe, wide, t.gains)
+    for state in (QubitState([0.0, 0.0, 1.0]), QubitState([1.0, 0.0, 0.0]), random_state(rng)):
+        with pytest.raises(ValueError, match="generators must be unit-norm traceless observables"):
+            uncertainty_product(machine, state)
+
+
+def test_exactly_unit_generators_keep_their_report_bytes():
+    """sigma1 and sigma2 have |a|^2 = 1 exactly, so the unit rule passes them, and t_machine(0.7)'s reports keep
+    these pinned bits."""
+    assert all(float(x.bloch @ x.bloch) == 1.0 for x in SIGMA_XY.generators)
+    report = uncertainty_to_dict(uncertainty_product(t_machine(0.7), QubitState([0.0, 0.0, 1.0])))
+    assert {k: v.hex() for k, v in report.items()} == {
+        "delta_i1": "0x1.0000000000000p+0",
+        "delta_i2": "0x1.0000000000000p+0",
+        "delta_m1": "0x1.b59e7f1fc9e05p+0",
+        "delta_m2": "0x1.346be91853747p+1",
+        "product": "0x1.079d94541c324p+2",
+        "lower_bound": "0x1.0000000000000p+2",
+        "theta": "0x1.6666666666665p-1",
+        "optimal_theta": "0x1.921fb54442d18p-1",
+    }
+    assert uncertainty_product(t_machine(0.7), QubitState([1.0, 0.0, 0.0])).product.hex() == "0x1.b59e7f1fc9e0ep+0"
+
+
 def test_uncertainty_report_validation():
     with pytest.raises(ValueError):
         UncertaintyReport(1.0, 1.0, 2.0, 2.0, 5.0, 4.0, 0.7, 0.7)
