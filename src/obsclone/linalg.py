@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,37 +50,51 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
+def _unitary_verdict(a: np.ndarray):
+    """||a† a - I||_F < UNITARY_TOL per matrix of checked complex a (..., d, d), the norm by np.linalg.norm's formula."""
+    # Huge entries overflow the product; the non-finite norm compares false.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = dagger(a) @ a - np.eye(a.shape[-1])
+        return np.sqrt(np.add.reduce((d.conj() * d).real, axis=(-2, -1))) < UNITARY_TOL
+
+
 def is_unitary(m):
     """Whether ||m† m - I||_F < UNITARY_TOL; a stack (..., d, d) gets one verdict per matrix."""
     m = _complex_entries(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    # Huge entries overflow the product; the non-finite norm compares false.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) < UNITARY_TOL
+    return _unitary_verdict(m)
 
 
 def unitary(m, dim: int, name: str) -> np.ndarray:
     """as_matrix(m, dim) once it is unitary to UNITARY_TOL; otherwise a ValueError naming name."""
     a = as_matrix(m, dim)
-    if not is_unitary(a):
+    if not _unitary_verdict(a):
         raise ValueError(f"{name} must be unitary to {UNITARY_TOL:g}")
     return a
 
 
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 arrays, unchecked: its one product per entry, in one broadcast multiply."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators, signal on the left."""
-    return np.kron(as_matrix(a, 2), as_matrix(b, 2))
+    return kron2(as_matrix(a, 2), as_matrix(b, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class QubitState:
-    """Single-qubit density matrix stored as its Bloch vector s, rho = (I + s.sigma)/2."""
+    """Single-qubit density matrix stored as its Bloch vector s, rho = (I + s.sigma)/2.
+
+    name labels the vector in the error that a malformed one raises, as in reals."""
 
     bloch: np.ndarray
+    name: InitVar[str] = "bloch"
 
-    def __post_init__(self):
-        b = np.array(reals(self.bloch, "bloch", 3))
+    def __post_init__(self, name):
+        b = np.array(reals(self.bloch, name, 3))
         # Huge vectors fail the entry test before their norm overflows; a rounded pure state past the sphere goes onto it.
         norm = np.linalg.norm(b) if np.abs(b).max() <= 1.0 + 1e-12 else math.inf
         if norm > 1.0 + 1e-12:
@@ -135,11 +149,16 @@ def pauli_rotation(v) -> np.ndarray:
 
 def matrix_to_nested(m: np.ndarray) -> list:
     """Row-major nested lists with complex entries as [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def is_real(v) -> bool:
     """Whether v is a finite Python or numpy int or float; bool is an int subclass but not a real here."""
+    # float and int, the types json.load gives, are decided first.
+    kind = type(v)
+    if kind is float or kind is int:
+        return -sys.float_info.max <= v <= sys.float_info.max
     real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
     # A numpy scalar compares as the Python number it holds: a float32 cast of the float64 maximum would overflow.
     return real and abs(v.item() if isinstance(v, np.generic) else v) <= sys.float_info.max
@@ -181,5 +200,5 @@ def matrix_from_nested(data, name: str = "matrix") -> np.ndarray:
         for j, z in enumerate(row):
             if not (isinstance(z, list) and len(z) == 2 and is_real(z[0]) and is_real(z[1])):
                 raise ValueError(f"{name}[{i}][{j}] must be a [re, im] pair of finite real numbers")
-    pairs = np.array(data, dtype=float)
-    return as_matrix(pairs[..., 0] + 1j * pairs[..., 1])
+    # Each (re, im) pair is one complex number's memory; the view keeps the signs of zero parts.
+    return np.array(data, dtype=float).view(complex)[..., 0]

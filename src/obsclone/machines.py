@@ -27,6 +27,8 @@ from .linalg import (
     QubitState,
     dagger,
     integer,
+    is_real,
+    kron2,
     matrix_from_nested,
     matrix_to_nested,
     pauli_rotation,
@@ -215,6 +217,10 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
 
 
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
+    # +inf is a tolerance too: cloning_defect reads the defects of a report that need not pass.
+    if not (is_real(tol) and tol > 0 or isinstance(tol, (float, np.floating)) and tol == math.inf):
+        raise ValueError("tol must be a positive real number or inf")
+    tol = float(tol)
     gens = np.array([g.coeffs for g in m.observables.generators])
     per_branch = _defects(gens @ m.transfers, gens, np.array(gains)[:, None])
     defects = tuple(zip(*per_branch.tolist()))
@@ -224,7 +230,7 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
         math.ldexp(max(pair), -e) / (math.sqrt(2.0) * math.hypot(*v))
         for pair, (v, e) in zip(defects, map(unit_scaled, gens.tolist()))
     )
-    return VerificationReport(defects, worst, gains, relative < tol, float(tol), relative)
+    return VerificationReport(defects, worst, gains, relative < tol, tol, relative)
 
 
 def verify_exact(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:
@@ -280,7 +286,7 @@ def axis_rotation(a: Observable) -> np.ndarray:
 def _transport(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(W† (x) W†) U (W (x) I): the interaction U carried into the frame of W, a checked 2x2 unitary."""
     wd = dagger(w)
-    return np.kron(wd, wd) @ u @ np.kron(w, SIGMA0)
+    return kron2(wd, wd) @ u @ kron2(w, SIGMA0)
 
 
 def one_param_machine(a: Observable) -> CloningMachine:
@@ -452,7 +458,7 @@ def machine_from_dict(data) -> CloningMachine:
     if missing:
         raise ValueError(f"malformed machine document: missing {', '.join(missing)}")
     u = matrix_from_nested(data["unitary"], "unitary")
-    probe = QubitState(reals(data["probe_bloch"], "probe_bloch", 3))
+    probe = QubitState(data["probe_bloch"], "probe_bloch")
     return CloningMachine(u, probe, class_from_dict(data["class"]), data.get("gains"))
 
 

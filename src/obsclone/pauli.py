@@ -9,7 +9,7 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -25,12 +25,15 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian 2x2 operator as Pauli coefficients (a0, a1, a2, a3)."""
+    """Hermitian 2x2 operator as Pauli coefficients (a0, a1, a2, a3).
+
+    name labels the coefficients in the error that malformed ones raise, as in reals."""
 
     coeffs: np.ndarray
+    name: InitVar[str] = "coeffs"
 
-    def __post_init__(self):
-        c = np.array(reals(self.coeffs, "coeffs", 4))
+    def __post_init__(self, name):
+        c = np.array(reals(self.coeffs, name, 4))
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -103,4 +106,4 @@ def observable_to_list(x: Observable) -> list[float]:
 
 
 def observable_from_list(data, name: str = "observable") -> Observable:
-    return Observable(reals(data, name, 4))
+    return Observable(data, name)

@@ -2,10 +2,12 @@
 
 import contextlib
 import errno
+import functools
 import inspect
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from obsclone.cli import MAX_SCAN_STEPS, SCAN_BLOCK, _fmt, build_parser, dumps, 
 from obsclone.jointmeas import uncertainty_product, uncertainty_products, uncertainty_to_dict, universal_clone_product
 from obsclone.linalg import QubitState
 from obsclone.machines import (
+    OVERFLOW_MESSAGE,
     SIGMA_XY,
     VERIFY_TOL,
     SingularAngleError,
@@ -185,6 +188,30 @@ class TestBuild:
         assert excinfo.value.code == 2
 
 
+# The error line verify prints for a bad number at each field machine_from_dict reads.
+_FIELD_ERRORS = {
+    "unitary.1.2.0": "unitary[1][2] must be a [re, im] pair of finite real numbers",
+    "probe_bloch.1": "probe_bloch[1] must be a finite real number",
+    "class.generators.0.1": "generators[0][1] must be a finite real number",
+    "gains.1": "gains[1] must be a finite real number",
+}
+# (path of a value in a machine document, the JSON text put there, the error line): each field gets a bool, a
+# string, null, NaN, Infinity and 1e400, then each list the wrong length, then other malformed values.
+_BAD_NUMBERS = ("true", '"1"', "null", "NaN", "Infinity", "1e400")
+MALFORMED_DOCUMENTS = [(path, raw, line) for path, line in _FIELD_ERRORS.items() for raw in _BAD_NUMBERS] + [
+    ("unitary.1.2", "[0, 0, 0]", _FIELD_ERRORS["unitary.1.2.0"]),
+    ("probe_bloch", "[0, 0]", "probe_bloch must be a list of 3 real numbers"),
+    ("class.generators.0", "[0, 1, 0]", "generators[0] must be a list of 4 real numbers"),
+    ("gains", "[1]", "gains must be a list of 2 real numbers"),
+    ("unitary.1.2", "7", _FIELD_ERRORS["unitary.1.2.0"]),
+    ("unitary.1.2.0", "1" + "0" * 400, _FIELD_ERRORS["unitary.1.2.0"]),
+    ("unitary.1", "[]", "unitary must be a square list of rows of [re, im] pairs"),
+    ("probe_bloch", '"x"', "probe_bloch must be a list of 3 real numbers"),
+    ("gains", "5", "gains must be a list of 2 real numbers"),
+    ("gains", "[1e308, 1e308]", f"generators[0] under gains [1e+308, 1e+308]: {OVERFLOW_MESSAGE}"),
+]
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "family", ["cnot", "one-param", "commuting", "t", "phase-covariant"]
@@ -301,32 +328,16 @@ class TestVerify:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("gains", 5), ("gains", [1]), ("gains", ["a", 1]), ("gains", [1e308, 1e308]), ("probe_bloch", "x")],
+        "path, raw, line", MALFORMED_DOCUMENTS, ids=[f"{p}={r[:12]}" for p, r, _ in MALFORMED_DOCUMENTS]
     )
-    def test_malformed_machine_document_exits_2(self, capsys, tmp_path, field, value):
-        doc = machine_to_dict(cnot_machine())
-        doc[field] = value
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "verify", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
-        assert field in err
-
-    @pytest.mark.parametrize("entry", [[1, 2, 3], ["a", 0], [0, None], 7, [10**400, 0]])
-    def test_malformed_unitary_entry_is_named(self, capsys, tmp_path, entry):
-        doc = machine_to_dict(cnot_machine())
-        doc["unitary"][1][2] = entry
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "verify", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: unitary[1][2]")
-        assert err.count("\n") == 1
+    def test_malformed_machine_document_exits_2_naming_the_field(self, capsys, tmp_path, path, raw, line):
+        """raw, JSON text, replaces the value at path in t_machine(0.7)'s document; verify prints one error line."""
+        doc = machine_to_dict(t_machine(0.7))
+        *keys, last = (int(k) if k.isdigit() else k for k in path.split("."))
+        functools.reduce(operator.getitem, keys, doc)[last] = "@BAD@"
+        target = tmp_path / "malformed.json"
+        target.write_text(json.dumps(doc).replace('"@BAD@"', raw))
+        assert run_cli(capsys, "verify", str(target)) == (2, "", f"error: {line}\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_unitary_entry_is_refused_without_warnings(self, capsys, tmp_path):
@@ -623,6 +634,25 @@ def test_main_parses_as_the_full_parser_does(argv):
     want = _outcome(full_parse)
     assert _outcome(lambda: main(argv)) == want
     assert want[0] == 0 or (want[0] == 2 and "error:" in want[2])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", "t", "--theta", "-1e-3"], 0),
+        (["build", "commuting", "--obs", "0,0.3,0,0.4", "--b3", "-1e-1"], 0),
+        (["build", "one-param", "--obs", "-0.1,0.2,0.3,0.4"], 0),
+        (["scan", "--state", "-0.5,0,0", "--steps", "3"], 0),
+        (["compare", "--state", "-0.5,0,0"], 0),
+        (["verify", "never-read.json", "--tol", "-1e-3"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, code):
+    """argparse alone takes -1e-3 or -0.5,0,0 for an option; main reads it as the value of the option before it."""
+    want = _outcome(lambda: main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]))
+    assert want[0] == code and "expected one argument" not in want[2]
+    assert _outcome(lambda: main(argv)) == want
 
 
 def test_one_parser_serves_every_call_without_carrying_options_over(tmp_path):

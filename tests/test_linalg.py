@@ -1,5 +1,7 @@
 """Unit tests for the dense one- and two-qubit linear algebra layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from obsclone.linalg import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    UNITARY_TOL,
     QubitState,
     as_matrix,
     dagger,
@@ -17,6 +20,7 @@ from obsclone.linalg import (
     matrix_to_nested,
     pauli_rotation,
     tensor,
+    unitary,
 )
 from support import expm_oracle, ptrace_loop, random_state, random_unitary
 
@@ -58,6 +62,23 @@ def test_as_matrix_accepts_nested_lists():
     assert m.shape == (2, 2)
 
 
+def test_unitary_accepts_exactly_what_is_unitary_accepts(rng):
+    """Unitaries perturbed at scales around UNITARY_TOL: unitary(m, 4, name) returns m when is_unitary(m) holds and
+    raises otherwise, and the verdict is np.linalg.norm's Frobenius norm compared with UNITARY_TOL."""
+    verdicts = set()
+    for scale in np.geomspace(1e-3, 1e3, 61) * UNITARY_TOL:
+        m = random_unitary(rng, 4) + scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 8.0
+        accepted = bool(is_unitary(m))
+        assert accepted == (np.linalg.norm(dagger(m) @ m - np.eye(4)) < UNITARY_TOL)
+        if accepted:
+            assert np.array_equal(unitary(m, 4, "m"), m)
+        else:
+            with pytest.raises(ValueError, match="^m must be unitary"):
+                unitary(m, 4, "m")
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 def test_is_unitary(rng):
     u = random_unitary(rng, 4)
     assert is_unitary(u)
@@ -79,10 +100,16 @@ def test_dagger_is_conjugate_transpose(rng):
     assert np.array_equal(dagger(m), m.conj().T)
 
 
-def test_tensor_matches_kron(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(tensor(a, b), np.kron(a, b), atol=1e-15)
+def test_tensor_matches_kron_bit_for_bit(rng):
+    """Signed zeros, and entries near 1e±300 whose products overflow or underflow, included."""
+    for scale_a, scale_b in [(1.0, 1.0), (1e300, 1e300), (1e-300, 1e-300), (1e300, 1e-300), (1e-300, 1.0)]:
+        a = scale_a * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        b = scale_b * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        a[0, 1], b[1, 0], b[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got, want = tensor(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tensor_rejects_wrong_sizes():
@@ -193,7 +220,13 @@ def test_pauli_rotation_rejects_bad_input():
         pauli_rotation([np.inf, 0.0, 0.0])
 
 
-def test_matrix_nested_round_trip(rng):
+def test_matrix_nested_round_trip_is_bit_exact(rng):
+    """Signed zeros in the real and the imaginary parts survive both ways."""
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = matrix_from_nested(matrix_to_nested(m))
-    assert np.array_equal(back, m)
+    m[0, 0], m[1, 2], m[3, 1] = complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.5, -0.0)
+    nested = matrix_to_nested(m)
+    assert [math.copysign(1.0, x) for x in nested[0][0] + nested[1][2][:1] + nested[3][1][1:]] == [-1.0] * 4
+    assert nested == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    back = matrix_from_nested(nested)
+    assert back.dtype == complex and back.shape == (4, 4)
+    assert back.tobytes() == m.tobytes()

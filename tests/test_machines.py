@@ -442,6 +442,21 @@ def test_verify_compares_each_defect_with_its_generators_norm():
         assert verify_exact(machine, tol=np.nextafter(1.0, 2.0)).passed
 
 
+@pytest.mark.parametrize("tol", [True, "1e-10", -1.0, 0.0, math.nan, -math.inf, [1e-10], None])
+@pytest.mark.parametrize("verify", [verify_exact, verify_approximate])
+def test_verify_refuses_a_tolerance_that_is_not_a_positive_real(verify, tol):
+    with pytest.raises(ValueError, match=r"^tol must be a positive real number or inf$"):
+        verify(t_machine(0.7), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1, 0.5, np.float32(0.5), np.int64(1), 5e-324, math.inf, np.float64(np.inf)])
+@pytest.mark.parametrize("verify", [verify_exact, verify_approximate])
+def test_verify_stores_a_positive_real_or_inf_tolerance_as_a_float(verify, tol):
+    report = verify(t_machine(0.7), tol=tol)
+    assert type(report.tolerance) is float and report.tolerance == float(tol)
+    assert report.passed is (report.max_relative_defect < float(tol))
+
+
 def test_cnot_machine_verifies_exactly():
     report = verify_exact(cnot_machine(), tol=1e-10)
     assert report.passed
