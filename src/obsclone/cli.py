@@ -28,7 +28,7 @@ from .jointmeas import (
     uncertainty_products,
     uncertainty_to_dict,
 )
-from .linalg import QubitState
+from .linalg import QubitState, is_positive_real
 from .machines import (
     SIGMA_XY,
     VERIFY_TOL,
@@ -139,7 +139,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not np.isfinite(args.tol) or args.tol <= 0:
+    if not is_positive_real(args.tol):
         raise ValueError("--tol must be a positive finite real")
     machine = machine_from_dict(_load_json(args.machine))
     if machine.gains is None:
@@ -216,64 +216,90 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, frozenset[str]]]]:
-    """The full parser and, by command name, the sub-parser it hands the rest of the arguments to, with the
-    option strings of that sub-parser that take a value."""
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a decimal real, or a comma list of them, after an option that takes one
+    value as that option's value, so "--theta -1e-3" reads as "--theta=-1e-3".
+
+    argparse alone takes a token such as -1e-3 or -0.5,0,0 for an option and refuses it as a value; in the
+    option=value form it reads any value. Tokens after "--" are positionals and are left alone. The
+    sub-parsers of add_subparsers are of the parser's own class, so the full parser and each command's
+    parser read argv alike.
+    """
+
+    def __init__(self, *args, parents=(), **kwargs):
+        # The option strings that take one value, the parents' included: argparse copies a parent's
+        # options without add_argument.
+        self.value_options = {name for parent in parents for name in parent.value_options}
+        super().__init__(*args, parents=parents, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        joined, i = [], 0
+        while i < len(args) and args[i] != "--":
+            if args[i] in self.value_options and i + 1 < len(args) and _REALS.fullmatch(args[i + 1]):
+                joined.append(f"{args[i]}={args[i + 1]}")
+                i += 2
+            else:
+                joined.append(args[i])
+                i += 1
+        return super().parse_known_args(joined + args[i:], namespace)
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by command name, the sub-parser it hands the rest of the arguments to."""
+    parser = _Parser(
         prog="obsclone",
         description="Build, verify, and search cloning machines for qubit observable classes.",
     )
-    takes_value: dict[argparse.ArgumentParser, set[str]] = {}
-
-    def option(p: argparse.ArgumentParser, *names: str, **kwargs) -> None:
-        """Add an option that takes one value to p."""
-        p.add_argument(*names, **kwargs)
-        takes_value.setdefault(p, set()).update(names)
-
-    common = argparse.ArgumentParser(add_help=False)
-    option(common, "--out", metavar="PATH", default=None, help="write output here instead of stdout")
+    common = _Parser(add_help=False)
+    common.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", parents=[common], help="construct a machine and emit its JSON")
     p_build.add_argument(
         "family", choices=["cnot", "one-param", "commuting", "t", "phase-covariant"]
     )
-    option(p_build, "--obs", default="0,0,0,1", help="observable as a0,a1,a2,a3")
-    option(p_build, "--b0", type=float, default=1.0, help="identity part of the commuting partner")
-    option(p_build, "--b3", type=float, default=1.0, help="axis part of the commuting partner")
-    option(p_build, "--theta", type=float, default=np.pi / 4, help="interaction angle")
+    p_build.add_argument("--obs", default="0,0,0,1", help="observable as a0,a1,a2,a3")
+    p_build.add_argument("--b0", type=float, default=1.0, help="identity part of the commuting partner")
+    p_build.add_argument("--b3", type=float, default=1.0, help="axis part of the commuting partner")
+    p_build.add_argument("--theta", type=float, default=np.pi / 4, help="interaction angle")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", parents=[common], help="verify a machine JSON document")
     p_verify.add_argument("machine", help="path to a machine JSON file")
-    option(p_verify, "--tol", type=float, default=VERIFY_TOL)
+    p_verify.add_argument("--tol", type=float, default=VERIFY_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", parents=[common], help="CSV scan of joint-measurement noise over theta")
-    option(p_scan, "--state", default="0,0,1", help="input Bloch vector s1,s2,s3")
-    option(p_scan, "--theta-min", type=float, default=0.1)
-    option(p_scan, "--theta-max", type=float, default=float(np.pi / 2) - 0.1)
-    option(p_scan, "--steps", type=int, default=50)
+    p_scan.add_argument("--state", default="0,0,1", help="input Bloch vector s1,s2,s3")
+    p_scan.add_argument("--theta-min", type=float, default=0.1)
+    p_scan.add_argument("--theta-max", type=float, default=float(np.pi / 2) - 0.1)
+    p_scan.add_argument("--steps", type=int, default=50)
     p_scan.set_defaults(func=cmd_scan)
 
     p_search = sub.add_parser("search", parents=[common], help="search for a machine cloning a class")
     p_search.add_argument("klass", metavar="class", help="path to a class JSON file")
     defaults = SearchConfig()
-    option(p_search, "--mode", choices=MODES, default=MODES[0])
-    option(p_search, "--restarts", type=int, default=defaults.restarts)
-    option(p_search, "--max-evals", type=int, default=defaults.max_evals)
-    option(p_search, "--seed", type=int, default=defaults.seed)
-    option(p_search, "--tol", type=float, default=defaults.tol)
+    p_search.add_argument("--mode", choices=MODES, default=MODES[0])
+    p_search.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_search.add_argument("--max-evals", type=int, default=defaults.max_evals)
+    p_search.add_argument("--seed", type=int, default=defaults.seed)
+    p_search.add_argument("--tol", type=float, default=defaults.tol)
     p_search.set_defaults(func=cmd_search)
 
     p_compare = sub.add_parser(
         "compare", parents=[common], help="tailored vs universal joint-measurement noise"
     )
-    option(p_compare, "--state", default="0,0,1", help="input Bloch vector s1,s2,s3")
+    p_compare.add_argument("--state", default="0,0,1", help="input Bloch vector s1,s2,s3")
     p_compare.set_defaults(func=cmd_compare)
 
-    commands = {"build": p_build, "verify": p_verify, "scan": p_scan, "search": p_search, "compare": p_compare}
-    return parser, {name: (p, frozenset(takes_value[common] | takes_value[p])) for name, p in commands.items()}
+    return parser, {"build": p_build, "verify": p_verify, "scan": p_scan, "search": p_search, "compare": p_compare}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,36 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
 _parsers = functools.cache(_build_parsers)
 
 
-def _join_values(args: list[str], options: frozenset[str]) -> list[str]:
-    """args with each option of options that a real, or a comma list of reals, follows written as option=value.
-
-    argparse takes a token such as -1e-3 or -0.5,0,0 for an option and refuses it as a value; in the
-    option=value form it reads any value. Tokens after "--" are positionals and are left alone.
-    """
-    out, i = [], 0
-    while i < len(args) and args[i] != "--":
-        if args[i] in options and i + 1 < len(args) and _REALS.fullmatch(args[i + 1]):
-            out.append(f"{args[i]}={args[i + 1]}")
-            i += 2
-        else:
-            out.append(args[i])
-            i += 1
-    return out + args[i:]
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as the full parser parses it, in one parse when argv[0] names a command.
 
     The full parser hands what follows a command name to that command's parser and reports what
     it leaves over; reading it with the command's parser alone gives the same texts and exit codes.
-    Before that parse, _join_values joins each value of reals to its option, so "--theta -1e-3"
-    reads as "--theta=-1e-3".
     """
     parser, commands = _parsers()
-    if not argv or argv[0] not in commands:
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
         return parser.parse_args(argv)
-    command, options = commands[argv[0]]
-    args, extras = command.parse_known_args(_join_values(argv[1:], options))
+    args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))
     return args

@@ -51,11 +51,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _unitary_verdict(a: np.ndarray):
-    """||a† a - I||_F < UNITARY_TOL per matrix of checked complex a (..., d, d), the norm by np.linalg.norm's formula."""
+    """||a† a - I||_F < UNITARY_TOL per matrix of checked complex a (..., d, d)."""
     # Huge entries overflow the product; the non-finite norm compares false.
     with np.errstate(over="ignore", invalid="ignore"):
-        d = dagger(a) @ a - np.eye(a.shape[-1])
-        return np.sqrt(np.add.reduce((d.conj() * d).real, axis=(-2, -1))) < UNITARY_TOL
+        return np.linalg.norm(dagger(a) @ a - np.eye(a.shape[-1]), axis=(-2, -1)) < UNITARY_TOL
 
 
 def is_unitary(m):
@@ -162,6 +161,11 @@ def is_real(v) -> bool:
     real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
     # A numpy scalar compares as the Python number it holds: a float32 cast of the float64 maximum would overflow.
     return real and abs(v.item() if isinstance(v, np.generic) else v) <= sys.float_info.max
+
+
+def is_positive_real(v) -> bool:
+    """Whether v is a real, as is_real decides, above zero."""
+    return is_real(v) and v > 0
 
 
 def real(v, name: str) -> float:

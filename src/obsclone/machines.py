@@ -27,7 +27,7 @@ from .linalg import (
     QubitState,
     dagger,
     integer,
-    is_real,
+    is_positive_real,
     kron2,
     matrix_from_nested,
     matrix_to_nested,
@@ -217,9 +217,9 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
 
 
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
-    # +inf is a tolerance too: cloning_defect reads the defects of a report that need not pass.
-    if not (is_real(tol) and tol > 0 or isinstance(tol, (float, np.floating)) and tol == math.inf):
-        raise ValueError("tol must be a positive real number or inf")
+    # SearchConfig's rule, and +inf too: cloning_defect reads the defects of a report that need not pass.
+    if not (is_positive_real(tol) or isinstance(tol, (float, np.floating)) and tol == math.inf):
+        raise ValueError("tol must be a positive real or inf")
     tol = float(tol)
     gens = np.array([g.coeffs for g in m.observables.generators])
     per_branch = _defects(gens @ m.transfers, gens, np.array(gains)[:, None])

