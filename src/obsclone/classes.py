@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unit_scaled
+from .linalg import json_fields, unit_scaled
 from .pauli import Observable, commutes, observable_from_list, observable_to_list
 
 INDEPENDENCE_TOL = 1e-10
@@ -108,11 +108,12 @@ def class_to_dict(cls: ObservableClass) -> dict:
 
 
 def class_from_dict(data) -> ObservableClass:
+    kind, gens = json_fields(data, "class document", ("kind", "generators"))
     try:
-        kind = ClassKind(data["kind"])
-        gens = data["generators"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed class document: {exc}") from exc
+        kind = ClassKind(kind)
+    except ValueError:
+        kinds = ", ".join(k.value for k in ClassKind)
+        raise ValueError(f"malformed class document: kind must be one of {kinds}") from None
     if not isinstance(gens, list):
         raise ValueError("malformed class document: generators must be a list")
     return ObservableClass(kind, tuple(observable_from_list(g, f"generators[{i}]") for i, g in enumerate(gens)))

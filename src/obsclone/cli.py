@@ -127,9 +127,9 @@ def cmd_build(args) -> int:
     if args.family == "cnot":
         machine = cnot_machine()
     elif args.family == "one-param":
-        machine = one_param_machine(Observable(_parse_floats(args.obs, 4, "--obs")))
+        machine = one_param_machine(Observable(_parse_floats(args.obs, 4, "--obs"), "--obs"))
     elif args.family == "commuting":
-        machine = commuting_machine(Observable(_parse_floats(args.obs, 4, "--obs")), args.b0, args.b3)
+        machine = commuting_machine(Observable(_parse_floats(args.obs, 4, "--obs"), "--obs"), args.b0, args.b3)
     elif args.family == "t":
         machine = t_machine(args.theta)
     else:
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    state = QubitState(_parse_floats(args.state, 3, "--state"))
+    state = QubitState(_parse_floats(args.state, 3, "--state"), "--state")
     if not 1 <= args.steps <= MAX_SCAN_STEPS:
         raise ValueError(f"--steps must be between 1 and {MAX_SCAN_STEPS}")
     # NaN or infinite bounds, or a span past the float range, make the difference non-finite.
@@ -189,7 +189,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    state = QubitState(_parse_floats(args.state, 3, "--state"))
+    state = QubitState(_parse_floats(args.state, 3, "--state"), "--state")
     # Evaluate the tailored machines at their own balancing angle, kept away
     # from the singular endpoints where a gain diverges.
     di1, di2 = (intrinsic_variance(state, x) for x in SIGMA_XY.generators)

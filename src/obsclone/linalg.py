@@ -183,6 +183,16 @@ def reals(data, name: str, n: int) -> tuple[float, ...]:
     return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
+def json_fields(data, what: str, keys) -> list:
+    """data's values at keys once data is a dict holding each key; otherwise a ValueError "malformed <what>: ..."."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what}: expected a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"malformed {what}: missing {', '.join(missing)}")
+    return [data[key] for key in keys]
+
+
 def integer(v, name: str, low: int) -> int:
     """v as an int when it is a Python or numpy int (not bool) of at least low; else a ValueError naming name."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:

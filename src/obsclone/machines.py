@@ -28,6 +28,7 @@ from .linalg import (
     dagger,
     integer,
     is_positive_real,
+    json_fields,
     kron2,
     matrix_from_nested,
     matrix_to_nested,
@@ -452,14 +453,10 @@ def machine_to_dict(m: CloningMachine) -> dict:
 
 
 def machine_from_dict(data) -> CloningMachine:
-    if not isinstance(data, dict):
-        raise ValueError("malformed machine document: expected a JSON object")
-    missing = [key for key in ("unitary", "probe_bloch", "class") if key not in data]
-    if missing:
-        raise ValueError(f"malformed machine document: missing {', '.join(missing)}")
-    u = matrix_from_nested(data["unitary"], "unitary")
-    probe = QubitState(data["probe_bloch"], "probe_bloch")
-    return CloningMachine(u, probe, class_from_dict(data["class"]), data.get("gains"))
+    u, probe, cls = json_fields(data, "machine document", ("unitary", "probe_bloch", "class"))
+    u = matrix_from_nested(u, "unitary")
+    probe = QubitState(probe, "probe_bloch")
+    return CloningMachine(u, probe, class_from_dict(cls), data.get("gains"))
 
 
 def report_to_dict(r: VerificationReport) -> dict:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, integer, is_positive_real, pauli_rotation, reals, tensor, unit_scaled
+from .linalg import SIGMA0, integer, is_positive_real, json_fields, pauli_rotation, reals, tensor, unit_scaled
 from .machines import (
     KET0,
     OVERFLOW_MESSAGE,
@@ -93,12 +93,7 @@ class SearchSpacePoint:
     @classmethod
     def from_dict(cls, data) -> "SearchSpacePoint":
         """Inverse of to_dict; a malformed entry raises ValueError naming its field."""
-        if not isinstance(data, dict):
-            raise ValueError("malformed search point: expected a JSON object")
-        missing = [name for name in _ANGLE_BLOCKS if name not in data]
-        if missing:
-            raise ValueError(f"malformed search point: missing {', '.join(missing)}")
-        return cls(*(data[name] for name in _ANGLE_BLOCKS), data.get("gains"))
+        return cls(*json_fields(data, "search point", _ANGLE_BLOCKS), data.get("gains"))
 
 
 @dataclass(frozen=True)

@@ -7,46 +7,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ab_search_finds_a_tree_identical_to_itself():
-    """tools/ab_search.py with this src as both trees runs the nine search-floor
-    searches of workload seed 1 in both copies and finds every result identical.
-    It prints the per-search ratios' median between their quartiles, and the
-    workload seed's ratio."""
+@pytest.mark.parametrize(
+    "workload, kinds, count", [("cli-mix", ("build", "verify", "scan", "compare"), 25), ("search-floor", ("search",), 9)]
+)
+def test_ab_finds_a_tree_identical_to_itself(workload, kinds, count):
+    """tools/ab.py with this src as both trees runs the own commands of workload
+    seed 1 in both copies and finds every output identical. It prints, per command
+    kind, the count and the per-command ratios' median between their quartiles,
+    then the workload seed's ratio."""
     src = str(ROOT / "src")
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_search.py"), src, src, "1"],
+        [sys.executable, str(ROOT / "tools" / "ab.py"), src, src, workload, "1"],
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "9 searches, workload seeds 1," in done.stdout
-    assert "results: 9 identical, 0 differ" in done.stdout
+    total = count * len(kinds)
+    assert f"{total} {workload} commands, workload seeds 1," in done.stdout
+    assert f"outputs: {total} identical, 0 differ" in done.stdout
     assert "differs:" not in done.stdout
-    spread = re.search(r"median per-search ratio (\S+), quartiles (\S+) (\S+)\n", done.stdout)
-    median, low, high = map(float, spread.groups())
-    assert low <= median <= high
-    assert re.search(r"^per workload seed: 1 \d\.\d{4}$", done.stdout, re.MULTILINE)
-
-
-def test_ab_cli_finds_a_tree_identical_to_itself():
-    """tools/ab_cli.py with this src as both trees runs the 100 cli-mix pool
-    commands of workload seed 1 in both copies and finds every output identical.
-    It prints, per command kind, the per-command ratios' median between their quartiles."""
-    src = str(ROOT / "src")
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_cli.py"), src, src, "1"],
-        capture_output=True, text=True, timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "100 cli-mix commands, workload seeds 1," in done.stdout
-    assert "outputs: 100 identical, 0 differ" in done.stdout
-    assert "differs:" not in done.stdout
-    for kind in ("build", "verify", "scan", "compare"):
-        spread = re.search(rf"^{kind}: 25 commands, median ratio new/old (\S+), quartiles (\S+) (\S+)$", done.stdout, re.MULTILINE)
+    for kind in kinds:
+        spread = re.search(rf"^{kind}: {count} commands, total ratio new/old \S+, median ratio (\S+), quartiles (\S+) (\S+)$", done.stdout, re.MULTILINE)
         median, low, high = map(float, spread.groups())
         assert low <= median <= high
+    assert re.search(r"^per workload seed: 1 \d\.\d{4}$", done.stdout, re.MULTILINE)
 
 
 def test_step_split_prints_each_part_of_a_step():
@@ -74,7 +62,7 @@ def test_step_split_prints_each_part_of_a_step():
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():
     """tools/compare_outputs.py with this src as both trees runs the workloads'
-    commands, its 34 fixed commands and the criterion-5 searches, and finds
+    commands, its 35 fixed commands and the criterion-5 searches, and finds
     every output byte-identical, with no search, no verify, no compare and no scan differing.
     Its last line gives both trees' src/obsclone/*.py line count, as `wc -l` counts it."""
     src = str(ROOT / "src")
@@ -83,7 +71,7 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "737 of 737 outputs byte-identical, 0 differ" in done.stdout
+    assert "738 of 738 outputs byte-identical, 0 differ" in done.stdout
     assert "searches: 0 differ, 0 changed exit code or converged;" in done.stdout
     assert "verifies: 0 differ, 0 changed exit code or passed; largest defect change relative to its generator's norm 0\n" in done.stdout
     assert "compares: 0 differ, 0 changed exit code; largest relative change 0; keys moved: none\n" in done.stdout

@@ -11,7 +11,7 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 34
+because `verify` reads the document that `build` wrote. It then runs 35
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
 for one-param and commuting classes scaled by 2**600 and 2**-600, a
@@ -19,11 +19,11 @@ verify at --tol 1e-30, verifies of two machine documents whose unitary is
 not unitary (2·I, and one entry of 1e308), a scan at theta = 1e308,
 `compare` and `scan` at pure, maximally mixed and just-past-the-sphere states,
 and eleven single-angle scans within 1e-4 of a singular angle at the state on
-the measured axis, where the noise report cancels (ROADMAP item 19).
-Last it runs the 22 exact searches of acceptance
-criterion 5 (tests/test_acceptance.py: classes drawn from rng 505,
-restarts 50, seed 0) and records each result as the JSON the `search`
-command prints.
+the measured axis, where the noise report cancels (ROADMAP item 19), and
+a compare at a pure state 1.5e-6 rad off (1, 0, 0), refused for the
+same reason. Last it runs the 22 exact searches of acceptance criterion 5
+(tests/test_acceptance.py: classes drawn from rng 505, restarts 50,
+seed 0) and records each result as the JSON the `search` command prints.
 
 Per command, the exit code, stdout, stderr and the bytes of its --out
 file are compared; the work directory is masked in argv and in the two
@@ -130,10 +130,12 @@ def fixed_commands(run_dir: Path):
     2·I or the identity with one entry of 1e308; and a scan at the extreme angle 1e308.
     The workloads draw every noise state inside radius 0.95, so then come compares and
     scans at pure states, where an intrinsic variance of 0 clips the balancing angle, at
-    the maximally mixed state, and at a state 9e-13 past the sphere, read onto it. Last
+    the maximally mixed state, and at a state 9e-13 past the sphere, read onto it. Then
     come single-angle scans 1.01e-6 to 8.5e-5 from a singular angle, above 0 at (1, 0, 0)
     and below pi/2 at (0, -1, 0), where a variance cancels and a valid row can be refused
-    as below the bound; the last one, with its angle as written, is refused so.
+    as below the bound; the last one, with its angle as written, is refused so. Last, a
+    compare at a pure state 1.5e-6 rad off (1, 0, 0), whose balancing angle of about 1.2e-3
+    gives a gain of about 830, and which is refused so too.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -167,6 +169,7 @@ def fixed_commands(run_dir: Path):
             yield ["scan", f"--state={state}", f"--theta-min={theta}", f"--theta-max={theta}", "--steps", "1"], None
     theta = "1.5707113155272596"
     yield ["scan", "--state=0,-1,0", f"--theta-min={theta}", f"--theta-max={theta}", "--steps", "1"], None
+    yield ["compare", "--state=0.9999999999989421,1.4545454545439158e-06,0.0"], None
 
 
 def criterion_5_classes():

@@ -9,15 +9,14 @@ clone of the parent commit, whose objective returns (value, rows) from
 fun(x); a tree with the older fun(x, rows) objective is timed with the
 step_split.py of its own commit. SEEDS are workload seeds, as a list
 (1,2,5), a range (1-10) or both (1-3,7); the default is 1-10. For each
-seed the search-floor pool that perfbench/workloads.py's `plan()` draws
-is run in-process, as the `search` command would run it, through
-`obsclone.search.search_machine`.
+seed the searches of the search-floor steps, as tools/ab.py plans them,
+run in-process through `obsclone.cli.main`.
 
 Each search runs once as it is, then PASSES times with the objective
 callable, the rows it returns, `optimize._simplex_qp`,
 `optimize._bfgs_update` and `optimize.minimize` wrapped in timers from
-outside; every wrapped run must return the unwrapped run's result, field
-for field, or the tool exits 1. Per search the pass with the least
+outside; every wrapped run must give the unwrapped run's exit code and
+output bytes, or the tool exits 1. Per search the pass with the least
 descent time counts. The table gives, per SQP step (one QP), the calls
 and microseconds of the rows calls rows(), the plain calls fun(x), which
 score a point and return its rows, the QP, the BFGS update and the rest
@@ -34,11 +33,14 @@ the others together. The benchmark's tracer does not see inside
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+
+from ab import parse_seeds, planned, run
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
@@ -46,34 +48,10 @@ PARTS = ("rows", "plain", "qp", "bfgs")
 SHAPES = 10
 
 
-def parse_seeds(text: str) -> list[int]:
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
-
-
-def searches(seeds):
-    """(label, class document, mode, SearchConfig arguments) of every search-floor pool search of the given workload seeds.
-
-    The plan and the command line are read with the `obsclone` package on sys.path."""
-    from obsclone.cli import build_parser
-    from workloads import plan
-
-    with tempfile.TemporaryDirectory(prefix="step_split_") as tmp:
-        for seed in seeds:
-            for step in plan("search-floor", seed, Path(tmp) / str(seed)).steps:
-                cmd = step[0]
-                args = build_parser().parse_args(cmd.argv)
-                config = (args.restarts, args.max_evals, args.seed, args.tol)
-                yield f"seed {seed} {cmd.out.name}", cmd.expect["class"], args.mode, config
-
-
-def timed_run(cls, mode, config):
-    """One search with the descent's parts wrapped in timers: (result, {part: [calls, ns]}, descent ns, shapes),
-    shapes the QPs' {(pairs, support size in, out): [calls, ns]}."""
-    from obsclone import optimize, search
+def timed_run(cmd):
+    """One search command with the descent's parts wrapped in timers:
+    ((exit code, output bytes), {part: [calls, ns]}, descent ns, shapes), shapes the QPs' {(pairs, support size in, out): [calls, ns]}."""
+    from obsclone import cli, optimize, search
 
     clock = time.perf_counter_ns
     stats = {part: [0, 0] for part in PARTS}
@@ -119,10 +97,10 @@ def timed_run(cls, mode, config):
     search._objective, optimize._simplex_qp = objective, qp
     optimize._bfgs_update, optimize.minimize = wrap("bfgs", originals[2]), minimize
     try:
-        result = search.search_machine(cls, mode, config)
+        _, *output = run(cli.main, cmd)
     finally:
         search._objective, optimize._simplex_qp, optimize._bfgs_update, optimize.minimize = originals
-    return result, stats, descent[0], shapes
+    return output, stats, descent[0], shapes
 
 
 def main(argv: list[str]) -> int:
@@ -130,33 +108,32 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(ROOT / "perfbench")]
-    from obsclone.classes import class_from_dict
-    from obsclone.search import SearchConfig, result_to_dict, search_machine
+    from obsclone import cli
 
     seeds = parse_seeds(argv[1] if len(argv) == 2 else "1-10")
     total, descent, evaluations, count, shapes = Counter(), 0, 0, 0, {}
-    for label, doc, mode, args in searches(seeds):
-        cls, config = class_from_dict(doc), SearchConfig(*args)
-        want = result_to_dict(search_machine(cls, mode, config))
-        best = None
-        for _ in range(PASSES):
-            result, stats, ns, qps = timed_run(cls, mode, config)
-            if result_to_dict(result) != want:
-                sys.stderr.write(f"{label}: the wrapped run's result differs from the unwrapped run's\n")
-                return 1
-            if best is None or ns < best[1]:
-                best = stats, ns, qps
-        stats, ns, qps = best
-        for part, (calls, spent) in stats.items():
-            total[part + " calls"] += calls
-            total[part] += spent
-        for shape, (calls, spent) in qps.items():
-            record = shapes.setdefault(shape, [0, 0])
-            record[0] += calls
-            record[1] += spent
-        descent += ns
-        evaluations += want["evaluations"]
-        count += 1
+    with tempfile.TemporaryDirectory(prefix="step_split_") as tmp:
+        for cmd in [cmd for seed in seeds for cmd in planned("search-floor", seed, Path(tmp) / str(seed))[1]]:
+            _, *want = run(cli.main, cmd)
+            best = None
+            for _ in range(PASSES):
+                output, stats, ns, qps = timed_run(cmd)
+                if output != want:
+                    sys.stderr.write(f"seed {cmd.out.parent.name} {cmd.out.name}: the wrapped run's output differs from the unwrapped run's\n")
+                    return 1
+                if best is None or ns < best[1]:
+                    best = stats, ns, qps
+            stats, ns, qps = best
+            for part, (calls, spent) in stats.items():
+                total[part + " calls"] += calls
+                total[part] += spent
+            for shape, (calls, spent) in qps.items():
+                record = shapes.setdefault(shape, [0, 0])
+                record[0] += calls
+                record[1] += spent
+            descent += ns
+            evaluations += json.loads(want[1])["evaluations"]
+            count += 1
     steps = total["qp calls"]
     rest = descent - sum(total[part] for part in PARTS)
     print(f"{count} searches, workload seeds {','.join(map(str, seeds))}, source {argv[0]}")
