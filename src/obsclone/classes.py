@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import json_fields, unit_scaled
-from .pauli import Observable, commutes, observable_from_list, observable_to_list
+from .pauli import Observable, commutes
 
 INDEPENDENCE_TOL = 1e-10
 
@@ -103,7 +103,7 @@ def canonicalize(generators) -> ObservableClass:
 def class_to_dict(cls: ObservableClass) -> dict:
     return {
         "kind": cls.kind.value,
-        "generators": [observable_to_list(g) for g in cls.generators],
+        "generators": [g.coeffs.tolist() for g in cls.generators],
     }
 
 
@@ -116,4 +116,4 @@ def class_from_dict(data) -> ObservableClass:
         raise ValueError(f"malformed class document: kind must be one of {kinds}") from None
     if not isinstance(gens, list):
         raise ValueError("malformed class document: generators must be a list")
-    return ObservableClass(kind, tuple(observable_from_list(g, f"generators[{i}]") for i, g in enumerate(gens)))
+    return ObservableClass(kind, tuple(Observable(g, f"generators[{i}]") for i, g in enumerate(gens)))

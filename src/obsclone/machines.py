@@ -121,23 +121,19 @@ class CloningMachine:
         return r
 
 
-def overflowing_generator(cls: ObservableClass, gain: float, bloch_only: bool = False) -> int | None:
+def overflowing_generator(cls: ObservableClass, gain: float) -> int | None:
     """Index of the first generator whose copying residual under gains up to |gain| could reach RESIDUAL_LIMIT.
 
-    The lift of a traceless A = a.sigma is r0 I + w.sigma with |r0| + |w| <= |a|,
-    because each branch's dual channel is unital and positive. The residual
-    r0 I + (g w - a).sigma therefore has Frobenius norm at most
-    sqrt(2) (max(|g|, 1) + 1) |a|, whatever the machine. By default the bound
-    takes the whole coefficient vector in place of a: the computed lift of the
-    identity part carries rounding that the gain amplifies. The lift's sums,
-    at most twice that norm, then stay in range too. bloch_only bounds a
-    alone, for a computation that never lifts the identity part (the search
-    objective). None when every generator stays below the limit.
+    Only traceless parts enter a residual (see _defects). The lift of a traceless A = a.sigma is
+    r0 I + w.sigma with |r0| + |w| <= |a|, because each branch's dual channel is unital and positive.
+    The residual r0 I + (g w - a).sigma therefore has Frobenius norm at most
+    sqrt(2) (max(|g|, 1) + 1) |a|, whatever the machine, and the lift's sums, at most twice that
+    norm, stay in range too. A generator with no traceless part has no residual, whatever the gain.
+    None when every generator stays below the limit.
     """
     factor = math.sqrt(2.0) * (max(abs(gain), 1.0) + 1.0)
     for i, g in enumerate(cls.generators):
-        coeffs = g.coeffs[1:] if bloch_only else g.coeffs
-        if not factor * math.hypot(*coeffs.tolist()) < RESIDUAL_LIMIT:
+        if g.bloch.any() and not factor * math.hypot(*g.bloch.tolist()) < RESIDUAL_LIMIT:
             return i
     return None
 
@@ -146,9 +142,11 @@ def overflowing_generator(cls: ObservableClass, gain: float, bloch_only: bool = 
 class VerificationReport:
     """Per-generator, per-branch Frobenius defects of the cloning conditions.
 
+    Every machine copies the identity, so a defect is that of the generator's traceless part alone.
     The verdict is scale-free: it passes when every defect is below tolerance times its generator's
-    Frobenius norm, that is when max_relative_defect, the largest ratio of a defect to that norm, is
-    below tolerance.
+    traceless Frobenius norm, that is when max_relative_defect, the largest ratio of a defect to that
+    norm, is below tolerance. A generator with no traceless part has defect 0 and no ratio; with no
+    ratio at all, max_relative_defect is 0.
     """
 
     per_generator_defects: tuple[tuple[float, float], ...]
@@ -204,8 +202,8 @@ def heisenberg_lift(u, probe: QubitState, x: Observable, branch: int) -> Observa
 def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
     """Frobenius residuals of lifts L against targets X (coefficient arrays, Pauli index last).
 
-    A gain, broadcast per row, scales only the traceless part of L: every machine
-    copies the identity exactly. Each residual row is divided by the power of two of
+    _verify passes traceless X, so L's identity entry is the bias r0 of the lift. A gain, broadcast
+    per row, scales only the traceless part of L. Each residual row is divided by the power of two of
     its largest entry before it is squared, and its root is scaled back. The division
     is exact, so defects scale exactly with the class; no square overflows, and one
     that underflows lies far below the rounding of its row's sum.
@@ -222,14 +220,21 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
     if not (is_positive_real(tol) or isinstance(tol, (float, np.floating)) and tol == math.inf):
         raise ValueError("tol must be a positive real or inf")
     tol = float(tol)
-    gens = np.array([g.coeffs for g in m.observables.generators])
-    per_branch = _defects(gens @ m.transfers, gens, np.array(gains)[:, None])
+    # Every machine copies the identity, so only the traceless parts are lifted: the identity's lift never enters.
+    parts = np.array([g.coeffs for g in m.observables.generators])
+    parts[:, 0] = 0.0
+    per_branch = _defects(parts @ m.transfers, parts, np.array(gains)[:, None])
     defects = tuple(zip(*per_branch.tolist()))
     worst = max(max(pair) for pair in defects)
-    # ||g||_F = sqrt(2) |c| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(c), so the norm neither overflows nor underflows.
+    # ||a.sigma||_F = sqrt(2) |a| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(a), so the norm neither overflows nor
+    # underflows; the ratio, at most max(|g|, 1) + 1 (see overflowing_generator), is scaled by 2**-e last.
     relative = max(
-        math.ldexp(max(pair), -e) / (math.sqrt(2.0) * math.hypot(*v))
-        for pair, (v, e) in zip(defects, map(unit_scaled, gens.tolist()))
+        (
+            math.ldexp(max(pair) / (math.sqrt(2.0) * math.hypot(*v)), -e)
+            for pair, (v, e) in zip(defects, map(unit_scaled, parts[:, 1:].tolist()))
+            if any(v)
+        ),
+        default=0.0,
     )
     return VerificationReport(defects, worst, gains, relative < tol, tol, relative)
 

@@ -100,10 +100,3 @@ def statistics_from_mean(x: Observable, mean: float) -> TwoOutcomeStatistics:
     p1 = float(np.clip((mean - lam0) / gap, 0.0, 1.0))
     return TwoOutcomeStatistics(lam0, lam1, 1.0 - p1, p1)
 
-
-def observable_to_list(x: Observable) -> list[float]:
-    return [float(c) for c in x.coeffs]
-
-
-def observable_from_list(data, name: str = "observable") -> Observable:
-    return Observable(data, name)

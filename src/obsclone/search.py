@@ -210,7 +210,7 @@ def _objective(cls: ObservableClass, mode: str):
     _conjugation_gradient.
     """
     approximate = mode == "approximate"
-    i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0, bloch_only=True)
+    i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0)
     if i is not None:
         raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
     gens = [unit_scaled(g.coeffs[1:].tolist()) for g in cls.generators]
@@ -320,12 +320,14 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     gradients, within max_evals evaluations (its start's included) and
     until it scores below tol * 1e-3, and the search stops early once the
     defect passes below tol. Both are relative, as verify's tolerance is:
-    a defect is compared with tol times the largest Frobenius norm of a
-    generator's traceless part, the only part a machine can fail to copy,
-    so the verdict does not change when the class is scaled by a power of
-    two. Floors that do not converge therefore sit at
-    the bottom of their basin, at their closed forms where one is known
-    (sqrt(2) - 1 for sigma1/sigma2).
+    the defect, the largest over generators and branches, is compared with
+    tol times the smallest Frobenius norm of a generator's traceless part,
+    the only part a machine can fail to copy. So each generator's defect is
+    below tol times its own norm, and a converged search's machine passes
+    verify at tol, however unequal the generators' sizes; and the verdict
+    does not change when the class is scaled by a power of two. Floors that
+    do not converge therefore sit at the bottom of their basin, at their
+    closed forms where one is known (sqrt(2) - 1 for sigma1/sigma2).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -333,12 +335,11 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
     fun = _objective(cls, mode)
     bounds = _bounds(approximate)
     rng = np.random.default_rng(config.seed)
-    # That norm is norm * 2**top, norm taken on every traceless part divided by 2**top (unit_scaled), so a
-    # defect's ratio to it is the same at every power-of-two scale; _objective has refused parts whose norm
-    # could overflow. A class of identity multiples, whose every defect is 0, takes norm 1.
-    bloch, top = unit_scaled([v for g in cls.generators for v in g.coeffs[1:].tolist()])
-    norm = math.sqrt(2.0) * max(math.hypot(*bloch[i : i + 3]) for i in range(0, len(bloch), 3)) or 1.0
-    ftarget = config.tol * 1e-3 * math.ldexp(norm, top)
+    # math.hypot scales by a power of two inside, so a norm neither overflows nor underflows while it
+    # is taken; _objective has refused parts whose norm could overflow. Identity multiples, whose every
+    # defect is 0, have no norm, and a class of them alone takes norm 1.
+    norm = min((math.sqrt(2.0) * math.hypot(*g.bloch.tolist()) for g in cls.generators if g.bloch.any()), default=1.0)
+    ftarget = config.tol * 1e-3 * norm
     best_x = None
     best_f = np.inf
     evals = 0
@@ -352,7 +353,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             best_x, best_f = x, f
-        converged = math.ldexp(best_f, -top) / norm < config.tol
+        converged = best_f / norm < config.tol
         if converged:
             break
     if best_x is None:

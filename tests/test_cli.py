@@ -253,6 +253,20 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_a_large_identity_part_does_not_hide_a_lost_generator(self, capsys, tmp_path):
+        """CNOT loses sigma1's mean on both branches. With the class 1e12 I + sigma1 the
+        defect is still sqrt(2), its traceless part's whole norm, so verify exits 1;
+        divided by the full norm it read 1.4e-12 and passed."""
+        doc = machine_to_dict(cnot_machine())
+        doc["class"]["generators"] = [[1e12, 1.0, 0.0, 0.0]]
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["per_generator_defects"] == [[math.sqrt(2.0), math.sqrt(2.0)]]
+
     def test_identity_unitary_fails_on_the_second_branch(self, capsys, tmp_path):
         doc = machine_to_dict(cnot_machine())
         ident = [[[1.0, 0.0] if r == c else [0.0, 0.0] for c in range(4)] for r in range(4)]

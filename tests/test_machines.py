@@ -394,8 +394,10 @@ def test_defects_equal_the_always_scaled_formula_at_every_scale(rng, k):
 
 def test_residuals_beyond_the_float_range_are_refused():
     """Huge gains or generators that could push a residual past the float range
-    are refused when the machine is built, naming the generator and the gains;
-    a large identity part counts, since the gain amplifies the rounding of its lift."""
+    are refused when the machine is built, naming the generator and the gains.
+    Only traceless parts count: the identity part is never lifted, so a huge
+    one under huge gains builds and verifies with finite defects, and a
+    generator with no traceless part has no residual under any gain."""
     cls = ObservableClass(ClassKind.ONE_PARAM, (S3,))
     with pytest.raises(ValueError, match=r"generators\[0\] under gains \[1\.0, 1e\+308\]"):
         CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, 1e308))
@@ -403,8 +405,10 @@ def test_residuals_beyond_the_float_range_are_refused():
     with pytest.raises(ValueError, match=r"generators\[0\]: a copying residual"):
         CloningMachine(CNOT, QubitState.ket0(), big)
     heavy = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([1e300, 0.0, 0.0, 1e-10])),))
-    with pytest.raises(ValueError, match=r"generators\[0\] under gains"):
-        CloningMachine(t_machine(0.7).unitary, QubitState.ket0(), heavy, gains=(1e308, 1e308))
+    machine = CloningMachine(t_machine(0.7).unitary, QubitState.ket0(), heavy, gains=(1e308, 1e308))
+    assert math.isfinite(verify_approximate(machine, tol=np.inf).max_defect)
+    identity = ObservableClass(ClassKind.ONE_PARAM, (Observable(np.array([3.0, 0.0, 0.0, 0.0])),))
+    assert verify_approximate(CloningMachine(CNOT, QubitState.ket0(), identity, gains=(1.5e308, 1.0))).max_defect == 0.0
     report = verify_approximate(CloningMachine(CNOT, QubitState.ket0(), cls, gains=(1.0, 1e300)), tol=np.inf)
     assert report.max_defect == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-12)
 
@@ -440,6 +444,43 @@ def test_verify_compares_each_defect_with_its_generators_norm():
         assert report.max_defect == math.ldexp(math.sqrt(2.0), k)
         assert (report.max_relative_defect, report.passed) == (1.0, False)
         assert verify_exact(machine, tol=np.nextafter(1.0, 2.0)).passed
+
+
+@pytest.mark.parametrize("k", [0, 25, 50, 100, 1000])
+def test_an_identity_part_never_enters_a_verdict(k):
+    """CNOT loses sigma1 on both branches, so it fails span{2**k I + sigma1} with
+    relative defect 1 however large the identity part, while the axis machine of
+    2**k I + (0.1, 0.7, -0.4).sigma passes: neither the identity's lift nor its
+    rounding enters a defect."""
+    cls = ObservableClass(ClassKind.ONE_PARAM, (Observable([2.0**k, 1.0, 0.0, 0.0]),))
+    report = verify_exact(CloningMachine(CNOT, QubitState.ket0(), cls))
+    assert report.per_generator_defects == ((math.sqrt(2.0), math.sqrt(2.0)),)
+    assert (report.max_relative_defect, report.passed) == (1.0, False)
+    assert verify_exact(one_param_machine(Observable([2.0**k, 0.1, 0.7, -0.4]))).passed
+
+
+def test_a_generator_with_no_traceless_part_has_no_defect():
+    """Every machine copies the identity: its defect is exactly 0, with no rounding of a
+    lift, and it takes no ratio, so the Pauli basis under CNOT fails on sigma1 and sigma2
+    alone, and a class of identity multiples passes with max_relative_defect 0."""
+    pauli = ObservableClass(ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4)))
+    report = verify_exact(CloningMachine(CNOT, QubitState.ket0(), pauli))
+    assert report.per_generator_defects[0] == (0.0, 0.0)
+    assert report.max_relative_defect == 1.0
+    identity = ObservableClass(ClassKind.ONE_PARAM, (Observable([3.0, 0.0, 0.0, 0.0]),))
+    report = verify_approximate(CloningMachine(t_machine(0.7).unitary, QubitState.ket0(), identity, gains=(2.0, -5.0)))
+    assert report.per_generator_defects == ((0.0, 0.0),)
+    assert (report.max_relative_defect, report.passed) == (0.0, True)
+
+
+def test_a_relative_defect_near_the_largest_gain_stays_finite():
+    """A defect of a generator with a tiny traceless part under a gain near 1e308 is
+    divided by that part's norm before it is scaled back, so the ratio, about the
+    gain, is a float and not an OverflowError."""
+    c = math.ldexp(0.99, -34)
+    cls = ObservableClass(ClassKind.ONE_PARAM, (Observable([0.0, c, c, c]),))
+    report = verify_approximate(CloningMachine(np.eye(4), QubitState.ket0(), cls, gains=(1e308, 1e308)), tol=np.inf)
+    assert report.max_relative_defect == pytest.approx(1e308, rel=1e-12)
 
 
 @pytest.mark.parametrize("tol", [True, "1e-10", -1.0, 0.0, math.nan, -math.inf, [1e-10], None])

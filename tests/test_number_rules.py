@@ -29,7 +29,7 @@ from obsclone.machines import (
     phase_covariant_machine,
     t_machine,
 )
-from obsclone.pauli import Observable, TwoOutcomeStatistics, observable_from_list, statistics_from_mean
+from obsclone.pauli import Observable, TwoOutcomeStatistics, statistics_from_mean
 from obsclone.search import SearchConfig, SearchSpacePoint
 
 S3 = Observable([0.0, 0.0, 0.0, 1.0])
@@ -67,7 +67,6 @@ REAL_SITES = [
     ("heisenberg_lift.probe", "bloch", lambda v: heisenberg_lift(CNOT, v, S3, 1), [0, 0, 1]),
     ("uncertainty_product.state", "bloch", lambda v: uncertainty_product(T, v), [0, 0, 1]),
     ("intrinsic_variance.state", "bloch", lambda v: intrinsic_variance(v, S3), [0, 0, 1]),
-    ("observable_from_list", "observable", observable_from_list, [0, 1, 2, 3]),
 ]
 
 # (site, argument name, call, a valid value, the smallest value the site accepts)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from obsclone.classes import ClassKind, ObservableClass, class_from_dict, class_to_dict
 from obsclone.pauli import (
     DegenerateSpectrumError,
     Observable,
     TwoOutcomeStatistics,
     commutes,
-    observable_from_list,
-    observable_to_list,
     statistics_from_mean,
 )
 from support import random_observable, random_state
@@ -132,7 +131,9 @@ def test_two_outcome_statistics_validation():
 
 
 def test_observable_list_round_trip():
+    """A class document holds each generator as its list of Python floats, and reads it back bit for bit."""
     x = Observable(np.array([0.25, -1.5, 3.0, 0.0]))
-    data = observable_to_list(x)
-    assert data == [0.25, -1.5, 3.0, 0.0]
-    assert np.array_equal(observable_from_list(data).coeffs, x.coeffs)
+    data = class_to_dict(ObservableClass(ClassKind.ONE_PARAM, (x,)))
+    assert data["generators"] == [[0.25, -1.5, 3.0, 0.0]]
+    assert all(type(v) is float for v in data["generators"][0])
+    assert np.array_equal(class_from_dict(data).generators[0].coeffs, x.coeffs)

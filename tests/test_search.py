@@ -12,7 +12,7 @@ from scipy import optimize as scipy_optimize
 
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary, pauli_rotation
-from obsclone.machines import KET0, CloningMachine
+from obsclone.machines import KET0, CloningMachine, verify_approximate, verify_exact
 from obsclone.optimize import minimize
 from obsclone.pauli import Observable
 from obsclone.search import (
@@ -615,7 +615,7 @@ def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
 def test_the_verdict_does_not_depend_on_the_class_scale():
     """For every k = -600..600, the one-param class of (0.1, 0.7, -0.4, 0.5)
     scaled by 2**k converges and sigma1/sigma2 scaled by 2**k does not: tol is
-    relative to the largest generator norm. tol = 0.25 lies below sigma1/sigma2's
+    relative to the smallest generator norm. tol = 0.25 lies below sigma1/sigma2's
     relative floor (sqrt(2) - 1) / sqrt(2) = 0.29, and seed 1 brings the
     one-param class below it within 20 evaluations, so a short budget decides
     each search. At the default tol, the one-param class at 1e12 converges and
@@ -631,6 +631,50 @@ def test_the_verdict_does_not_depend_on_the_class_scale():
     assert search_machine(big, "exact", SearchConfig(restarts=10, seed=1)).converged
     tiny = ObservableClass(X_NC.kind, tuple(Observable(1e-9 * g.coeffs) for g in X_NC.generators))
     assert not search_machine(tiny, "exact", SearchConfig(restarts=3, seed=1)).converged
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-20])
+def test_a_small_generator_of_a_noncommuting_pair_keeps_the_search_from_converging(s):
+    """No exact machine clones span{sigma3, s sigma1}: a machine that clones sigma3
+    loses s sigma1, a defect as large as its own norm. The defect is compared with
+    tol times the smallest traceless norm, so the search does not converge however
+    small s is (compared with the largest norm, it converged at once)."""
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable([0.0, 0.0, 0.0, 1.0]), Observable([0.0, s, 0.0, 0.0])))
+    assert not search_machine(cls, "exact", SearchConfig(restarts=1, max_evals=1000)).converged
+
+
+def unequal_classes(rng):
+    """(kind, generators) with identity parts: one-param classes scaled by 2**k, and
+    commuting and noncommuting pairs whose second generator is scaled by 2**k."""
+    for k in (-40, -10, 10, 40):
+        a = random_observable(rng, min_axis=0.1)
+        yield ClassKind.ONE_PARAM, (Observable(np.ldexp(a.coeffs, k)),)
+        axis = a.bloch / np.linalg.norm(a.bloch)
+        partner = np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(0.3, 1.5) * axis])
+        yield ClassKind.TWO_PARAM_COMMUTING, (a, Observable(np.ldexp(partner, k)))
+        other = random_observable(rng, min_axis=0.1)
+        yield ClassKind.TWO_PARAM_NONCOMMUTING, (a, Observable(np.ldexp(other.coeffs, k)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_converged_search_finds_a_machine_that_verifies(seed):
+    """A converged search's best point, built as cloning_defect builds it, passes
+    verify at the search's tol, whatever the identity parts and however unequal the
+    generators' sizes: each generator's defect is below tol times its own norm.
+    Compared with the largest norm, a pair with a small noncommuting partner converged
+    with that partner lost."""
+    rng = np.random.default_rng(seed)
+    config = SearchConfig(restarts=2, max_evals=600, seed=3)
+    converged = 0
+    for kind, gens in unequal_classes(rng):
+        cls = ObservableClass(kind, gens)
+        for mode, verify in (("exact", verify_exact), ("approximate", verify_approximate)):
+            result = search_machine(cls, mode, config)
+            if result.converged:
+                converged += 1
+                p = result.best_point
+                assert verify(CloningMachine(p.unitary(), KET0, cls, p.gains), tol=config.tol).passed, (kind, mode)
+    assert converged >= 8
 
 
 def test_search_refuses_classes_whose_residuals_leave_the_float_range():

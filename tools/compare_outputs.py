@@ -11,17 +11,19 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 35
+because `verify` reads the document that `build` wrote. It then runs 37
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
 for one-param and commuting classes scaled by 2**600 and 2**-600, a
 verify at --tol 1e-30, verifies of two machine documents whose unitary is
-not unitary (2·I, and one entry of 1e308), a scan at theta = 1e308,
+not unitary (2·I, and one entry of 1e308) and of CNOT on the class of
+1e12 I + sigma1, which loses sigma1, a scan at theta = 1e308,
 `compare` and `scan` at pure, maximally mixed and just-past-the-sphere states,
 and eleven single-angle scans within 1e-4 of a singular angle at the state on
 the measured axis, where the noise report cancels (ROADMAP item 19), and
 a compare at a pure state 1.5e-6 rad off (1, 0, 0), refused for the
-same reason. Last it runs the 22 exact searches of acceptance criterion 5
+same reason, and a short search of span{sigma3, 1e-9 sigma1}, which no
+exact machine clones. Last it runs the 22 exact searches of acceptance criterion 5
 (tests/test_acceptance.py: classes drawn from rng 505, restarts 50,
 seed 0) and records each result as the JSON the `search` command prints.
 
@@ -32,8 +34,9 @@ any does, 0 if none does. Each differing search (a `search` command or a
 criterion-5 record) also says whether its exit code and `converged` are
 unchanged and whether `best_defect` went down. Each differing `verify`
 says whether its exit code and `passed` are unchanged, and gives its largest
-change of a defect relative to that generator's Frobenius norm, read off the
-machine document that the tree's last `build` to that path wrote. Each
+change of a defect relative to the Frobenius norm of that generator's traceless
+part, read off the machine document that this script wrote or that the tree's
+last `build` to that path wrote. Each
 differing `compare` says whether its exit code is unchanged, names the payload
 keys that moved (dotted, so `universal_report.product`) and gives the largest
 relative change among them. Each differing `scan` says whether its exit code is
@@ -126,16 +129,19 @@ def fixed_commands(run_dir: Path):
     angles at 0, pi/2 and pi (pi alone in the last block), an all-singular scan,
     build then verify for one-param and commuting classes scaled by 2**600 and
     2**-600, and a verify whose tolerance no defect meets. Then the unitarity
-    rule's error text: verifies of two documents, written here, whose unitary is
-    2·I or the identity with one entry of 1e308; and a scan at the extreme angle 1e308.
+    rule's error text: verifies of two documents, written here (written_documents), whose
+    unitary is 2·I or the identity with one entry of 1e308; a verify of CNOT on 1e12 I + sigma1,
+    whose identity part must not hide the sigma1 it loses; and a scan at the extreme angle 1e308.
     The workloads draw every noise state inside radius 0.95, so then come compares and
     scans at pure states, where an intrinsic variance of 0 clips the balancing angle, at
     the maximally mixed state, and at a state 9e-13 past the sphere, read onto it. Then
     come single-angle scans 1.01e-6 to 8.5e-5 from a singular angle, above 0 at (1, 0, 0)
     and below pi/2 at (0, -1, 0), where a variance cancels and a valid row can be refused
-    as below the bound; the last one, with its angle as written, is refused so. Last, a
+    as below the bound; the last one, with its angle as written, is refused so. Then a
     compare at a pure state 1.5e-6 rad off (1, 0, 0), whose balancing angle of about 1.2e-3
-    gives a gain of about 830, and which is refused so too.
+    gives a gain of about 830, and which is refused so too. Last, a search of one restart and
+    1000 evaluations of span{sigma3, 1e-9 sigma1}, whose small noncommuting generator must keep
+    it from converging.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -149,13 +155,8 @@ def fixed_commands(run_dir: Path):
     machine = run_dir / "one-param.json"
     yield ["build", "one-param", "--obs=0.1,0.7,-0.4,0.5", "--out", str(machine)], machine
     yield ["verify", str(machine), "--tol", "1e-30"], None
-    eye = [[float(i == j) for j in range(4)] for i in range(4)]
-    huge = [row[:] for row in eye]
-    huge[0][3] = 1e308
-    for name, u in (("twice-identity", [[2.0 * v for v in row] for row in eye]), ("huge-entry", huge)):
-        machine = run_dir / f"{name}.json"
-        cls = {"kind": "one-param", "generators": [[0.0, 0.0, 0.0, 1.0]]}
-        doc = {"unitary": [[[v, 0.0] for v in row] for row in u], "probe_bloch": [0.0, 0.0, 1.0], "class": cls}
+    for name, doc in written_documents().items():
+        machine = run_dir / name
         machine.write_text(json.dumps(doc))
         yield ["verify", str(machine)], None
     yield ["scan", "--theta-min", "1e308", "--theta-max", "1e308", "--steps", "3"], None
@@ -170,6 +171,30 @@ def fixed_commands(run_dir: Path):
     theta = "1.5707113155272596"
     yield ["scan", "--state=0,-1,0", f"--theta-min={theta}", f"--theta-max={theta}", "--steps", "1"], None
     yield ["compare", "--state=0.9999999999989421,1.4545454545439158e-06,0.0"], None
+    pair = run_dir / "sigma3-and-small-sigma1.class.json"
+    pair.write_text(json.dumps({"kind": "two-param-noncommuting", "generators": [[0.0, 0.0, 0.0, 1.0], [0.0, 1e-9, 0.0, 0.0]]}))
+    yield ["search", str(pair), "--restarts", "1", "--max-evals", "1000"], None
+
+
+def written_documents() -> dict:
+    """The machine documents that fixed_commands writes, by file name: two whose unitary is not
+    unitary (2·I, and the identity with one entry of 1e308), both on sigma3, and CNOT on 1e12 I + sigma1."""
+    eye = [[float(i == j) for j in range(4)] for i in range(4)]
+    huge = [row[:] for row in eye]
+    huge[0][3] = 1e308
+    machines = (
+        ("twice-identity", [[2.0 * v for v in row] for row in eye], [0.0, 0.0, 0.0, 1.0]),
+        ("huge-entry", huge, [0.0, 0.0, 0.0, 1.0]),
+        ("cnot-heavy-sigma1", [eye[0], eye[1], eye[3], eye[2]], [1e12, 1.0, 0.0, 0.0]),
+    )
+    return {
+        f"{name}.json": {
+            "unitary": [[[v, 0.0] for v in row] for row in u],
+            "probe_bloch": [0.0, 0.0, 1.0],
+            "class": {"kind": "one-param", "generators": [generator]},
+        }
+        for name, u, generator in machines
+    }
 
 
 def criterion_5_classes():
@@ -221,7 +246,8 @@ def main(argv: list[str]) -> int:
     verdicts = verify_verdicts = compare_codes = scan_codes = 0
     evaluations = [0, 0]
     verify_shift = compare_shift = scan_shift = 0.0
-    documents = {}
+    # Each machine document by its masked path, as hex: those written here, then each build's --out file.
+    documents = {f"{MASK}/fixed/{name}": json.dumps(doc).encode().hex() for name, doc in written_documents().items()}
     for a, b in zip(old, new):
         kind = a[0][0]
         total[kind] += 1
@@ -306,18 +332,20 @@ def search_change(a: list, b: list) -> tuple[str, bool, str, tuple[int, int]]:
 def verify_change(a: list, b: list, document: str | None) -> tuple[str, bool, float]:
     """How a verify record changed: a note, whether its exit code or passed flag moved, and its largest defect change.
 
-    The change of each defect is divided by the Frobenius norm sqrt(2) |c| of its generator, read off
-    the hex bytes of the machine document. A payload or document that cannot be read counts as a moved
-    verdict with an infinite change.
+    The change of each defect is divided by the Frobenius norm sqrt(2) |a| of its generator's traceless
+    part a, as verify divides it, read off the hex bytes of the machine document; for a generator with
+    no traceless part any change is infinite. A payload or document that cannot be read counts as a
+    moved verdict with an infinite change.
     """
     docs = [payload(r) for r in (a, b)]
     notes = ["exit code " + ("unchanged" if a[1] == b[1] else f"{a[1]} -> {b[1]}")]
     try:
         gens = json.loads(bytes.fromhex(document))["class"]["generators"]
         was, now = (d["per_generator_defects"] for d in docs)
+        norms = [math.sqrt(2.0) * math.hypot(*g[1:]) for g in gens]
         shift = max(
-            abs(x - y) / (math.sqrt(2.0) * math.hypot(*g))
-            for g, old, new in zip(gens, was, now, strict=True)
+            abs(x - y) / norm if norm else 0.0 if x == y else math.inf
+            for norm, old, new in zip(norms, was, now, strict=True)
             for x, y in zip(old, new, strict=True)
         )
     except (TypeError, ValueError, KeyError):
