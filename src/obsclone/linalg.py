@@ -180,7 +180,11 @@ def reals(data, name: str, n: int) -> tuple[float, ...]:
     if not (isinstance(data, (list, tuple)) or isinstance(data, np.ndarray) and data.ndim == 1) or len(data) != n:
         raise ValueError(f"{name} must be a list of {n} real numbers")
     values = data.tolist() if isinstance(data, np.ndarray) else data
-    return tuple(real(v, f"{name}[{i}]") for i, v in enumerate(values))
+    # Only the entry that fails gets its name built, and real raises naming it.
+    if not all(map(is_real, values)):
+        i = next(i for i, v in enumerate(values) if not is_real(v))
+        real(values[i], f"{name}[{i}]")
+    return tuple(map(float, values))
 
 
 def json_fields(data, what: str, keys) -> list:

@@ -5,8 +5,11 @@ start: SQP on the epigraph form with analytic gradients, a damped BFGS inverse H
 backtracking line search. A step's linear algebra is a few ndarray.dot calls (the BLAS of @ at half
 its call cost) on 12-14 coordinates; its dual QP, over at most 8 pairs, runs on plain floats. Most
 QPs end after one round whose face minimum is interior, most often on a full support of four pairs
-(two generators): that round solves the face, straight-line for four pairs, moves there and forms
-the dual's gradient once, with the floats of the general round.
+(two generators): that round solves the face, straight-line for three and four pairs, moves there
+and forms the dual's gradient once, with the floats of the general round. The objective takes the
+line search's bound: fun(x, above) may stop scoring x once it finds the value at or above `above`,
+and returns (above, None) for such a trial, which is rejected; any other call gives fun(x)'s value
+and rows, so the bound changes no bit of the descent.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ import numpy as np
 def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     """Minimize max_i phi_i(x) from x0 by SQP on the epigraph form, min t s.t. phi_i(x) <= t.
 
-    fun(x) returns (f, rows): f an increasing function of max_i phi_i (the defect), and rows() the list
-    of pairs (phi_i, jac_i) at x, a value and its gradient. The first call evaluates fun(x0); a start
-    whose f is not finite is returned at once. Each step solves the QP
+    fun(x, above=None) returns (f, rows): f an increasing function of max_i phi_i (the defect), and
+    rows() the pair (phi, grads) at x, phi the list of the values phi_i and grads their gradients
+    jac_i, one after another in one flat list. Given above, fun may instead return (v, None) with
+    v >= above once it finds f >= above; each line-search trial passes the current f as above, and
+    the start takes no bound. The first call evaluates fun(x0); a start whose f is not finite is
+    returned at once. Each step solves the QP
     min s + d.H.d / 2 s.t. phi_i + jac_i.d <= max(phi) + s through its dual (_simplex_qp), with H
     Powell's damped BFGS approximation of the Lagrangian's Hessian, kept as B = H^-1, so a step is
     s = alpha d with d = B.jac^T.lam and alpha = -1, -1/2, ... (exact sign flips), and H.s = alpha
@@ -40,12 +46,11 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     lo, hi = (None, None) if bounds is None else np.array(bounds, dtype=float).T
     here, inv, support = np.array(x), None, None
     while nfev < maxfev and not (ftarget is not None and f < ftarget):
-        pairs = rows()
+        phi, grads = rows()
         nfev += 1
-        if not pairs:
+        if not phi:
             break
-        phi, grads = zip(*pairs)
-        jac = np.array(grads, dtype=float)
+        jac = np.array(grads).reshape(len(phi), -1)
         if inv is None:
             inv, support = np.eye(len(x)), [phi.index(max(phi))]
         else:
@@ -64,7 +69,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
             point = trial.tolist()
             if nfev == maxfev or point == x:
                 return x, f, nfev
-            ft, trial_rows = fun(point)
+            ft, trial_rows = fun(point, f)
             nfev += 1
             if ft < f:
                 break
@@ -164,11 +169,27 @@ def _face(m, gap, support):
 
     With l the support's last index, lam = e_l + Z.q and Z = [I; -1^T], the minimum solves the positive
     semidefinite Z^T.M.Z q = -Z^T (M e_l + gap) (_solve), and p is q with 1 - sum(q) appended; where the
-    system is singular, p is its null vector with -sum appended. A support of four, the search's common
-    face, is built and eliminated straight-line, in _solve's order and with its floats; a pivot that is
-    not positive, which the searches' four-pair faces almost never meet, leaves the face to _solve.
+    system is singular, p is its null vector with -sum appended. A support of three or four, the
+    search's common faces, is built and eliminated straight-line, in _solve's order and with its floats;
+    a pivot that is not positive, which the searches' faces almost never meet, leaves the face to _solve.
     """
-    if len(support) == 4:
+    if len(support) == 3:
+        s0, s1, l = support
+        m0, m1, ml = m[s0], m[s1], m[l]
+        mll, l0, l1 = ml[l], ml[s0], ml[s1]
+        wl = mll + gap[l]
+        u, v = m0[l], m1[l]
+        c0, c1 = u - mll, v - mll
+        a00, a01, a02 = m0[s0] - l0 - c0, m0[s1] - l1 - c0, wl - u - gap[s0]
+        a10, a11, a12 = m1[s0] - l0 - c1, m1[s1] - l1 - c1, wl - v - gap[s1]
+        if a00 > 0.0:
+            f = a10 / a00
+            a11, a12 = a11 - f * a01, a12 - f * a02
+            if a11 > 0.0:
+                x1 = a12 / a11
+                x0 = (a02 - (0.0 + a01 * x1)) / a00
+                return [x0, x1, 1.0 - (x0 + x1)], False
+    elif len(support) == 4:
         s0, s1, s2, l = support
         m0, m1, m2, ml = m[s0], m[s1], m[s2], m[l]
         mll, l0, l1, l2 = ml[l], ml[s0], ml[s1], ml[s2]
@@ -212,11 +233,11 @@ def _solve(a):
             # Column c is a combination of the ones before it: back-substitute for v with v_c = 1.
             end = c
             break
+        tail = pivot[c + 1 :]
         for r in range(c + 1, n):
             row = a[r]
             f = row[c] / d
-            for k in range(c + 1, n + 1):
-                row[k] -= f * pivot[k]
+            row[c + 1 :] = [v - f * p for v, p in zip(row[c + 1 :], tail)]
     x = [0.0] * (n + 1)
     x[end] = 1.0
     for r in reversed(range(end)):

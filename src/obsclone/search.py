@@ -14,9 +14,10 @@ branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). Each restart
 descends with obsclone.optimize.minimize, SQP on the minimax of the
 squared branch-generator defects. It takes the one callable _objective
-returns: defect(x) gives the defect and a function whose call gives each
-squared defect with its analytic gradient at x. The module needs numpy
-alone.
+returns: defect(x) gives the defect and a function whose call gives the
+squared defects with their analytic gradients at x, and defect(x, above),
+a line-search trial, stops at the first pair that puts the defect at or
+above `above` and returns (above, None). The module needs numpy alone.
 MODES and SearchConfig's field defaults are the search surface the
 command line offers.
 """
@@ -76,10 +77,15 @@ class SearchSpacePoint:
 
     @classmethod
     def from_vector(cls, v) -> "SearchSpacePoint":
+        """The point of 12 angles, optionally followed by 2 gains; a bad entry raises ValueError naming v[i]."""
         if np.shape(v) not in ((12,), (14,)):
             raise ValueError("expected 12 angles, optionally followed by 2 gains")
         v = reals(v, "v", len(v))
-        return cls(v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)
+        # Each number is checked once, here, so the blocks bypass __post_init__'s checks.
+        point = object.__new__(cls)
+        for name, block in zip(_ANGLE_BLOCKS + ("gains",), (v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)):
+            object.__setattr__(point, name, block)
+        return point
 
     def to_dict(self) -> dict:
         return {
@@ -201,13 +207,21 @@ def _objective(cls: ObservableClass, mode: str):
     underflow to zero. A class whose traceless parts could carry a defect
     past the float range is refused; identity parts never enter.
 
-    defect(x) returns (defect, rows), and rows() the list of pairs (phi, its
-    gradient in x), generator i on branch b + 1 at index b G' + i, where i
-    counts only the G' generators with a nonzero traceless part: every
-    machine copies the others, so they get no pair. rows adds the gradients
-    to the value pass of its own copy of x, so neither later calls nor edits
-    of the caller's list change them. The rotations differentiate through
-    _conjugation_gradient.
+    defect(x) returns (defect, rows), and rows() the pair (phis, grads): phis
+    the list of each pair's phi, generator i on branch b + 1 at index b G' + i,
+    where i counts only the G' generators with a nonzero traceless part
+    (every machine copies the others, so they get no pair), and grads their
+    gradients in x, one after another in one flat list. rows adds the
+    gradients to the value pass of its own copy of x, so neither later calls
+    nor edits of the caller's list change them. The rotations differentiate
+    through _conjugation_gradient.
+
+    defect(x, above) scores x as defect(x) does until a pair puts the defect
+    at or above `above`, and then returns (above, None) at once: sqrt and
+    ldexp are monotone, so the full defect could not fall below it. Branch 2's
+    post-rotation is built only once branch 1 has passed. Otherwise it returns
+    defect(x)'s value and rows, bit for bit, so a line search that passes its
+    current value as above rejects the same trials and accepts the same ones.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0)
@@ -218,7 +232,7 @@ def _objective(cls: ObservableClass, mode: str):
     # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
     gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
 
-    def defect(x):
+    def defect(x, above=None):
         x = list(x)
         # The value pass: rows gets x, the pre-rotation, the kernel's trig values and, per branch,
         # its kernel entries, gain and each pair's u, r0, y, r and phi.
@@ -227,10 +241,11 @@ def _objective(cls: ObservableClass, mode: str):
         s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
         g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
         worst, branches = 0.0, []
-        for (q0, q1, q2, q3, q4, q5, q6, q7, q8), kern, gain in (
-            (_conjugation(x[6], x[7], x[8]), (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
-            (_conjugation(x[9], x[10], x[11]), (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
+        for j, kern, gain in (
+            (6, (s1 * s2, c2 * c3, c2 * s3, -c1 * s3, c1 * c3, c1 * c2), g1),
+            (9, (c1 * c2, s2 * s3, -s2 * c3, s1 * c3, s1 * s3, s1 * s2), g2),
         ):
+            q0, q1, q2, q3, q4, q5, q6, q7, q8 = _conjugation(x[j], x[j + 1], x[j + 2])
             k20, k01, k02, k11, k12, k23 = kern
             pairs = []
             for a1, a2, a3, weight in gens:
@@ -247,6 +262,9 @@ def _objective(cls: ObservableClass, mode: str):
                 phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
                 if phi > worst:
                     worst = phi
+                    # sqrt and ldexp are monotone, so the defect is at least this pair's.
+                    if above is not None and math.ldexp(math.sqrt(phi), top) >= above:
+                        return above, None
                 pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
             branches.append((kern, gain, pairs))
         return math.ldexp(math.sqrt(worst), top), partial(rows, x, p, (c1, c2, c3, s1, s2, s3), branches)
@@ -254,7 +272,7 @@ def _objective(cls: ObservableClass, mode: str):
     def rows(x, p, trig, branches):
         p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
         c1, c2, c3, s1, s2, s3 = trig
-        out = []
+        phis, grads = [], []
         dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
         # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
         # cosine or sine per angle, and c_l' = -s_l, s_l' = c_l.
@@ -270,8 +288,8 @@ def _objective(cls: ObservableClass, mode: str):
                 (0.0, s2 * c3, s2 * s3, -s1 * s3, s1 * c3, 0.0),
             ),
         )
-        for b, ((k20, k01, k02, k11, k12, k23), gain, pairs), dkern in zip((0, 1), branches, dkerns):
-            j = 6 + 3 * b
+        for first, ((k20, k01, k02, k11, k12, k23), gain, pairs), dkern in zip((True, False), branches, dkerns):
+            j = 6 if first else 9
             dq0, dq1, dq2, dq3, dq4, dq5, dq6, dq7, dq8 = _conjugation_gradient(x[j], x[j + 1], x[j + 2])
             (d10, d11, d12, d13, d14, d15), (d20, d21, d22, d23, d24, d25), (d30, d31, d32, d33, d34, d35) = dkern
             for (a1, a2, a3, weight), (u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi) in zip(gens, pairs):
@@ -287,20 +305,24 @@ def _objective(cls: ObservableClass, mode: str):
                 gm = gain * m
                 x1, x2, x3 = a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1
                 o1, o2, o3 = u2 * e3 - u3 * e2, u3 * e1 - u1 * e3, u1 * e2 - u2 * e1
-                row = [0.0] * len(x)
-                row[0] = gm * (dp0 * x1 + dp1 * x2 + dp2 * x3)
-                row[1] = gm * (dp3 * x1 + dp4 * x2 + dp5 * x3)
-                row[2] = gm * (dp6 * x1 + dp7 * x2 + dp8 * x3)
-                row[3] = m * (t0 * d10 + t1 * d11 + t2 * d12 + t3 * d13 + t4 * d14 + t5 * d15)
-                row[4] = m * (t0 * d20 + t1 * d21 + t2 * d22 + t3 * d23 + t4 * d24 + t5 * d25)
-                row[5] = m * (t0 * d30 + t1 * d31 + t2 * d32 + t3 * d33 + t4 * d34 + t5 * d35)
-                row[j] = m * (dq0 * o1 + dq1 * o2 + dq2 * o3)
-                row[j + 1] = m * (dq3 * o1 + dq4 * o2 + dq5 * o3)
-                row[j + 2] = m * (dq6 * o1 + dq7 * o2 + dq8 * o3)
+                phis.append(phi)
+                grads += (
+                    gm * (dp0 * x1 + dp1 * x2 + dp2 * x3),
+                    gm * (dp3 * x1 + dp4 * x2 + dp5 * x3),
+                    gm * (dp6 * x1 + dp7 * x2 + dp8 * x3),
+                    m * (t0 * d10 + t1 * d11 + t2 * d12 + t3 * d13 + t4 * d14 + t5 * d15),
+                    m * (t0 * d20 + t1 * d21 + t2 * d22 + t3 * d23 + t4 * d24 + t5 * d25),
+                    m * (t0 * d30 + t1 * d31 + t2 * d32 + t3 * d33 + t4 * d34 + t5 * d35),
+                )
+                # The post-rotation of the other branch, and its gain, take no part.
+                v0 = m * (dq0 * o1 + dq1 * o2 + dq2 * o3)
+                v1 = m * (dq3 * o1 + dq4 * o2 + dq5 * o3)
+                v2 = m * (dq6 * o1 + dq7 * o2 + dq8 * o3)
+                grads += (v0, v1, v2, 0.0, 0.0, 0.0) if first else (0.0, 0.0, 0.0, v0, v1, v2)
                 if approximate:
-                    row[12 + b] = m * (y1 * r1 + y2 * r2 + y3 * r3)
-                out.append((phi, row))
-        return out
+                    v = m * (y1 * r1 + y2 * r2 + y3 * r3)
+                    grads += (v, 0.0) if first else (0.0, v)
+        return phis, grads
 
     return defect
 

@@ -4,9 +4,10 @@ _simplex_qp is checked against a brute-force solution of its dual over
 every support, its face solve _solve against numpy's, and _bfgs_update,
 which keeps the inverse of the Hessian approximation, against the direct
 damped BFGS update of the Hessian itself, inverted by numpy. The QP's
-interior round and its straight-line face of four pairs are checked bit
-for bit against the QP as it was before them (reference_simplex_qp); that
-holds where sum() adds floats left to right, as CPython before 3.12 does.
+interior round and its straight-line faces of three and four pairs are
+checked bit for bit against the QP as it was before them
+(reference_simplex_qp); that holds where sum() adds floats left to right,
+as CPython before 3.12 does.
 """
 
 import itertools
@@ -171,15 +172,16 @@ def test_simplex_qp_drops_an_index_that_a_tie_leaves_at_exactly_zero(monkeypatch
     has its minimum at e_2, so indices 0 and 1 block together at t = 1: index 0
     leaves, and index 1 stays on the support at exactly 0.0. On the face {1, 2}
     its multiplier is again exactly 0.0, so its ratio is 0 / (0 - 0), taken as
-    0: it blocks at once and leaves. Five face solves; the support ends as [2],
-    at the dual's minimum e_2, where every w_i is 1."""
+    0: it blocks at once and leaves. Five face solves, on supports of 1, 2, 3,
+    2 and 1 pairs; the support ends as [2], at the dual's minimum e_2, where
+    every w_i is 1."""
     m = [[1.0, -1.0, -1.0], [-1.0, 5.0, 1.0], [-1.0, 1.0, 1.0]]
     gap = [2.0, 0.0, 0.0]
-    solves, solve = [], optimize._solve
-    monkeypatch.setattr(optimize, "_solve", lambda a: solves.append(len(a)) or solve(a))
+    faces, face = [], optimize._face
+    monkeypatch.setattr(optimize, "_face", lambda m, gap, support: faces.append(len(support)) or face(m, gap, support))
     support = [0]
     lam, predicted = _simplex_qp(m, gap, support)
-    assert (solves, support, lam, predicted) == ([0, 1, 2, 1, 0], [2], [0.0, 0.0, 1.0], 1.0)
+    assert (faces, support, lam, predicted) == ([1, 2, 3, 2, 1], [2], [0.0, 0.0, 1.0], 1.0)
     assert abs(dual(np.array(m), np.array(gap), np.array(lam)) - brute_force_dual(np.array(m), np.array(gap))) <= 1e-12
 
 
@@ -323,34 +325,38 @@ def test_a_face_minimum_with_a_zero_multiplier_takes_the_general_round(n):
 
 
 @pytest.mark.parametrize("kind", QP_KINDS)
-def test_the_straight_line_face_matches_solve_bit_for_bit(rng, kind):
-    """Every ordered support of four pairs of random QPs of 4 and 6 pairs: the
-    straight-line face gives the reference solve's multipliers, or its null
-    vector, bit for bit. Duplicated rows meet each of the three pivots at
-    zero, dependent rows the second and the third."""
+@pytest.mark.parametrize("size", [3, 4])
+def test_the_straight_line_face_matches_solve_bit_for_bit(rng, size, kind):
+    """Every ordered support of three or four pairs of random QPs of that many
+    pairs and of 6: the straight-line face gives the reference solve's
+    multipliers, or its null vector, bit for bit. Duplicated rows meet each of
+    the size - 1 pivots at zero, dependent rows the second and the third."""
     ends = set()
-    for n in (4, 6):
+    for n in (size, 6):
         for _ in range(6):
             m, gap = (a.tolist() for a in qp_case(rng, kind, n))
-            for support in itertools.permutations(range(n), 4):
+            for support in itertools.permutations(range(n), size):
                 (p, singular), (want, want_singular) = optimize._face(m, gap, list(support)), reference_face(m, gap, support)
                 assert (bits(p), singular) == (bits(want), want_singular)
                 # A null vector has 1 at the pivot that is not positive and 0 after it, the last entry aside.
-                ends.add(max(i for i in range(3) if p[i]) if singular else None)
-    assert ends >= {None} | {"duplicated-rows": {0, 1, 2}, "dependent-rows": {1, 2}}.get(kind, set())
+                ends.add(max(i for i in range(size - 1) if p[i]) if singular else None)
+    pivots = set(range(size - 1))
+    assert ends >= {None} | {"duplicated-rows": pivots, "dependent-rows": pivots - {0}}.get(kind, set())
 
 
-def test_the_straight_line_face_keeps_the_sign_of_a_zero(rng):
-    """Faces of four pairs whose entries are 0.0, -0.0, 1 and 2, with the last
-    index's row and column 0.0 but for m_ll = gap_l = -0.0: the face rows end
-    in -0.0, and elimination meets zeros of both signs. The straight-line face
-    gives the reference's signs of zero too, which the 0.0 that starts each of
-    _solve's back-substitution sums decides."""
-    signed = 0
+@pytest.mark.parametrize("size", [3, 4])
+def test_the_straight_line_face_keeps_the_sign_of_a_zero(rng, size):
+    """Faces of three and four pairs whose entries are 0.0, -0.0, 1 and 2, with
+    the last index's row and column 0.0 but for m_ll = gap_l = -0.0: the face
+    rows end in -0.0, and elimination meets zeros of both signs. The
+    straight-line face gives the reference's signs of zero too, which the 0.0
+    that starts each of _solve's back-substitution sums decides."""
+    signed, k = 0, size - 1
     for _ in range(3000):
-        m = [[*rng.choice([-0.0, 0.0, 1.0, 2.0], 3).tolist(), 0.0] for _ in range(3)] + [[0.0, 0.0, 0.0, -0.0]]
-        gap = [*rng.choice([-1.0, -0.0, 0.0], 3).tolist(), -0.0]
-        (p, singular), (want, want_singular) = optimize._face(m, gap, [0, 1, 2, 3]), reference_face(m, gap, [0, 1, 2, 3])
+        m = [[*rng.choice([-0.0, 0.0, 1.0, 2.0], k).tolist(), 0.0] for _ in range(k)] + [[0.0] * k + [-0.0]]
+        gap = [*rng.choice([-1.0, -0.0, 0.0], k).tolist(), -0.0]
+        support = list(range(size))
+        (p, singular), (want, want_singular) = optimize._face(m, gap, support), reference_face(m, gap, support)
         assert (bits(p), singular) == (bits(want), want_singular)
         signed += "-0x0.0p+0" in bits(p)
     assert signed
@@ -434,8 +440,10 @@ def test_descent_updates_invert_the_direct_ones_where_bounds_clip_steps(monkeypa
     monkeypatch.setattr(optimize, "_bfgs_update", recorded)
     fun, points = _objective(cls, "approximate"), []
 
-    def logged(x):
-        value, rows = fun(x)
+    def logged(x, above=None):
+        value, rows = fun(x, above)
+        if rows is None:
+            return value, None
 
         def logged_rows():
             points.append(x)

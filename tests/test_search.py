@@ -256,19 +256,22 @@ def rows_of(fun):
     """x -> (phi, jac): the squared defects and gradients that the rows of fun(x) give."""
 
     def rows(x):
-        phi, jac = zip(*fun(x)[1]())
-        return list(phi), list(jac)
+        phi, grads = fun(x)[1]()
+        return phi, np.reshape(grads, (len(phi), -1)).tolist()
 
     return rows
 
 
 def logged(fun, log):
-    """fun, recording each call of it or of its rows as (point, value, whether it was the rows call)."""
+    """fun, recording each call of it or of its rows as (point, value, whether it was the rows call);
+    a trial that fun cuts short at above is recorded with the value it returns, and has no rows."""
 
-    def f(x):
+    def f(x, above=None):
         x = [float(t) for t in x]
-        v, rows = fun(x)
+        v, rows = fun(x, above)
         log.append((x, v, False))
+        if rows is None:
+            return v, None
 
         def logged_rows():
             log.append((x, v, True))
@@ -367,7 +370,7 @@ def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
         (value, rows), (bare_value, bare_rows) = fun(x), bare(x)
         assert value == bare_value
         assert rows() == bare_rows()
-        assert len(rows()) == 2 * len(paired.generators) < 2 * len(cls.generators)
+        assert len(rows()[0]) == 2 * len(paired.generators) < 2 * len(cls.generators)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -380,7 +383,7 @@ def test_a_class_of_identity_multiples_has_nothing_to_descend(mode):
     assert (result.converged, result.best_defect, result.evaluations, result.restarts) == (True, 0.0, 1, 1)
     fun, log = _objective(cls, mode), []
     x0 = random_vector(np.random.default_rng(1), approximate).tolist()
-    assert fun(x0)[1]() == []
+    assert fun(x0)[1]() == ([], [])
     assert minimize(logged(fun, log), x0, 100, _bounds(approximate)) == (x0, 0.0, 2)
     assert log == [(x0, 0.0, False), (x0, 0.0, True)]
 
@@ -441,8 +444,9 @@ def seeded_pair():
 
 
 def bits(value, rows):
-    """A value and its rows as bits: the value's hex, and each pair's phi and gradient entries as hex."""
-    return value.hex(), [(phi.hex(), [g.hex() for g in grad]) for phi, grad in rows()]
+    """A value and its rows as bits: the value's hex, and the hex of each phi and of each gradient entry."""
+    phi, grads = rows()
+    return value.hex(), [v.hex() for v in phi], [g.hex() for g in grads]
 
 
 FRESH_BITS_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-basis": GENERAL}
@@ -524,6 +528,60 @@ def test_minimize_never_worsens_its_start(seed, name, mode, budget):
             assert GAIN_BOUNDS[0] <= min(gains) and max(gains) <= GAIN_BOUNDS[1]
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(DESCENT_CLASSES)), st.sampled_from(MODES), st.floats(0.0, 2.0))
+@example(0, "pauli-basis", "exact", 1.0)
+@example(0, "unequal-pair", "approximate", 0.5)
+@example(0, "sigma-x-y", "exact", 2.0)
+@settings(max_examples=60, deadline=None)
+def test_a_bounded_call_gives_the_full_result_or_a_value_at_or_above_the_bound(seed, name, mode, ratio):
+    """At a random point, with zero and tiny blocks mixed in, and above a random
+    multiple of the defect (the defect itself among them), fun(x, above) either
+    returns fun(x)'s value with rows of the same bits, or (v, None) with v >= above,
+    and then fun(x)'s value is at least above too."""
+    cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
+    fun = _objective(cls, mode)
+    rng = np.random.default_rng(seed)
+    x = mixed_vector(rng, int(rng.integers(40)), approximate).tolist()
+    value, rows = fun(x)
+    above = value * ratio
+    bounded, bounded_rows = fun(x, above)
+    if bounded_rows is None:
+        assert bounded >= above and value >= above
+    else:
+        assert bits(bounded, bounded_rows) == bits(value, rows)
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CLASSES))
+@pytest.mark.parametrize("mode", MODES)
+def test_the_bound_changes_no_bit_of_the_descent(name, mode):
+    """minimize with the objective as it is, which cuts rejected trials short, and
+    with a wrapper that drops above, so that every trial is scored in full, returns
+    the same x, f and nfev, bit for bit, from three starts. In approximate mode the
+    first start has a gain at its lower bound, so bounds clip some trials."""
+    cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
+    fun, bounds = _objective(cls, mode), _bounds(approximate)
+    rng = np.random.default_rng(11)
+    starts = [random_vector(rng, approximate).tolist() for _ in range(3)]
+    if approximate:
+        starts[0][12] = GAIN_BOUNDS[0]
+    trials = []
+
+    def watched(x, above=None):
+        value, rows = fun(x, above)
+        trials.append((x, rows is None))
+        return value, rows
+
+    def full(x, above=None):
+        return fun(x)
+
+    for x0 in starts:
+        (x, f, nfev), (want_x, want_f, want_nfev) = minimize(watched, x0, 300, bounds), minimize(full, x0, 300, bounds)
+        assert ([v.hex() for v in x], f.hex(), nfev) == ([v.hex() for v in want_x], want_f.hex(), want_nfev)
+    assert any(cut for _, cut in trials)
+    if approximate:
+        assert any(g in GAIN_BOUNDS for x, _ in trials[1:] for g in x[12:])
+
+
 @pytest.mark.parametrize("name", sorted(DESCENT_CLASSES))
 @pytest.mark.parametrize("mode", MODES)
 def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
@@ -550,7 +608,7 @@ def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
 def test_minimize_returns_a_start_without_a_finite_value_at_once(value):
     """The start is the one evaluation: no rows call, no step."""
     log = []
-    x, f, nfev = minimize(logged(lambda x: (value, list), log), [0.5, -1.0, 2.0], 100)
+    x, f, nfev = minimize(logged(lambda x, above=None: (value, list), log), [0.5, -1.0, 2.0], 100)
     assert x == [0.5, -1.0, 2.0]
     assert f is value
     assert nfev == 1
@@ -562,10 +620,10 @@ def enclosing_ball(centres):
     smallest ball around the c_i and whose floor is its squared radius."""
     centres = np.array(centres, dtype=float)
 
-    def fun(x):
+    def fun(x, above=None):
         diff = np.array(x) - centres
         phi = (diff**2).sum(axis=1)
-        return float(phi.max()), lambda: list(zip(phi.tolist(), (2.0 * diff).tolist()))
+        return float(phi.max()), lambda: (phi.tolist(), (2.0 * diff).ravel().tolist())
 
     return fun
 
@@ -686,7 +744,7 @@ def test_search_refuses_classes_whose_residuals_leave_the_float_range():
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_search_without_a_finite_defect_raises(monkeypatch, value):
-    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x: (value, list))
+    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x, above=None: (value, list))
     with pytest.raises(ValueError, match="finite defect"):
         search_machine(ONE_PARAM, "exact", SearchConfig(restarts=2, max_evals=30))
 

@@ -40,9 +40,10 @@ def test_ab_finds_a_tree_identical_to_itself(workload, kinds, count):
 def test_step_split_prints_each_part_of_a_step():
     """tools/step_split.py on this src and workload seed 1 finds every wrapped
     run's result equal to the unwrapped run's and prints one line for each
-    part of a step, then the total, then the QPs by shape: pairs, support size
-    in and out, count, share and microseconds per call, at most ten shapes
-    and one line for the others, the counts adding up to the steps."""
+    part of a step, the trials cut short at the line search's bound among them,
+    then the total, then the QPs by shape: pairs, support size in and out,
+    count, share and microseconds per call, at most ten shapes and one line for
+    the others, the counts adding up to the steps."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_split.py"), str(ROOT / "src"), "1"],
         capture_output=True, text=True, timeout=600,
@@ -50,14 +51,15 @@ def test_step_split_prints_each_part_of_a_step():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("9 searches, workload seeds 1,")
-    assert [line.split()[0] for line in lines[2:8]] == ["rows", "plain", "qp", "bfgs", "rest", "total"]
-    assert lines[8].startswith("steps ")
-    assert lines[9].split() == ["shape", "pairs", "in", "out", "QPs", "share", "us/call"]
-    shapes = [line.split() for line in lines[10:]]
+    assert [line.split()[0] for line in lines[2:9]] == ["rows", "plain", "bounded", "qp", "bfgs", "rest", "total"]
+    assert float(lines[4].split()[1]) > 0.0
+    assert lines[9].startswith("steps ")
+    assert lines[10].split() == ["shape", "pairs", "in", "out", "QPs", "share", "us/call"]
+    shapes = [line.split() for line in lines[11:]]
     assert 1 <= len(shapes) <= 11 and all(row[0] == "shape" for row in shapes)
     assert all(len(row) == 7 and row[1] in ("2", "4", "6", "8") for row in shapes[:10])
     assert len(shapes) < 11 or shapes[10][1] == "other"
-    assert sum(int(row[-3]) for row in shapes) == int(lines[8].split()[1].rstrip(","))
+    assert sum(int(row[-3]) for row in shapes) == int(lines[9].split()[1].rstrip(","))
 
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():

@@ -5,9 +5,10 @@ Usage, from the root of the repository:
     python3 tools/step_split.py SRC [SEEDS]
 
 SRC is the `src/` directory of a checkout, for example this tree's or a
-clone of the parent commit, whose objective returns (value, rows) from
-fun(x); a tree with the older fun(x, rows) objective is timed with the
-step_split.py of its own commit. SEEDS are workload seeds, as a list
+clone of the parent commit, whose objective fun(x, above=None) returns
+(value, rows), or (above, None) for a trial it cuts short; a tree with an
+older objective, fun(x) or fun(x, rows), is timed with the step_split.py
+of its own commit. SEEDS are workload seeds, as a list
 (1,2,5), a range (1-10) or both (1-3,7); the default is 1-10. For each
 seed the searches of the search-floor steps, as tools/ab.py plans them,
 run in-process through `obsclone.cli.main`.
@@ -18,9 +19,12 @@ callable, the rows it returns, `optimize._simplex_qp`,
 outside; every wrapped run must give the unwrapped run's exit code and
 output bytes, or the tool exits 1. Per search the pass with the least
 descent time counts. The table gives, per SQP step (one QP), the calls
-and microseconds of the rows calls rows(), the plain calls fun(x), which
-score a point and return its rows, the QP, the BFGS update and the rest
-of the descent, which is minimize's time less the four timed parts; the
+and microseconds of the rows calls rows(), the plain calls, which score a
+point in full and return its rows (the start's fun(x) and each line-search
+trial fun(x, above) that is not cut short), the bounded calls, trials that
+stop at the first pair putting the defect at or above `above` and return
+no rows, the QP, the BFGS update and the rest
+of the descent, which is minimize's time less the five timed parts; the
 timers' own cost (a few tenths of a microsecond per call, and the
 wrapping of each point's rows) falls partly in each part and partly in
 the rest. Then come the steps, the evaluations and the descent time in
@@ -44,7 +48,7 @@ from ab import parse_seeds, planned, run
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
-PARTS = ("rows", "plain", "qp", "bfgs")
+PARTS = ("rows", "plain", "bounded", "qp", "bfgs")
 SHAPES = 10
 
 
@@ -71,11 +75,15 @@ def timed_run(cmd):
         return timed
 
     def objective(c, mode):
-        plain_call = wrap("plain", originals[0](c, mode))
+        scored = originals[0](c, mode)
 
-        def fun(x):
-            value, rows = plain_call(x)
-            return value, wrap("rows", rows)
+        def fun(x, above=None):
+            t = clock()
+            value, rows = scored(x, above)
+            record = stats["plain" if rows is not None else "bounded"]
+            record[1] += clock() - t
+            record[0] += 1
+            return value, None if rows is None else wrap("rows", rows)
 
         return fun
 
@@ -137,12 +145,12 @@ def main(argv: list[str]) -> int:
     steps = total["qp calls"]
     rest = descent - sum(total[part] for part in PARTS)
     print(f"{count} searches, workload seeds {','.join(map(str, seeds))}, source {argv[0]}")
-    print(f"{'part':<6} {'calls/step':>10} {'us/step':>8} {'us/call':>8}")
+    print(f"{'part':<7} {'calls/step':>10} {'us/step':>8} {'us/call':>8}")
     for part in PARTS:
         calls = total[part + " calls"]
-        print(f"{part:<6} {calls / steps:>10.2f} {total[part] / steps / 1e3:>8.1f} {total[part] / max(calls, 1) / 1e3:>8.1f}")
-    print(f"{'rest':<6} {'':>10} {rest / steps / 1e3:>8.1f}")
-    print(f"{'total':<6} {'':>10} {descent / steps / 1e3:>8.1f}")
+        print(f"{part:<7} {calls / steps:>10.2f} {total[part] / steps / 1e3:>8.1f} {total[part] / max(calls, 1) / 1e3:>8.1f}")
+    print(f"{'rest':<7} {'':>10} {rest / steps / 1e3:>8.1f}")
+    print(f"{'total':<7} {'':>10} {descent / steps / 1e3:>8.1f}")
     print(f"steps {steps}, evaluations {evaluations}, descent {descent / 1e6:.1f} ms")
     print(f"{'shape':<6} {'pairs':>5} {'in':>3} {'out':>3} {'QPs':>6} {'share':>6} {'us/call':>8}")
     ranked = sorted(shapes.items(), key=lambda item: -item[1][0])
