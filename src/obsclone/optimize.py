@@ -6,10 +6,11 @@ backtracking line search. A step's linear algebra is a few ndarray.dot calls (th
 its call cost) on 12-14 coordinates; its dual QP, over at most 8 pairs, runs on plain floats. Most
 QPs end after one round whose face minimum is interior, most often on a full support of four pairs
 (two generators): that round solves the face, straight-line for three and four pairs, moves there
-and forms the dual's gradient once, with the floats of the general round. The objective takes the
-line search's bound: fun(x, above) may stop scoring x once it finds the value at or above `above`,
-and returns (above, None) for such a trial, which is rejected; any other call gives fun(x)'s value
-and rows, so the bound changes no bit of the descent.
+and forms the dual's gradient once, with the floats of the general round. The objective returns a
+point's value with its rows, the smooth functions' values and gradients, as plain data, and takes
+the line search's bound: fun(x, above) may stop scoring x once it finds the value at or above
+`above`, and returns (above, None) for such a trial, which is rejected; any other call gives
+fun(x)'s value and rows, so the bound changes no bit of the descent.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     """Minimize max_i phi_i(x) from x0 by SQP on the epigraph form, min t s.t. phi_i(x) <= t.
 
-    fun(x, above=None) returns (f, rows): f an increasing function of max_i phi_i (the defect), and
-    rows() the pair (phi, grads) at x, phi the list of the values phi_i and grads their gradients
-    jac_i, one after another in one flat list. Given above, fun may instead return (v, None) with
+    fun(x, above=None) returns (f, (phi, grads)): f an increasing function of max_i phi_i (the
+    defect), phi the list of the values phi_i at x and grads their gradients jac_i, one after
+    another in one flat list. Given above, fun may instead return (v, None) with
     v >= above once it finds f >= above; each line-search trial passes the current f as above, and
     the start takes no bound. The first call evaluates fun(x0); a start whose f is not finite is
     returned at once. Each step solves the QP
@@ -35,9 +36,9 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     jac^T.lam for the update; it halves alpha until f drops below its current value. A point outside
     bounds, a sequence of (low, high) pairs, is clipped into the box, and a clipped step solves
     B.(H.s) = s. Stops on a failed line search, a relative decrease below 1e-15, a predicted decrease
-    at rounding level, empty rows, a value below ftarget, or after maxfev calls of fun and rows, the
-    start's included. Each step calls the rows of the point it steps from, the start or the last
-    accepted trial, once. Returns (x, f, nfev), f = fun(x)[0] <= fun(x0)[0].
+    at rounding level, empty rows, a value below ftarget, or after maxfev evaluations: each call of
+    fun, the start's included, and one for each step, for the rows of the point it steps from, the
+    start or the last accepted trial. Returns (x, f, nfev), f = fun(x)[0] <= fun(x0)[0].
     """
     x = [float(v) for v in x0]
     (f, rows), nfev = fun(x), 1
@@ -46,7 +47,7 @@ def minimize(fun, x0, maxfev, bounds=None, ftarget=None):
     lo, hi = (None, None) if bounds is None else np.array(bounds, dtype=float).T
     here, inv, support = np.array(x), None, None
     while nfev < maxfev and not (ftarget is not None and f < ftarget):
-        phi, grads = rows()
+        phi, grads = rows
         nfev += 1
         if not phi:
             break

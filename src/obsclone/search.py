@@ -14,10 +14,12 @@ branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). Each restart
 descends with obsclone.optimize.minimize, SQP on the minimax of the
 squared branch-generator defects. It takes the one callable _objective
-returns: defect(x) gives the defect and a function whose call gives the
-squared defects with their analytic gradients at x, and defect(x, above),
-a line-search trial, stops at the first pair that puts the defect at or
-above `above` and returns (above, None). The module needs numpy alone.
+returns: defect(x) gives the defect with its rows, the squared defects and
+their analytic gradients at x, as plain data, and defect(x, above), a
+line-search trial, stops at the first pair that puts the defect at or
+above `above` and returns (above, None). A trial that finishes is below
+`above` and is accepted, so only accepted points pay for their gradients.
+The module needs numpy alone.
 MODES and SearchConfig's field defaults are the search surface the
 command line offers.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -81,11 +82,7 @@ class SearchSpacePoint:
         if np.shape(v) not in ((12,), (14,)):
             raise ValueError("expected 12 angles, optionally followed by 2 gains")
         v = reals(v, "v", len(v))
-        # Each number is checked once, here, so the blocks bypass __post_init__'s checks.
-        point = object.__new__(cls)
-        for name, block in zip(_ANGLE_BLOCKS + ("gains",), (v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)):
-            object.__setattr__(point, name, block)
-        return point
+        return cls(v[0:3], v[3:6], v[6:9], v[9:12], v[12:] or None)
 
     def to_dict(self) -> dict:
         return {
@@ -187,7 +184,7 @@ def _conjugation_gradient(a: float, b: float, c: float) -> tuple:
 
 
 def _objective(cls: ObservableClass, mode: str):
-    """Defect as a function of the coordinate vector (hot path), with the descent's rows on request.
+    """Defect and the descent's rows as functions of the coordinate vector (hot path).
 
     Branch b maps the traceless part a of a generator to the lift
     coefficients a . T_b, where T_b = Q(post_b) K_b diag(1, Q(pre)) is a
@@ -207,21 +204,21 @@ def _objective(cls: ObservableClass, mode: str):
     underflow to zero. A class whose traceless parts could carry a defect
     past the float range is refused; identity parts never enter.
 
-    defect(x) returns (defect, rows), and rows() the pair (phis, grads): phis
-    the list of each pair's phi, generator i on branch b + 1 at index b G' + i,
-    where i counts only the G' generators with a nonzero traceless part
-    (every machine copies the others, so they get no pair), and grads their
-    gradients in x, one after another in one flat list. rows adds the
-    gradients to the value pass of its own copy of x, so neither later calls
-    nor edits of the caller's list change them. The rotations differentiate
-    through _conjugation_gradient.
+    defect(x) returns (defect, (phis, grads)): phis the list of each pair's
+    phi, generator i on branch b + 1 at index b G' + i, where i counts only
+    the G' generators with a nonzero traceless part (every machine copies
+    the others, so they get no pair), and grads their gradients in x, one
+    after another in one flat list. A gradient pass over the value pass's
+    floats follows each value pass that finishes; the rotations
+    differentiate through _conjugation_gradient.
 
     defect(x, above) scores x as defect(x) does until a pair puts the defect
     at or above `above`, and then returns (above, None) at once: sqrt and
     ldexp are monotone, so the full defect could not fall below it. Branch 2's
     post-rotation is built only once branch 1 has passed. Otherwise it returns
-    defect(x)'s value and rows, bit for bit, so a line search that passes its
-    current value as above rejects the same trials and accepts the same ones.
+    defect(x)'s value, which is below `above`, and rows, bit for bit, so a
+    line search that passes its current value as above rejects the same
+    trials and accepts the same ones, and differentiates only those it accepts.
     """
     approximate = mode == "approximate"
     i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0)
@@ -233,10 +230,9 @@ def _objective(cls: ObservableClass, mode: str):
     gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
 
     def defect(x, above=None):
-        x = list(x)
-        # The value pass: rows gets x, the pre-rotation, the kernel's trig values and, per branch,
-        # its kernel entries, gain and each pair's u, r0, y, r and phi.
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = p = _conjugation(x[0], x[1], x[2])
+        # The value pass: the gradient pass reuses the pre-rotation, the kernel's trig values and,
+        # per branch, its kernel entries, gain and each pair's u, r0, y, r and phi.
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _conjugation(x[0], x[1], x[2])
         c1, c2, c3 = math.cos(x[3]), math.cos(x[4]), math.cos(x[5])
         s1, s2, s3 = math.sin(x[3]), math.sin(x[4]), math.sin(x[5])
         g1, g2 = (x[12], x[13]) if approximate else (1.0, 1.0)
@@ -267,11 +263,7 @@ def _objective(cls: ObservableClass, mode: str):
                         return above, None
                 pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
             branches.append((kern, gain, pairs))
-        return math.ldexp(math.sqrt(worst), top), partial(rows, x, p, (c1, c2, c3, s1, s2, s3), branches)
-
-    def rows(x, p, trig, branches):
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
-        c1, c2, c3, s1, s2, s3 = trig
+        # The gradient pass, for a value pass that finished.
         phis, grads = [], []
         dp0, dp1, dp2, dp3, dp4, dp5, dp6, dp7, dp8 = _conjugation_gradient(x[0], x[1], x[2])
         # d/d(theta_l), l = 1, 2, 3, of each branch's kern entries. Each is a product of one
@@ -322,7 +314,7 @@ def _objective(cls: ObservableClass, mode: str):
                 if approximate:
                     v = m * (y1 * r1 + y2 * r2 + y3 * r3)
                     grads += (v, 0.0) if first else (0.0, v)
-        return phis, grads
+        return math.ldexp(math.sqrt(worst), top), (phis, grads)
 
     return defect
 

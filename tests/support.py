@@ -9,6 +9,7 @@ different algorithm rather than against themselves.
 import numpy as np
 from scipy.linalg import expm
 
+from obsclone.classes import ClassKind
 from obsclone.linalg import QubitState, pauli_rotation
 from obsclone.pauli import Observable
 
@@ -34,6 +35,22 @@ def random_observable(rng, min_axis=0.0, scale=1.0):
         c = rng.uniform(-scale, scale, 4)
         if np.linalg.norm(c[1:]) > min_axis:
             return Observable(c)
+
+
+def criterion_5_classes():
+    """(label, kind, generators) of each search of acceptance criterion 5, in order: ten one-param
+    classes and ten commuting pairs drawn from one stream seeded 505, then sigma1/sigma2 ("x-nc")
+    and the Pauli basis ("general")."""
+    rng = np.random.default_rng(505)
+    for i in range(10):
+        yield f"one-param-{i}", ClassKind.ONE_PARAM, (random_observable(rng, min_axis=0.1),)
+    for i in range(10):
+        a = random_observable(rng, min_axis=0.1)
+        axis = a.bloch / np.linalg.norm(a.bloch)
+        b0, b3 = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-1.5, -0.3))
+        yield f"commuting-{i}", ClassKind.TWO_PARAM_COMMUTING, (a, Observable(np.concatenate([[b0], b3 * axis])))
+    yield "x-nc", ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2]))
+    yield "general", ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4))
 
 
 def random_su2(rng):

@@ -32,11 +32,10 @@ from obsclone.machines import (
 )
 from obsclone.pauli import Observable, statistics_from_mean
 from obsclone.search import X_NC_DEFECT_FLOOR, SearchConfig, search_machine
-from support import dense_output, ptrace_loop, random_observable, random_state, random_su2, random_unitary
+from support import criterion_5_classes, dense_output, ptrace_loop, random_observable, random_state, random_su2, random_unitary
 
 S1 = Observable(np.array([0.0, 1.0, 0.0, 0.0]))
 S2 = Observable(np.array([0.0, 0.0, 1.0, 0.0]))
-X_NC = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (S1, S2))
 
 
 @contextlib.contextmanager
@@ -112,31 +111,12 @@ def test_criterion_4_uncertainty_bound():
 def test_criterion_5_no_cloning_certificates():
     with criterion(5, "search separates clonable classes from the certified floors"):
         config = SearchConfig(restarts=50, seed=0)
-        rng = np.random.default_rng(505)
-
-        for _ in range(10):
-            a = random_observable(rng, min_axis=0.1)
-            cls = ObservableClass(ClassKind.ONE_PARAM, (a,))
-            result = search_machine(cls, "exact", config)
-            assert result.converged, f"one-param search stuck at {result.best_defect}"
-
-        for _ in range(10):
-            a = random_observable(rng, min_axis=0.1)
-            axis = a.bloch / np.linalg.norm(a.bloch)
-            b0 = float(rng.uniform(0.3, 1.5))
-            b3 = float(rng.uniform(-1.5, -0.3))
-            partner = Observable(np.concatenate([[b0], b3 * axis]))
-            cls = ObservableClass(ClassKind.TWO_PARAM_COMMUTING, (a, partner))
-            result = search_machine(cls, "exact", config)
-            assert result.converged, f"commuting search stuck at {result.best_defect}"
-
-        blocked = search_machine(X_NC, "exact", config)
-        assert not blocked.converged
-        assert abs(blocked.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
-
-        general = ObservableClass(ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4)))
-        result = search_machine(general, "exact", config)
-        assert not result.converged
+        for label, kind, gens in criterion_5_classes():
+            result = search_machine(ObservableClass(kind, gens), "exact", config)
+            clonable = kind in (ClassKind.ONE_PARAM, ClassKind.TWO_PARAM_COMMUTING)
+            assert result.converged is clonable, f"{label} search ended at {result.best_defect}"
+            if label == "x-nc":
+                assert abs(result.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
 
 
 def test_criterion_6_state_cloning_comparison():

@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from scipy import optimize as scipy_optimize
 
+from obsclone import optimize
 from obsclone.classes import ClassKind, ObservableClass
 from obsclone.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3, is_unitary, pauli_rotation
 from obsclone.machines import KET0, CloningMachine, verify_approximate, verify_exact
@@ -253,31 +255,24 @@ def row_top(cls):
 
 
 def rows_of(fun):
-    """x -> (phi, jac): the squared defects and gradients that the rows of fun(x) give."""
+    """x -> (phi, jac): the squared defects and gradients in the rows of fun(x)."""
 
-    def rows(x):
-        phi, grads = fun(x)[1]()
+    def at(x):
+        phi, grads = fun(x)[1]
         return phi, np.reshape(grads, (len(phi), -1)).tolist()
 
-    return rows
+    return at
 
 
 def logged(fun, log):
-    """fun, recording each call of it or of its rows as (point, value, whether it was the rows call);
-    a trial that fun cuts short at above is recorded with the value it returns, and has no rows."""
+    """fun, recording each call as (point, value, whether it returned rows); a trial that fun
+    cuts short at above is recorded with the value it returns."""
 
     def f(x, above=None):
         x = [float(t) for t in x]
         v, rows = fun(x, above)
-        log.append((x, v, False))
-        if rows is None:
-            return v, None
-
-        def logged_rows():
-            log.append((x, v, True))
-            return rows()
-
-        return v, logged_rows
+        log.append((x, v, rows is not None))
+        return v, rows
 
     return f
 
@@ -311,13 +306,13 @@ def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, 
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
         fun, top = _objective(cls, mode), row_top(cls)
-        rows, unit = rows_of(fun), 4.0**top
+        rows_at, unit = rows_of(fun), 4.0**top
         x = mixed_vector(rng, i, mode == "approximate").tolist()
-        phi, jac = rows(x)
+        phi, jac = rows_at(x)
         assert fun(x)[0] == math.ldexp(math.sqrt(max(phi)), top)
         want = paired_squared_defects(x, cls, mode)
         assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
-        references = [central_differences(lambda v: rows(v)[0], x)]
+        references = [central_differences(lambda v: rows_at(v)[0], x)]
         if i % 20 == 0:
             references.append(central_differences(lambda v: paired_squared_defects(v, cls, mode), x) / unit)
         for fd in references:
@@ -369,23 +364,23 @@ def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
         x = mixed_vector(rng, i, mode == "approximate").tolist()
         (value, rows), (bare_value, bare_rows) = fun(x), bare(x)
         assert value == bare_value
-        assert rows() == bare_rows()
-        assert len(rows()[0]) == 2 * len(paired.generators) < 2 * len(cls.generators)
+        assert rows == bare_rows
+        assert len(rows[0]) == 2 * len(paired.generators) < 2 * len(cls.generators)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_class_of_identity_multiples_has_nothing_to_descend(mode):
-    """Its defect is 0 everywhere. A search converges after its first
-    evaluation, and minimize without a target stops at the first rows call,
-    which comes back empty, without a step."""
+    """Its defect is 0 everywhere and its rows are empty. A search converges
+    after its first evaluation, and minimize without a target charges the
+    start's step one evaluation for those rows and stops without a trial."""
     cls, approximate = IDENTITY_CLASSES["identity-only"], mode == "approximate"
     result = search_machine(cls, mode, SearchConfig())
     assert (result.converged, result.best_defect, result.evaluations, result.restarts) == (True, 0.0, 1, 1)
     fun, log = _objective(cls, mode), []
     x0 = random_vector(np.random.default_rng(1), approximate).tolist()
-    assert fun(x0)[1]() == ([], [])
+    assert fun(x0)[1] == ([], [])
     assert minimize(logged(fun, log), x0, 100, _bounds(approximate)) == (x0, 0.0, 2)
-    assert log == [(x0, 0.0, False), (x0, 0.0, True)]
+    assert log == [(x0, 0.0, True)]
 
 
 def rotation_vector(c):
@@ -421,17 +416,17 @@ def slsqp_floor(cls, mode, starts=3):
     with its own finite-difference gradients and GAIN_BOUNDS on the gains, best
     of a few fixed starts."""
     fun = _objective(cls, mode)
-    rows = rows_of(fun)
+    rows_at = rows_of(fun)
     approximate = mode == "approximate"
     bounds = [(None, None)] * 12 + [GAIN_BOUNDS] * (2 * approximate) + [(None, None)]
     rng = np.random.default_rng(2024)
     best = np.inf
     for _ in range(starts):
         x0 = random_vector(rng, approximate)
-        z0 = np.append(x0, max(rows(x0.tolist())[0]))
+        z0 = np.append(x0, max(rows_at(x0.tolist())[0]))
         res = scipy_optimize.minimize(
             lambda z: z[-1], z0, jac=lambda z: np.eye(len(z))[-1], method="SLSQP", bounds=bounds,
-            constraints=[{"type": "ineq", "fun": lambda z: z[-1] - np.array(rows(z[:-1].tolist())[0])}],
+            constraints=[{"type": "ineq", "fun": lambda z: z[-1] - np.array(rows_at(z[:-1].tolist())[0])}],
             options={"maxiter": 500, "ftol": 1e-16},
         )
         best = min(best, fun(res.x[:-1].tolist())[0])
@@ -445,7 +440,7 @@ def seeded_pair():
 
 def bits(value, rows):
     """A value and its rows as bits: the value's hex, and the hex of each phi and of each gradient entry."""
-    phi, grads = rows()
+    phi, grads = rows
     return value.hex(), [v.hex() for v in phi], [g.hex() for g in grads]
 
 
@@ -455,11 +450,10 @@ FRESH_BITS_CLASSES = {"sigma-x-y": X_NC, "seeded-pair": seeded_pair(), "pauli-ba
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(FRESH_BITS_CLASSES))
 def test_the_rows_of_fun_x_give_a_fresh_objectives_bits_at_x(rng, name, mode):
-    """The rows that fun(x) returns give the value and rows of a fresh
-    objective at x, bit for bit: after later calls fun(y), after the caller
-    edits its list x in place, and at x with each zero's sign flipped, which
-    equals x under == (sin(-0.0) is -0.0, and such a sign can reach a
-    gradient entry that is exactly zero)."""
+    """fun(x) gives the value and rows of a fresh objective at x, bit for bit,
+    signed zeros included, after earlier calls at other points, and also at x
+    with each zero's sign flipped, which equals x under == (sin(-0.0) is -0.0,
+    and such a sign can reach a gradient entry that is exactly zero)."""
     cls, approximate = FRESH_BITS_CLASSES[name], mode == "approximate"
     fun = _objective(cls, mode)
     for i in range(10):
@@ -467,14 +461,9 @@ def test_the_rows_of_fun_x_give_a_fresh_objectives_bits_at_x(rng, name, mode):
         y = mixed_vector(rng, i + 1, approximate).tolist()
         flipped = [-v if v == 0.0 else v for v in x]
         for point, twin in ((x, flipped), (flipped, x)):
-            want = bits(*_objective(cls, mode)(point))
-            got = fun(point)
             fun(y)
             fun(twin)
-            assert bits(*got) == want
-        got, original = fun(x), list(x)
-        x[:] = y
-        assert bits(*got) == bits(*_objective(cls, mode)(original))
+            assert bits(*fun(point)) == bits(*_objective(cls, mode)(point))
 
 
 @pytest.mark.parametrize(
@@ -505,21 +494,23 @@ DESCENT_CLASSES = {"sigma-x-y": X_NC, "pauli-basis": GENERAL, "unequal-pair": UN
 @settings(max_examples=25, deadline=None)
 def test_minimize_never_worsens_its_start(seed, name, mode, budget):
     """From a random start minimize returns f = fun(x)[0] <= fun(x0)[0] within its
-    budget, the start's evaluation included, with gains inside their bounds:
-    budget 1 evaluates the start only, and budget 2 adds one rows call and no
-    step. A search with that budget stays within it and reports the defect
-    that cloning_defect recomputes at its point."""
+    budget, each call of fun and each step (one QP) one evaluation, the start's
+    included, with gains inside their bounds: budget 1 evaluates the start only,
+    and budget 2 also charges the start's step and takes no trial. A search with
+    that budget stays within it and reports the defect that cloning_defect
+    recomputes at its point."""
     cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
     fun, bounds = _objective(cls, mode), _bounds(approximate)
     x0 = random_vector(np.random.default_rng(seed), approximate).tolist()
     log = []
-    x, f, nfev = minimize(logged(fun, log), x0, budget, bounds)
+    with mock.patch.object(optimize, "_simplex_qp", wraps=optimize._simplex_qp) as qp:
+        x, f, nfev = minimize(logged(fun, log), x0, budget, bounds)
     assert f <= fun(x0)[0]
     assert f == fun(x)[0]
-    assert nfev == len(log) <= budget
+    assert nfev == len(log) + qp.call_count <= budget
     if budget <= 2:
         assert x == x0
-        assert [with_rows for _, _, with_rows in log] == [False, True][:budget]
+        assert (len(log), qp.call_count) == (1, budget - 1)
     result = search_machine(cls, mode, SearchConfig(restarts=1, max_evals=budget, seed=seed))
     assert result.evaluations <= budget
     assert abs(cloning_defect(result.best_point, cls, mode) - result.best_defect) <= 1e-9
@@ -536,8 +527,9 @@ def test_minimize_never_worsens_its_start(seed, name, mode, budget):
 def test_a_bounded_call_gives_the_full_result_or_a_value_at_or_above_the_bound(seed, name, mode, ratio):
     """At a random point, with zero and tiny blocks mixed in, and above a random
     multiple of the defect (the defect itself among them), fun(x, above) either
-    returns fun(x)'s value with rows of the same bits, or (v, None) with v >= above,
-    and then fun(x)'s value is at least above too."""
+    returns fun(x)'s value, below above, with rows of the same bits, or (v, None)
+    with v >= above, and then fun(x)'s value is at least above too. So the line
+    search gets rows only for the trials it accepts."""
     cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
     fun = _objective(cls, mode)
     rng = np.random.default_rng(seed)
@@ -548,6 +540,7 @@ def test_a_bounded_call_gives_the_full_result_or_a_value_at_or_above_the_bound(s
     if bounded_rows is None:
         assert bounded >= above and value >= above
     else:
+        assert bounded < above
         assert bits(bounded, bounded_rows) == bits(value, rows)
 
 
@@ -587,7 +580,8 @@ def test_the_bound_changes_no_bit_of_the_descent(name, mode):
 def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
     """With ftarget halfway between the start's value and the untargeted end,
     the descent evaluates a prefix of the untargeted one's points and stops at
-    the first accepted step below the target, well inside the budget."""
+    the first accepted step below the target, well inside the budget. Each
+    point with rows before it, the start or an accepted trial, took one step."""
     cls, approximate = DESCENT_CLASSES[name], mode == "approximate"
     fun, bounds = _objective(cls, mode), _bounds(approximate)
     x0 = random_vector(np.random.default_rng(7), approximate).tolist()
@@ -596,23 +590,26 @@ def test_minimize_with_a_target_stops_at_the_first_step_below_it(name, mode):
     f0 = fun(x0)[0]
     assert f_end < f0
     ftarget = 0.5 * (f0 + f_end)
-    x, f, nfev = minimize(logged(fun, targeted), x0, 300, bounds, ftarget)
+    with mock.patch.object(optimize, "_simplex_qp", wraps=optimize._simplex_qp) as qp:
+        x, f, nfev = minimize(logged(fun, targeted), x0, 300, bounds, ftarget)
     assert f < ftarget
-    assert nfev == len(targeted) < len(plain)
-    assert targeted == plain[:nfev]
-    assert targeted[-1] == (x, f, False)
+    assert nfev == len(targeted) + qp.call_count
+    assert len(targeted) < len(plain)
+    assert targeted == plain[: len(targeted)]
+    assert targeted[-1] == (x, f, True)
     assert all(v >= ftarget for _, v, _ in targeted[:-1])
+    assert qp.call_count == sum(with_rows for _, _, with_rows in targeted[:-1])
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_minimize_returns_a_start_without_a_finite_value_at_once(value):
-    """The start is the one evaluation: no rows call, no step."""
+    """The start is the one evaluation: no step."""
     log = []
-    x, f, nfev = minimize(logged(lambda x, above=None: (value, list), log), [0.5, -1.0, 2.0], 100)
+    x, f, nfev = minimize(logged(lambda x, above=None: (value, ([], [])), log), [0.5, -1.0, 2.0], 100)
     assert x == [0.5, -1.0, 2.0]
     assert f is value
     assert nfev == 1
-    assert log == [([0.5, -1.0, 2.0], value, False)]
+    assert log == [([0.5, -1.0, 2.0], value, True)]
 
 
 def enclosing_ball(centres):
@@ -623,7 +620,7 @@ def enclosing_ball(centres):
     def fun(x, above=None):
         diff = np.array(x) - centres
         phi = (diff**2).sum(axis=1)
-        return float(phi.max()), lambda: (phi.tolist(), (2.0 * diff).ravel().tolist())
+        return float(phi.max()), (phi.tolist(), (2.0 * diff).ravel().tolist())
 
     return fun
 
@@ -744,7 +741,7 @@ def test_search_refuses_classes_whose_residuals_leave_the_float_range():
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_search_without_a_finite_defect_raises(monkeypatch, value):
-    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x, above=None: (value, list))
+    monkeypatch.setattr("obsclone.search._objective", lambda cls, mode: lambda x, above=None: (value, ([], [])))
     with pytest.raises(ValueError, match="finite defect"):
         search_machine(ONE_PARAM, "exact", SearchConfig(restarts=2, max_evals=30))
 

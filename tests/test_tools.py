@@ -51,15 +51,15 @@ def test_step_split_prints_each_part_of_a_step():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("9 searches, workload seeds 1,")
-    assert [line.split()[0] for line in lines[2:9]] == ["rows", "plain", "bounded", "qp", "bfgs", "rest", "total"]
-    assert float(lines[4].split()[1]) > 0.0
-    assert lines[9].startswith("steps ")
-    assert lines[10].split() == ["shape", "pairs", "in", "out", "QPs", "share", "us/call"]
-    shapes = [line.split() for line in lines[11:]]
+    assert [line.split()[0] for line in lines[2:8]] == ["plain", "bounded", "qp", "bfgs", "rest", "total"]
+    assert float(lines[3].split()[1]) > 0.0
+    assert lines[8].startswith("steps ")
+    assert lines[9].split() == ["shape", "pairs", "in", "out", "QPs", "share", "us/call"]
+    shapes = [line.split() for line in lines[10:]]
     assert 1 <= len(shapes) <= 11 and all(row[0] == "shape" for row in shapes)
     assert all(len(row) == 7 and row[1] in ("2", "4", "6", "8") for row in shapes[:10])
     assert len(shapes) < 11 or shapes[10][1] == "other"
-    assert sum(int(row[-3]) for row in shapes) == int(lines[9].split()[1].rstrip(","))
+    assert sum(int(row[-3]) for row in shapes) == int(lines[8].split()[1].rstrip(","))
 
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():

@@ -24,8 +24,9 @@ the measured axis, where the noise report cancels (ROADMAP item 19), and
 a compare at a pure state 1.5e-6 rad off (1, 0, 0), refused for the
 same reason, and a short search of span{sigma3, 1e-9 sigma1}, which no
 exact machine clones. Last it runs the 22 exact searches of acceptance criterion 5
-(tests/test_acceptance.py: classes drawn from rng 505, restarts 50,
-seed 0) and records each result as the JSON the `search` command prints.
+(restarts 50, seed 0, on the classes of `criterion_5_classes` in tests/support.py,
+which tests/test_acceptance.py iterates too) and records each result as the JSON
+the `search` command prints.
 
 Per command, the exit code, stdout, stderr and the bytes of its --out
 file are compared; the work directory is masked in argv and in the two
@@ -82,6 +83,7 @@ def collect(src: str, workdir: str, result: str) -> None:
     import obsclone.classes
     import obsclone.cli
     import obsclone.search
+    from support import criterion_5_classes
     from workloads import plan
 
     def mask(text: str) -> str:
@@ -195,25 +197,6 @@ def written_documents() -> dict:
         }
         for name, u, generator in machines
     }
-
-
-def criterion_5_classes():
-    """(label, kind, generators) of each search of acceptance criterion 5, drawn in the test's order."""
-    import numpy as np
-    from obsclone.classes import ClassKind
-    from obsclone.pauli import Observable
-    from support import random_observable
-
-    rng = np.random.default_rng(505)
-    for i in range(10):
-        yield f"one-param-{i}", ClassKind.ONE_PARAM, (random_observable(rng, min_axis=0.1),)
-    for i in range(10):
-        a = random_observable(rng, min_axis=0.1)
-        axis = a.bloch / np.linalg.norm(a.bloch)
-        b0, b3 = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-1.5, -0.3))
-        yield f"commuting-{i}", ClassKind.TWO_PARAM_COMMUTING, (a, Observable(np.concatenate([[b0], b3 * axis])))
-    yield "x-nc", ClassKind.TWO_PARAM_NONCOMMUTING, (Observable(np.eye(4)[1]), Observable(np.eye(4)[2]))
-    yield "general", ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4))
 
 
 def run_tree(src: str, base: Path, name: str) -> subprocess.Popen:

@@ -6,28 +6,28 @@ Usage, from the root of the repository:
 
 SRC is the `src/` directory of a checkout, for example this tree's or a
 clone of the parent commit, whose objective fun(x, above=None) returns
-(value, rows), or (above, None) for a trial it cuts short; a tree with an
-older objective, fun(x) or fun(x, rows), is timed with the step_split.py
-of its own commit. SEEDS are workload seeds, as a list
+(value, (phis, grads)), or (above, None) for a trial it cuts short; a tree
+with an older objective, one that returns a rows function or takes
+fun(x, rows), is timed with the step_split.py of its own commit. SEEDS are
+workload seeds, as a list
 (1,2,5), a range (1-10) or both (1-3,7); the default is 1-10. For each
 seed the searches of the search-floor steps, as tools/ab.py plans them,
 run in-process through `obsclone.cli.main`.
 
 Each search runs once as it is, then PASSES times with the objective
-callable, the rows it returns, `optimize._simplex_qp`,
-`optimize._bfgs_update` and `optimize.minimize` wrapped in timers from
-outside; every wrapped run must give the unwrapped run's exit code and
-output bytes, or the tool exits 1. Per search the pass with the least
-descent time counts. The table gives, per SQP step (one QP), the calls
-and microseconds of the rows calls rows(), the plain calls, which score a
-point in full and return its rows (the start's fun(x) and each line-search
-trial fun(x, above) that is not cut short), the bounded calls, trials that
-stop at the first pair putting the defect at or above `above` and return
-no rows, the QP, the BFGS update and the rest
-of the descent, which is minimize's time less the five timed parts; the
-timers' own cost (a few tenths of a microsecond per call, and the
-wrapping of each point's rows) falls partly in each part and partly in
-the rest. Then come the steps, the evaluations and the descent time in
+callable, `optimize._simplex_qp`, `optimize._bfgs_update` and
+`optimize.minimize` wrapped in timers from outside; every wrapped run must
+give the unwrapped run's exit code and output bytes, or the tool exits 1.
+Per search the pass with the least descent time counts. The table gives,
+per SQP step (one QP), the calls and microseconds of the plain calls,
+which score a point in full and return its rows, gradients included (the
+start's fun(x) and each line-search trial fun(x, above) that is not cut
+short), the bounded calls, trials that stop at the first pair putting the
+defect at or above `above` and return no rows, the QP, the BFGS update
+and the rest of the descent, which is minimize's time less the four timed
+parts; the timers' own cost (a few tenths of a microsecond per call)
+falls partly in each part and partly in the rest. Then come the steps,
+the evaluations and the descent time in
 total, and the QPs by shape: the pairs, the support's size on entry and
 on return (the QP edits it in place), the count and share of such QPs and
 their microseconds per call, for the SHAPES most common shapes and then
@@ -48,7 +48,7 @@ from ab import parse_seeds, planned, run
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
-PARTS = ("rows", "plain", "bounded", "qp", "bfgs")
+PARTS = ("plain", "bounded", "qp", "bfgs")
 SHAPES = 10
 
 
@@ -83,7 +83,7 @@ def timed_run(cmd):
             record = stats["plain" if rows is not None else "bounded"]
             record[1] += clock() - t
             record[0] += 1
-            return value, None if rows is None else wrap("rows", rows)
+            return value, rows
 
         return fun
 
