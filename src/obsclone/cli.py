@@ -54,9 +54,10 @@ MAX_SCAN_STEPS = 100_000
 # temporaries (about 2 kB a row) small for any grid up to MAX_SCAN_STEPS.
 SCAN_BLOCK = 256
 
-# A decimal real, and a comma list of them: the values of --theta, --state and the like.
-_REAL = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_REALS = re.compile(rf"{_REAL}(?:,{_REAL})*")
+# A negative decimal real, or a comma list of reals that starts with one: a value of --theta, --state and the like.
+# Each part of a real has one way to match, so a long token that fails fails in linear time.
+_REAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_NEGATIVE_REALS = re.compile(rf"^-{_REAL}(?:,[-+]?{_REAL})*$")
 
 
 def _fmt(x: float) -> str:
@@ -217,38 +218,18 @@ def cmd_compare(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a decimal real, or a comma list of them, after an option that takes one
-    value as that option's value, so "--theta -1e-3" reads as "--theta=-1e-3".
+    """An ArgumentParser that reads a token shaped like a negative decimal real, or like a comma list that
+    starts with one, as a value and never as an option, wherever it stands: "--theta -1e-3" reads as
+    "--theta=-1e-3", and "verify -1e-3" names the file -1e-3.
 
-    argparse alone takes a token such as -1e-3 or -0.5,0,0 for an option and refuses it as a value; in the
-    option=value form it reads any value. Tokens after "--" are positionals and are left alone. The
-    sub-parsers of add_subparsers are of the parser's own class, so the full parser and each command's
-    parser read argv alike.
+    The rule is argparse's own, its private _negative_number_matcher (set in _ActionsContainer.__init__,
+    read by _parse_optional), whose default matches only tokens such as -5 and -0.5. The sub-parsers of
+    add_subparsers are of the parser's own class, so the full parser and each command's parser read alike.
     """
 
-    def __init__(self, *args, parents=(), **kwargs):
-        # The option strings that take one value, the parents' included: argparse copies a parent's
-        # options without add_argument.
-        self.value_options = {name for parent in parents for name in parent.value_options}
-        super().__init__(*args, parents=parents, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:
-            self.value_options.update(action.option_strings)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        joined, i = [], 0
-        while i < len(args) and args[i] != "--":
-            if args[i] in self.value_options and i + 1 < len(args) and _REALS.fullmatch(args[i + 1]):
-                joined.append(f"{args[i]}={args[i + 1]}")
-                i += 2
-            else:
-                joined.append(args[i])
-                i += 1
-        return super().parse_known_args(joined + args[i:], namespace)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_REALS
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -9,7 +9,7 @@ against the intrinsic spreads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,29 +39,28 @@ class UncertaintyReport:
     A report on a stack of machines (uncertainty_products) holds arrays of
     one shape, one entry per machine, in the fields that depend on the
     machine: delta_m1, delta_m2, product and theta. The other four depend
-    on the state alone. The checks hold entry by entry.
+    on the state alone. product is derived, delta_m1 * delta_m2. The checks
+    hold entry by entry.
     """
 
     delta_i1: float
     delta_i2: float
     delta_m1: float
     delta_m2: float
-    product: float
+    product: float = field(init=False)
     lower_bound: float
     theta: float
     optimal_theta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "product", self.delta_m1 * self.delta_m2)
         per_state = np.array([self.delta_i1, self.delta_i2, self.lower_bound, self.optimal_theta])
         per_machine = np.array([self.delta_m1, self.delta_m2, self.product, self.theta])
         if not (np.isfinite(per_state).all() and np.isfinite(per_machine).all()):
             raise ValueError("report entries must be finite")
         if per_state[:2].min() < -1e-12 or per_state[:2].max() > 1.0 + 1e-12:
             raise ValueError("intrinsic variances of unit Pauli observables lie in [0, 1]")
-        dm1, dm2, product, _ = per_machine
-        if (np.abs(product - dm1 * dm2) > 1e-12).any():
-            raise ValueError("product must equal delta_m1 * delta_m2")
-        if (product < self.lower_bound - 1e-10).any():
+        if np.any(self.product < self.lower_bound - 1e-10):
             raise ValueError("measured product violates the joint-measurement bound")
 
 
@@ -111,7 +110,6 @@ def uncertainty_products(
         delta_i2=di2,
         delta_m1=dm1,
         delta_m2=dm2,
-        product=dm1 * dm2,
         lower_bound=float((np.sqrt(max(di1, 0.0) * max(di2, 0.0)) + 1.0) ** 2),
         theta=np.arctan2(gains[..., 0], gains[..., 1]),
         optimal_theta=balancing_angle(di1, di2),

@@ -12,7 +12,7 @@ equivalent to matching means on every input state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -146,22 +146,19 @@ class VerificationReport:
     The verdict is scale-free: it passes when every defect is below tolerance times its generator's
     traceless Frobenius norm, that is when max_relative_defect, the largest ratio of a defect to that
     norm, is below tolerance. A generator with no traceless part has defect 0 and no ratio; with no
-    ratio at all, max_relative_defect is 0.
+    ratio at all, max_relative_defect is 0. max_defect and passed are derived, not passed in.
     """
 
     per_generator_defects: tuple[tuple[float, float], ...]
-    max_defect: float
+    max_defect: float = field(init=False)
     gains_used: tuple[float, float]
-    passed: bool
+    passed: bool = field(init=False)
     tolerance: float
     max_relative_defect: float
 
     def __post_init__(self):
-        worst = max(max(pair) for pair in self.per_generator_defects)
-        if worst != self.max_defect:
-            raise ValueError("max_defect must equal the largest per-generator defect")
-        if self.passed != (self.max_relative_defect < self.tolerance):
-            raise ValueError("passed flag is inconsistent with max_relative_defect and tolerance")
+        object.__setattr__(self, "max_defect", max(max(pair) for pair in self.per_generator_defects))
+        object.__setattr__(self, "passed", self.max_relative_defect < self.tolerance)
 
 
 def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
@@ -225,7 +222,6 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
     parts[:, 0] = 0.0
     per_branch = _defects(parts @ m.transfers, parts, np.array(gains)[:, None])
     defects = tuple(zip(*per_branch.tolist()))
-    worst = max(max(pair) for pair in defects)
     # ||a.sigma||_F = sqrt(2) |a| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(a), so the norm neither overflows nor
     # underflows; the ratio, at most max(|g|, 1) + 1 (see overflowing_generator), is scaled by 2**-e last.
     relative = max(
@@ -236,7 +232,7 @@ def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> Verifi
         ),
         default=0.0,
     )
-    return VerificationReport(defects, worst, gains, relative < tol, tol, relative)
+    return VerificationReport(defects, gains, tol, relative)
 
 
 def verify_exact(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:

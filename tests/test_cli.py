@@ -11,6 +11,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -620,10 +621,12 @@ def _fresh_parser_run(argv):
 # A negative value after a space that argparse alone takes for an option, and the exit code of its --opt=value form.
 NEGATIVE_VALUES_AFTER_A_SPACE = [
     (["build", "t", "--theta", "-1e-3"], 0),
+    (["build", "t", "--the", "-1e-3"], 0),
     (["build", "commuting", "--obs", "0,0.3,0,0.4", "--b3", "-1e-1"], 0),
     (["build", "one-param", "--obs", "-0.1,0.2,0.3,0.4"], 0),
     (["scan", "--state", "-0.5,0,0", "--steps", "3"], 0),
     (["compare", "--state", "-0.5,0,0"], 0),
+    (["compare", "--state", "-1e-1,0,0"], 0),
     (["verify", "never-read.json", "--tol", "-1e-3"], 2),
 ]
 
@@ -685,6 +688,25 @@ def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, code
     want = _outcome(lambda: main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]))
     assert want[0] == code and "expected one argument" not in want[2]
     assert _outcome(lambda: main(argv)) == want
+
+
+def test_a_long_token_that_is_no_real_is_refused_at_once():
+    """A token of 20,000 digits and a letter is no negative real, so --state has no value; the matcher
+    refuses it in linear time, where a pattern that can split a run of digits two ways takes seconds."""
+    start = time.perf_counter()
+    code, _, err = _outcome(lambda: main(["scan", "--state", "-" + "1" * 20_000 + "x"]))
+    assert code == 2 and "expected one argument" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize("token", ["-0.5", "-1e-3", "-0.5,0,0"])
+def test_a_negative_real_in_the_positional_slot_is_read_as_that_positional(capsys, tmp_path, monkeypatch, command, token):
+    """A token shaped like a negative real, or a comma list that starts with one, is a value wherever it
+    stands: in the file slot of verify or search it names the file, which does not exist."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, command, token)
+    assert code == 2 and f"cannot read {token}" in err
 
 
 def test_one_parser_serves_every_call_without_carrying_options_over(tmp_path):
