@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class ObservableClass:
             raise ValueError("two-param-commuting generators must commute")
         if self.kind is ClassKind.TWO_PARAM_NONCOMMUTING and commutes(*gens):
             raise ValueError("two-param-noncommuting generators must not commute")
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis (d x 3, d = 0..3) of the span of the generators' Bloch parts, the only part a
+        machine can fail to copy: _span, the constructor's own independence rule. Built on first read, read-only."""
+        b = np.array(_span([g.bloch.tolist() for g in self.generators])).reshape(-1, 3)
+        b.setflags(write=False)
+        return b
 
 
 def _span(rows) -> list[list[float]]:

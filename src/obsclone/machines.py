@@ -140,13 +140,15 @@ def overflowing_generator(cls: ObservableClass, gain: float) -> int | None:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-generator, per-branch Frobenius defects of the cloning conditions.
+    """Per-generator, per-branch Frobenius defects of the cloning conditions, and the class's verdict.
 
     Every machine copies the identity, so a defect is that of the generator's traceless part alone.
-    The verdict is scale-free: it passes when every defect is below tolerance times its generator's
-    traceless Frobenius norm, that is when max_relative_defect, the largest ratio of a defect to that
-    norm, is below tolerance. A generator with no traceless part has defect 0 and no ratio; with no
-    ratio at all, max_relative_defect is 0. max_defect and passed are derived, not passed in.
+    The verdict is the span's, not its listed basis's: span_defect is the largest over branches of the
+    Frobenius norm of the residual map on the span of the traceless parts, taken on the class's
+    orthonormal basis, the same for every orthonormal basis and every scale of the class. It is at
+    least the defect of any member relative to its Frobenius norm, and at most sqrt(d) times the
+    largest such, d = len(basis); a class with no traceless part has span_defect 0. The machine passes
+    when span_defect is below tolerance. max_defect and passed are derived, not passed in.
     """
 
     per_generator_defects: tuple[tuple[float, float], ...]
@@ -154,11 +156,11 @@ class VerificationReport:
     gains_used: tuple[float, float]
     passed: bool = field(init=False)
     tolerance: float
-    max_relative_defect: float
+    span_defect: float
 
     def __post_init__(self):
         object.__setattr__(self, "max_defect", max(max(pair) for pair in self.per_generator_defects))
-        object.__setattr__(self, "passed", self.max_relative_defect < self.tolerance)
+        object.__setattr__(self, "passed", self.span_defect < self.tolerance)
 
 
 def transfer_matrices(u: np.ndarray, probe: QubitState) -> np.ndarray:
@@ -213,26 +215,20 @@ def _defects(lifts: np.ndarray, targets: np.ndarray, gains) -> np.ndarray:
 
 
 def _verify(m: CloningMachine, gains: tuple[float, float], tol: float) -> VerificationReport:
-    # SearchConfig's rule, and +inf too: cloning_defect reads the defects of a report that need not pass.
+    # SearchConfig's rule, and +inf too, to read the defects of a report that need not pass.
     if not (is_positive_real(tol) or isinstance(tol, (float, np.floating)) and tol == math.inf):
         raise ValueError("tol must be a positive real or inf")
     tol = float(tol)
-    # Every machine copies the identity, so only the traceless parts are lifted: the identity's lift never enters.
-    parts = np.array([g.coeffs for g in m.observables.generators])
-    parts[:, 0] = 0.0
-    per_branch = _defects(parts @ m.transfers, parts, np.array(gains)[:, None])
-    defects = tuple(zip(*per_branch.tolist()))
-    # ||a.sigma||_F = sqrt(2) |a| = sqrt(2) |v| 2**e with (v, e) = unit_scaled(a), so the norm neither overflows nor
-    # underflows; the ratio, at most max(|g|, 1) + 1 (see overflowing_generator), is scaled by 2**-e last.
-    relative = max(
-        (
-            math.ldexp(max(pair) / (math.sqrt(2.0) * math.hypot(*v)), -e)
-            for pair, (v, e) in zip(defects, map(unit_scaled, parts[:, 1:].tolist()))
-            if any(v)
-        ),
-        default=0.0,
-    )
-    return VerificationReport(defects, gains, tol, relative)
+    # Every machine copies the identity, so only traceless parts are lifted, the generators' and then the
+    # basis members': the identity's lift never enters. A member's defect is its relative one times sqrt(2).
+    cls = m.observables
+    g = len(cls.generators)
+    rows = np.zeros((g + len(cls.basis), 4))
+    rows[:g, 1:] = [x.bloch for x in cls.generators]
+    rows[g:, 1:] = cls.basis
+    per_branch = _defects(rows @ m.transfers, rows, np.array(gains)[:, None])
+    span = max(math.hypot(*branch) for branch in per_branch[:, g:].tolist()) / math.sqrt(2.0)
+    return VerificationReport(tuple(zip(*per_branch[:, :g].tolist())), gains, tol, span)
 
 
 def verify_exact(m: CloningMachine, tol: float = VERIFY_TOL) -> VerificationReport:

@@ -13,7 +13,9 @@ The optimizer never builds a unitary: with the probe pinned, each output
 branch acts on Pauli coefficients as a real 3x4 transfer matrix whose
 entries are closed forms in the 12 angles (see _objective). Each restart
 descends with obsclone.optimize.minimize, SQP on the minimax of the
-squared branch-generator defects. It takes the one callable _objective
+squared defects of the class's orthonormal basis members on both branches
+(ObservableClass.basis), so the search judges the span and not the basis
+its document lists. It takes the one callable _objective
 returns: defect(x) gives the defect with its rows, the squared defects and
 their analytic gradients at x, as plain data, and defect(x, above), a
 line-search trial, stops at the first pair that puts the defect at or
@@ -33,16 +35,8 @@ import numpy as np
 
 from . import optimize
 from .classes import ObservableClass
-from .linalg import SIGMA0, integer, is_positive_real, json_fields, pauli_rotation, reals, tensor, unit_scaled
-from .machines import (
-    KET0,
-    OVERFLOW_MESSAGE,
-    CloningMachine,
-    entangling_kernel,
-    overflowing_generator,
-    verify_approximate,
-    verify_exact,
-)
+from .linalg import SIGMA0, integer, is_positive_real, json_fields, pauli_rotation, reals, tensor
+from .machines import KET0, OVERFLOW_MESSAGE, CloningMachine, _defects, entangling_kernel, overflowing_generator
 
 MODES = ("exact", "approximate")
 # The four rotation-angle triples of a search point, in coordinate order.
@@ -125,15 +119,16 @@ class SearchResult:
 
 
 def cloning_defect(p: SearchSpacePoint, cls: ObservableClass, mode: str) -> float:
-    """Worst copying residual of the machine at p, over generators and branches."""
+    """The search's measure at p, through the machine's transfer matrices: the worst Frobenius defect of a
+    member of cls.basis, over members and branches; 0 for a class with no traceless part."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     m = CloningMachine(p.unitary(), KET0, cls, p.gains)
-    if mode == "approximate":
-        if p.gains is None:
-            raise ValueError("approximate mode needs gains in the search point")
-        return verify_approximate(m, tol=np.inf).max_defect
-    return verify_exact(m, tol=np.inf).max_defect
+    if mode == "approximate" and p.gains is None:
+        raise ValueError("approximate mode needs gains in the search point")
+    rows = np.pad(cls.basis, ((0, 0), (1, 0)))
+    gains = p.gains if mode == "approximate" else (1.0, 1.0)
+    return float(_defects(rows @ m.transfers, rows, np.array(gains)[:, None]).max(initial=0.0))
 
 
 def _conjugation(a: float, b: float, c: float) -> tuple:
@@ -196,38 +191,29 @@ def _objective(cls: ObservableClass, mode: str):
 
     with c_l, s_l the cosine and sine of entangling angle l; the identity
     part lifts to itself. Plain floats, because numpy's per-call cost
-    dwarfs arithmetic on arrays this small. Each generator enters divided
-    by the power of two 2**e of its largest entry, and its squared defect
-    phi is weighted by 4**(e - top), top the largest e, so the defect is
-    sqrt(max phi) * 2**top: exact, so ordinary classes give the same bits,
-    while rows near either end of the float range neither overflow nor
-    underflow to zero. A class whose traceless parts could carry a defect
-    past the float range is refused; identity parts never enter.
+    dwarfs arithmetic on arrays this small. The pairs are the members a of
+    cls.basis, unit vectors, on each branch: the squared defect of a pair is
+    phi = |r|^2 / 2 for the residual r of the lift against a, and the defect
+    is 2 sqrt(max phi), the largest Frobenius defect of a member. A unit
+    member's residual cannot leave the float range, and neither the scale of
+    the class nor its listed basis enters; identity parts never do.
 
     defect(x) returns (defect, (phis, grads)): phis the list of each pair's
-    phi, generator i on branch b + 1 at index b G' + i, where i counts only
-    the G' generators with a nonzero traceless part (every machine copies
-    the others, so they get no pair), and grads their gradients in x, one
-    after another in one flat list. A gradient pass over the value pass's
-    floats follows each value pass that finishes; the rotations
-    differentiate through _conjugation_gradient.
+    phi, member i on branch b + 1 at index b d + i for the d members, and
+    grads their gradients in x, one after another in one flat list. A
+    gradient pass over the value pass's floats follows each value pass that
+    finishes; the rotations differentiate through _conjugation_gradient.
 
     defect(x, above) scores x as defect(x) does until a pair puts the defect
-    at or above `above`, and then returns (above, None) at once: sqrt and
-    ldexp are monotone, so the full defect could not fall below it. Branch 2's
+    at or above `above`, and then returns (above, None) at once: sqrt is
+    monotone, so the full defect could not fall below it. Branch 2's
     post-rotation is built only once branch 1 has passed. Otherwise it returns
     defect(x)'s value, which is below `above`, and rows, bit for bit, so a
     line search that passes its current value as above rejects the same
     trials and accepts the same ones, and differentiates only those it accepts.
     """
     approximate = mode == "approximate"
-    i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0)
-    if i is not None:
-        raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
-    gens = [unit_scaled(g.coeffs[1:].tolist()) for g in cls.generators]
-    top = max((e for a, e in gens if any(a)), default=0)
-    # phi = weight * |r|^2, and 2 * weight scales the gradient of |r|^2 / 2.
-    gens = [(*a, math.ldexp(2.0, 2 * (e - top))) for a, e in gens if any(a)]
+    basis = cls.basis.tolist()
 
     def defect(x, above=None):
         # The value pass: the gradient pass reuses the pre-rotation, the kernel's trig values and,
@@ -244,7 +230,7 @@ def _objective(cls: ObservableClass, mode: str):
             q0, q1, q2, q3, q4, q5, q6, q7, q8 = _conjugation(x[j], x[j + 1], x[j + 2])
             k20, k01, k02, k11, k12, k23 = kern
             pairs = []
-            for a1, a2, a3, weight in gens:
+            for a1, a2, a3 in basis:
                 u1 = a1 * q0 + a2 * q3 + a3 * q6
                 u2 = a1 * q1 + a2 * q4 + a3 * q7
                 u3 = a1 * q2 + a2 * q5 + a3 * q8
@@ -255,11 +241,11 @@ def _objective(cls: ObservableClass, mode: str):
                 y2 = w1 * p1 + w2 * p4 + w3 * p7
                 y3 = w1 * p2 + w2 * p5 + w3 * p8
                 r1, r2, r3 = gain * y1 - a1, gain * y2 - a2, gain * y3 - a3
-                phi = weight * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
+                phi = 0.5 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3)
                 if phi > worst:
                     worst = phi
-                    # sqrt and ldexp are monotone, so the defect is at least this pair's.
-                    if above is not None and math.ldexp(math.sqrt(phi), top) >= above:
+                    # sqrt is monotone, so the defect is at least this pair's.
+                    if above is not None and 2.0 * math.sqrt(phi) >= above:
                         return above, None
                 pairs.append((u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi))
             branches.append((kern, gain, pairs))
@@ -284,8 +270,8 @@ def _objective(cls: ObservableClass, mode: str):
             j = 6 if first else 9
             dq0, dq1, dq2, dq3, dq4, dq5, dq6, dq7, dq8 = _conjugation_gradient(x[j], x[j + 1], x[j + 2])
             (d10, d11, d12, d13, d14, d15), (d20, d21, d22, d23, d24, d25), (d30, d31, d32, d33, d34, d35) = dkern
-            for (a1, a2, a3, weight), (u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi) in zip(gens, pairs):
-                # gain * z is the gradient of |r|^2 / 2 in w.
+            for (a1, a2, a3), (u1, u2, u3, r0, y1, y2, y3, r1, r2, r3, phi) in zip(basis, pairs):
+                # gain * z is the gradient of phi in w.
                 z1 = gain * (p0 * r1 + p1 * r2 + p2 * r3)
                 z2 = gain * (p3 * r1 + p4 * r2 + p5 * r3)
                 z3 = gain * (p6 * r1 + p7 * r2 + p8 * r3)
@@ -293,28 +279,26 @@ def _objective(cls: ObservableClass, mode: str):
                 e1, e2, e3 = z1 * k01 + z2 * k02, z1 * k11 + z2 * k12, r0 * k20 + z3 * k23
                 t0, t1, t2, t3, t4, t5 = r0 * u3, z1 * u1, z2 * u1, z1 * u2, z2 * u2, z3 * u3
                 # Rotations: gain * D_pre (a x y) and D_b (u x e).
-                m = 2.0 * weight
-                gm = gain * m
                 x1, x2, x3 = a2 * y3 - a3 * y2, a3 * y1 - a1 * y3, a1 * y2 - a2 * y1
                 o1, o2, o3 = u2 * e3 - u3 * e2, u3 * e1 - u1 * e3, u1 * e2 - u2 * e1
                 phis.append(phi)
                 grads += (
-                    gm * (dp0 * x1 + dp1 * x2 + dp2 * x3),
-                    gm * (dp3 * x1 + dp4 * x2 + dp5 * x3),
-                    gm * (dp6 * x1 + dp7 * x2 + dp8 * x3),
-                    m * (t0 * d10 + t1 * d11 + t2 * d12 + t3 * d13 + t4 * d14 + t5 * d15),
-                    m * (t0 * d20 + t1 * d21 + t2 * d22 + t3 * d23 + t4 * d24 + t5 * d25),
-                    m * (t0 * d30 + t1 * d31 + t2 * d32 + t3 * d33 + t4 * d34 + t5 * d35),
+                    gain * (dp0 * x1 + dp1 * x2 + dp2 * x3),
+                    gain * (dp3 * x1 + dp4 * x2 + dp5 * x3),
+                    gain * (dp6 * x1 + dp7 * x2 + dp8 * x3),
+                    t0 * d10 + t1 * d11 + t2 * d12 + t3 * d13 + t4 * d14 + t5 * d15,
+                    t0 * d20 + t1 * d21 + t2 * d22 + t3 * d23 + t4 * d24 + t5 * d25,
+                    t0 * d30 + t1 * d31 + t2 * d32 + t3 * d33 + t4 * d34 + t5 * d35,
                 )
                 # The post-rotation of the other branch, and its gain, take no part.
-                v0 = m * (dq0 * o1 + dq1 * o2 + dq2 * o3)
-                v1 = m * (dq3 * o1 + dq4 * o2 + dq5 * o3)
-                v2 = m * (dq6 * o1 + dq7 * o2 + dq8 * o3)
+                v0 = dq0 * o1 + dq1 * o2 + dq2 * o3
+                v1 = dq3 * o1 + dq4 * o2 + dq5 * o3
+                v2 = dq6 * o1 + dq7 * o2 + dq8 * o3
                 grads += (v0, v1, v2, 0.0, 0.0, 0.0) if first else (0.0, 0.0, 0.0, v0, v1, v2)
                 if approximate:
-                    v = m * (y1 * r1 + y2 * r2 + y3 * r3)
+                    v = y1 * r1 + y2 * r2 + y3 * r3
                     grads += (v, 0.0) if first else (0.0, v)
-        return math.ldexp(math.sqrt(worst), top), (phis, grads)
+        return 2.0 * math.sqrt(worst), (phis, grads)
 
     return defect
 
@@ -330,30 +314,30 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
 
     Deterministic for a fixed config: restarts draw their starting
     vectors from one seeded stream, each descends by SQP steps on the max
-    of the squared defects of every branch and generator, with analytic
-    gradients, within max_evals evaluations (its start's included) and
-    until it scores below tol * 1e-3, and the search stops early once the
-    defect passes below tol. Both are relative, as verify's tolerance is:
-    the defect, the largest over generators and branches, is compared with
-    tol times the smallest Frobenius norm of a generator's traceless part,
-    the only part a machine can fail to copy. So each generator's defect is
-    below tol times its own norm, and a converged search's machine passes
-    verify at tol, however unequal the generators' sizes; and the verdict
-    does not change when the class is scaled by a power of two. Floors that
-    do not converge therefore sit at the bottom of their basin, at their
-    closed forms where one is known (sqrt(2) - 1 for sigma1/sigma2).
+    of the squared defects of every branch and member of cls.basis, with
+    analytic gradients, within max_evals evaluations (its start's included)
+    and until it scores below tol * 1e-3 * sqrt(2), and the search stops
+    early once it converges. The defect is the worst Frobenius defect of a
+    unit member, so a member's defect relative to its norm is the defect
+    over sqrt(2), and the search converges once that is below tol / sqrt(d)
+    for the d members: verify's span defect is then below tol, and a
+    converged search's machine passes verify at tol. Neither the scale of
+    the class nor the basis its generators list changes the search. Floors
+    that do not converge therefore sit at the bottom of their basin, at
+    their closed forms where one is known (sqrt(2) - 1 for every
+    noncommuting pair, sigma1/sigma2 among them).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     approximate = mode == "approximate"
+    # A unit member's residual stays in range, but the best point is a machine for cls.
+    i = overflowing_generator(cls, GAIN_BOUNDS[1] if approximate else 1.0)
+    if i is not None:
+        raise ValueError(f"generators[{i}] in {mode} mode: {OVERFLOW_MESSAGE}")
     fun = _objective(cls, mode)
     bounds = _bounds(approximate)
     rng = np.random.default_rng(config.seed)
-    # math.hypot scales by a power of two inside, so a norm neither overflows nor underflows while it
-    # is taken; _objective has refused parts whose norm could overflow. Identity multiples, whose every
-    # defect is 0, have no norm, and a class of them alone takes norm 1.
-    norm = min((math.sqrt(2.0) * math.hypot(*g.bloch.tolist()) for g in cls.generators if g.bloch.any()), default=1.0)
-    ftarget = config.tol * 1e-3 * norm
+    ftarget = config.tol * 1e-3 * math.sqrt(2.0)
     best_x = None
     best_f = np.inf
     evals = 0
@@ -367,7 +351,7 @@ def search_machine(cls: ObservableClass, mode: str, config: SearchConfig = Searc
         performed += 1
         if f < best_f:
             best_x, best_f = x, f
-        converged = best_f / norm < config.tol
+        converged = best_f * math.sqrt(len(cls.basis)) < config.tol * math.sqrt(2.0)
         if converged:
             break
     if best_x is None:

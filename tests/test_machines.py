@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obsclone.classes import ClassKind, ObservableClass
@@ -434,7 +434,7 @@ def test_verify_compares_each_defect_with_its_generators_norm():
         machine = CloningMachine(CNOT, QubitState.ket0(), cls)
         report = verify_exact(machine, tol=1.0)
         assert report.max_defect == math.ldexp(math.sqrt(2.0), k)
-        assert (report.max_relative_defect, report.passed) == (1.0, False)
+        assert (report.span_defect, report.passed) == (1.0, False)
         assert verify_exact(machine, tol=np.nextafter(1.0, 2.0)).passed
 
 
@@ -447,32 +447,141 @@ def test_an_identity_part_never_enters_a_verdict(k):
     cls = ObservableClass(ClassKind.ONE_PARAM, (Observable([2.0**k, 1.0, 0.0, 0.0]),))
     report = verify_exact(CloningMachine(CNOT, QubitState.ket0(), cls))
     assert report.per_generator_defects == ((math.sqrt(2.0), math.sqrt(2.0)),)
-    assert (report.max_relative_defect, report.passed) == (1.0, False)
+    assert (report.span_defect, report.passed) == (1.0, False)
     assert verify_exact(one_param_machine(Observable([2.0**k, 0.1, 0.7, -0.4]))).passed
 
 
 def test_a_generator_with_no_traceless_part_has_no_defect():
     """Every machine copies the identity: its defect is exactly 0, with no rounding of a
-    lift, and it takes no ratio, so the Pauli basis under CNOT fails on sigma1 and sigma2
-    alone, and a class of identity multiples passes with max_relative_defect 0."""
+    lift, and it has no basis member, so the Pauli basis under CNOT fails on sigma1 and
+    sigma2 alone, each lost whole: the residual map on the span has Frobenius norm sqrt(2).
+    A class of identity multiples passes with span_defect 0."""
     pauli = ObservableClass(ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4)))
     report = verify_exact(CloningMachine(CNOT, QubitState.ket0(), pauli))
     assert report.per_generator_defects[0] == (0.0, 0.0)
-    assert report.max_relative_defect == 1.0
+    assert report.span_defect == pytest.approx(math.sqrt(2.0), rel=1e-15)
     identity = ObservableClass(ClassKind.ONE_PARAM, (Observable([3.0, 0.0, 0.0, 0.0]),))
     report = verify_approximate(CloningMachine(t_machine(0.7).unitary, QubitState.ket0(), identity, gains=(2.0, -5.0)))
     assert report.per_generator_defects == ((0.0, 0.0),)
-    assert (report.max_relative_defect, report.passed) == (0.0, True)
+    assert (report.span_defect, report.passed) == (0.0, True)
 
 
 def test_a_relative_defect_near_the_largest_gain_stays_finite():
-    """A defect of a generator with a tiny traceless part under a gain near 1e308 is
-    divided by that part's norm before it is scaled back, so the ratio, about the
-    gain, is a float and not an OverflowError."""
+    """The span defect of a generator with a tiny traceless part under a gain near 1e308
+    is taken on its unit basis member, so it, about the gain, is a float and not an
+    OverflowError."""
     c = math.ldexp(0.99, -34)
     cls = ObservableClass(ClassKind.ONE_PARAM, (Observable([0.0, c, c, c]),))
     report = verify_approximate(CloningMachine(np.eye(4), QubitState.ket0(), cls, gains=(1e308, 1e308)), tol=np.inf)
-    assert report.max_relative_defect == pytest.approx(1e308, rel=1e-12)
+    assert report.span_defect == pytest.approx(1e308, rel=1e-12)
+
+
+def test_a_sigma1_cloner_fails_a_near_parallel_noncommuting_pair():
+    """span{sigma1, sigma1 + 1e-8 sigma2} is the sigma1/sigma2 plane, and a sigma1 cloner
+    loses sigma2 whole: span_defect 1, so it fails at tol 1e-6, though neither generator
+    loses more than 1e-8 of its norm (judged per generator, it passed at 1e-8)."""
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable([0.0, 1.0, 0.0, 0.0]), Observable([0.0, 1.0, 1e-8, 0.0])))
+    report = verify_exact(CloningMachine(one_param_machine(S1).unitary, QubitState.ket0(), cls), tol=1e-6)
+    assert report.max_defect < 2e-8
+    assert report.span_defect == pytest.approx(1.0, abs=1e-12)
+    assert not report.passed
+
+
+def dense_residual(m, gains, branch, a):
+    """g_b (lift of a.sigma) - a.sigma on branch b as Pauli coefficients, with the lift by an index-sum partial trace."""
+    x = sum(c * s for c, s in zip(a, (SIGMA1, SIGMA2, SIGMA3)))
+    eye = np.eye(2)
+    op = np.kron(x, eye) if branch == 1 else np.kron(eye, x)
+    lift = ptrace_loop(np.kron(eye, m.probe.density) @ dagger(m.unitary) @ op @ m.unitary, keep=1)
+    coeffs = np.array([np.trace(lift @ s).real / 2.0 for s in PAULIS])
+    return np.concatenate([coeffs[:1], gains[branch - 1] * coeffs[1:] - a])
+
+
+def qr_span_defect(m, gains):
+    """Test-only oracle of span_defect: the largest over branches of the Frobenius norm of a -> residual(a) on the
+    span of the generators' Bloch parts, taken on the orthonormal basis that numpy's QR gives, as d x 3 rows."""
+    blochs = np.array([g.bloch for g in m.observables.generators if g.bloch.any()]).reshape(-1, 3)
+    q, r = np.linalg.qr(blochs.T)
+    rank = int(np.sum(np.abs(np.diagonal(r)) > 1e-10 * np.abs(r).max(initial=0.0)))
+    basis = q[:, :rank].T
+    norms = [math.sqrt(sum(np.sum(dense_residual(m, gains, b, a) ** 2) for a in basis)) for b in (1, 2)]
+    return max(norms), basis
+
+
+def unit_members(basis, rng):
+    """Unit vectors of the span of the basis rows: both signs of a line, 720 on a plane's circle, 4000 on the sphere."""
+    d = len(basis)
+    if d < 2:
+        return np.concatenate([basis, -basis])
+    if d == 2:
+        t = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        return np.outer(np.cos(t), basis[0]) + np.outer(np.sin(t), basis[1])
+    v = rng.normal(size=(4000, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def span_test_classes(rng):
+    """Classes whose spans of Bloch parts have 0, 1, 2 and 3 dimensions, with identity parts."""
+    a = random_observable(rng, min_axis=0.1)
+    yield ObservableClass(ClassKind.ONE_PARAM, (Observable([1.5, 0.0, 0.0, 0.0]),))
+    yield ObservableClass(ClassKind.ONE_PARAM, (a,))
+    yield commuting_machine(a, 0.7, -1.3).observables
+    yield ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (a, random_observable(rng, min_axis=0.1)))
+    yield ObservableClass(ClassKind.GENERAL, tuple(Observable(r) for r in np.eye(4)))
+    yield ObservableClass(ClassKind.GENERAL, tuple(random_observable(rng, min_axis=0.1) for _ in range(4)))
+
+
+def test_span_defect_is_the_frobenius_norm_of_the_residual_map_on_the_span(rng):
+    """span_defect equals the QR oracle to 1e-12, on machines with random unitaries, probes
+    and gains. It bounds from above the relative defect |residual(a)| of every unit member a
+    of the span (its residual map's operator norm) and lies within sqrt(d) of the largest."""
+    for _ in range(5):
+        for cls in span_test_classes(rng):
+            gains = tuple(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0, 2))
+            m = CloningMachine(random_unitary(rng, 4), random_state(rng), cls, gains)
+            span = verify_approximate(m, tol=1.0).span_defect
+            want, basis = qr_span_defect(m, gains)
+            assert len(basis) == len(cls.basis)
+            assert abs(span - want) <= 1e-12 * max(want, 1.0)
+            # The residual is linear in a: its columns on sigma1, sigma2, sigma3 give every member's.
+            maps = [np.array([dense_residual(m, gains, b, e) for e in np.eye(3)]) for b in (1, 2)]
+            sweep = max(np.linalg.norm(unit_members(basis, rng) @ r, axis=1).max(initial=0.0) for r in maps)
+            assert sweep <= span * (1.0 + 1e-12)
+            assert span <= math.sqrt(len(basis)) * sweep * (1.0 + 1e-2)
+
+
+def test_t_machine_at_a_quarter_turn_has_the_pair_floor_as_its_span_defect():
+    """Read without its gains, t(pi/4) shrinks sigma1 and sigma2 by 1/sqrt(2) on each branch, so each
+    unit member misses by 1 - 1/sqrt(2) and the span defect is sqrt(2) (1 - 1/sqrt(2)) = sqrt(2) - 1."""
+    assert verify_exact(t_machine(math.pi / 4)).span_defect == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
+
+
+def test_covariant_transport_keeps_the_span_defect(rng):
+    """Conjugating a machine and its class by a qubit unitary rotates the span, so the span defect stays."""
+    for _ in range(20):
+        cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (random_observable(rng, 0.1), random_observable(rng, 0.1)))
+        m = CloningMachine(random_unitary(rng, 4), random_state(rng), cls, tuple(rng.uniform(0.5, 3.0, 2)))
+        moved = covariant_transport(m, random_su2(rng))
+        want = verify_approximate(m, tol=1.0).span_defect
+        assert verify_approximate(moved, tol=1.0).span_defect == pytest.approx(want, rel=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_span_defect_does_not_change_under_a_mixing_of_a_pairs_generators(seed, mixing):
+    """An invertible mixing of a noncommuting pair's generators lists another basis of the
+    same class, so every machine, under any gains, gets the same span_defect to 1e-12."""
+    (a, b), (c, d) = mixing[:2], mixing[2:]
+    assume(abs(a * d - b * c) >= 0.1)
+    rng = np.random.default_rng(seed)
+    g1, g2 = random_observable(rng, min_axis=0.1), random_observable(rng, min_axis=0.1)
+    assume(np.linalg.norm(np.cross(g1.bloch, g2.bloch)) >= 1e-2 * np.linalg.norm(g1.bloch) * np.linalg.norm(g2.bloch))
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (g1, g2))
+    mixed = ObservableClass(cls.kind, (Observable(a * g1.coeffs + b * g2.coeffs), Observable(c * g1.coeffs + d * g2.coeffs)))
+    u, probe = random_unitary(rng, 4), random_state(rng)
+    gains = tuple(rng.uniform(0.5, 3.0, 2))
+    spans = [verify_approximate(CloningMachine(u, probe, k, gains), tol=1.0).span_defect for k in (cls, mixed)]
+    assert abs(spans[0] - spans[1]) <= 1e-12 * max(spans[0], 1.0)
 
 
 @pytest.mark.parametrize("tol", [True, "1e-10", -1.0, 0.0, math.nan, -math.inf, [1e-10], None])
@@ -487,7 +596,7 @@ def test_verify_refuses_a_tolerance_that_is_not_a_positive_real(verify, tol):
 def test_verify_stores_a_positive_real_or_inf_tolerance_as_a_float(verify, tol):
     report = verify(t_machine(0.7), tol=tol)
     assert type(report.tolerance) is float and report.tolerance == float(tol)
-    assert report.passed is (report.max_relative_defect < float(tol))
+    assert report.passed is (report.span_defect < float(tol))
 
 
 def test_cnot_machine_verifies_exactly():

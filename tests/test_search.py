@@ -205,7 +205,8 @@ def mixed_vector(rng, i, approximate):
 def oracle_squared_defects(x, cls, mode):
     """Squared defect of each generator on branch 1, then on branch 2, at a
     coordinate vector, through scipy's expm and an index-sum partial trace,
-    sharing no code with the search module."""
+    sharing no code with the search module. The objective's pairs are those
+    of basis_members(cls)."""
     paulis = (SIGMA1, SIGMA2, SIGMA3)
 
     def local(v):
@@ -226,19 +227,25 @@ def oracle_squared_defects(x, cls, mode):
     return squares
 
 
-def paired_squared_defects(x, cls, mode):
-    """The oracle's squared defects of the generators with a nonzero traceless part, the ones that get rows."""
-    paired = [bool(g.coeffs[1:].any()) for g in cls.generators] * 2
-    return [square for square, kept in zip(oracle_squared_defects(x, cls, mode), paired) if kept]
+def basis_members(cls):
+    """The unit members of cls.basis as observables, in the one attribute the oracle reads."""
+    return SimpleNamespace(generators=tuple(Observable([0.0, *b]) for b in cls.basis))
+
+
+def member_squared_defects(x, cls, mode):
+    """The oracle's squared defects of the members of cls.basis, the ones that get rows."""
+    return oracle_squared_defects(x, basis_members(cls), mode)
 
 
 def oracle_defect(x, cls, mode):
-    return float(np.sqrt(max(oracle_squared_defects(x, cls, mode))))
+    return float(np.sqrt(max(member_squared_defects(x, cls, mode))))
 
 
 def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
     """Random points in both modes, with zero and tiny rotation vectors and
-    zero entangling angles mixed in so the |v| = 0 branch is exercised."""
+    zero entangling angles mixed in so the |v| = 0 branch is exercised. The
+    oracle takes the members of the class's orthonormal basis: for sigma1/sigma2
+    and the Pauli basis they are the generators' traceless parts."""
     cases = (
         (ONE_PARAM, "exact"), (X_NC, "exact"), (X_NC, "approximate"), (SAME_EXPONENT_PAIR, "approximate"), (GENERAL, "exact")
     )
@@ -247,11 +254,6 @@ def test_transfer_matrix_objective_matches_an_independent_oracle(rng):
         for i in range(40):
             x = mixed_vector(rng, i, mode == "approximate")
             assert fun(x)[0] == pytest.approx(oracle_defect(x, cls, mode), abs=1e-12)
-
-
-def row_top(cls):
-    """The largest binary exponent of any generator's traceless entries: the rows are in units of 4**top."""
-    return max(int(np.frexp(np.abs(g.coeffs[1:]).max())[1]) for g in cls.generators if g.coeffs[1:].any())
 
 
 def rows_of(fun):
@@ -296,42 +298,42 @@ ROW_CLASSES = (ONE_PARAM, X_NC, UNEQUAL_PAIR, GENERAL)
 @pytest.mark.parametrize("mode", MODES)
 def test_residual_rows_and_jacobian_match_differences_and_the_dense_oracle(rng, mode):
     """At 200 points per mode, zero and tiny rotation vectors and zero entangling
-    angles among them, the rows equal the oracle's squared defects to 1e-12 and
-    the Jacobian equals central differences of the rows, and at every twentieth
-    point of the oracle, to 1e-9 relative to the larger of the rows and their
-    gradients (the differences' rounding scales with the rows). The defect is
-    the float sqrt(max(phi)) * 2**top, which the descent relies on. Only
-    generators with a nonzero traceless part have rows, so the Pauli basis's
-    identity has none."""
+    angles among them, the rows equal a quarter of the oracle's squared defects
+    of the class's basis members to 1e-12, and the Jacobian equals central
+    differences of the rows, and at every twentieth point of the oracle, to 1e-9
+    relative to the larger of the rows and their gradients (the differences'
+    rounding scales with the rows). The defect is the float 2 sqrt(max(phi)),
+    which the descent relies on. Only the basis members have rows, so the
+    Pauli basis's identity has none, and the unequal pair has two unit ones."""
     for i in range(200):
         cls = ROW_CLASSES[i % len(ROW_CLASSES)]
-        fun, top = _objective(cls, mode), row_top(cls)
-        rows_at, unit = rows_of(fun), 4.0**top
+        fun = _objective(cls, mode)
+        rows_at = rows_of(fun)
         x = mixed_vector(rng, i, mode == "approximate").tolist()
         phi, jac = rows_at(x)
-        assert fun(x)[0] == math.ldexp(math.sqrt(max(phi)), top)
-        want = paired_squared_defects(x, cls, mode)
-        assert np.abs(np.array(phi) * unit - want).max() <= 1e-12 * max(want)
+        assert fun(x)[0] == 2.0 * math.sqrt(max(phi))
+        want = member_squared_defects(x, cls, mode)
+        assert np.abs(4.0 * np.array(phi) - want).max() <= 1e-12 * max(want)
         references = [central_differences(lambda v: rows_at(v)[0], x)]
         if i % 20 == 0:
-            references.append(central_differences(lambda v: paired_squared_defects(v, cls, mode), x) / unit)
+            references.append(central_differences(lambda v: member_squared_defects(v, cls, mode), x) / 4.0)
         for fd in references:
             assert np.abs(np.array(jac) - fd).max() <= 1e-9 * max(np.abs(fd).max(), max(phi))
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
-def test_defect_scales_exactly_with_a_power_of_two_and_its_rows_not_at_all(rng, k):
-    """A class scaled by 2**k scores exactly 2**k times the defect, so nothing
-    overflows or underflows to a false zero, and has the very same rows: they
-    are in units of its largest power of two."""
+def test_a_class_scaled_by_a_power_of_two_scores_the_same_defect_and_rows(rng, k):
+    """A class scaled by 2**k has the very same orthonormal basis, so it scores
+    the very same defect and rows, and nothing overflows or underflows to a false
+    zero: the objective judges the span, not the size of its generators."""
     for cls in (SAME_EXPONENT_PAIR, UNEQUAL_PAIR):
         scaled = ObservableClass(cls.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in cls.generators))
+        assert np.array_equal(scaled.basis, cls.basis)
         for mode in MODES:
             fun, big = _objective(cls, mode), _objective(scaled, mode)
             for i in range(20):
                 x = mixed_vector(rng, i, mode == "approximate").tolist()
-                assert big(x)[0] == fun(x)[0] * 2.0**k
-                assert rows_of(big)(x) == rows_of(fun)(x)
+                assert big(x) == fun(x)
 
 
 # Classes with a generator whose traceless part is zero: the identity first in
@@ -347,8 +349,11 @@ IDENTITY_CLASSES = {
 
 
 def paired_generators(cls):
-    """The generators of cls with a nonzero traceless part, in the one attribute _objective reads."""
-    return SimpleNamespace(generators=tuple(g for g in cls.generators if g.coeffs[1:].any()))
+    """The generators of cls with a nonzero traceless part, and the basis that the class's own rule gives them,
+    in the attributes _objective reads."""
+    paired = SimpleNamespace(generators=tuple(g for g in cls.generators if g.coeffs[1:].any()))
+    paired.basis = ObservableClass.basis.func(paired)
+    return paired
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -356,7 +361,7 @@ def paired_generators(cls):
 def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
     """Every machine copies a multiple of the identity, so the objective gives
     it no pair: a class scores the same float with it as without it, and has
-    the same rows, 2 G' of them for the G' generators with a traceless part."""
+    the same rows, 2 d of them for the d members of its orthonormal basis."""
     cls = IDENTITY_CLASSES[name]
     paired = paired_generators(cls)
     fun, bare = _objective(cls, mode), _objective(paired, mode)
@@ -365,7 +370,7 @@ def test_generators_without_a_traceless_part_get_no_pairs(rng, name, mode):
         (value, rows), (bare_value, bare_rows) = fun(x), bare(x)
         assert value == bare_value
         assert rows == bare_rows
-        assert len(rows[0]) == 2 * len(paired.generators) < 2 * len(cls.generators)
+        assert len(rows[0]) == 2 * len(cls.basis) == 2 * len(paired.basis) < 2 * len(cls.generators)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -650,11 +655,11 @@ def test_minimize_finds_the_smallest_enclosing_ball(centres, x0, bounds, centre,
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
-    """sigma1/sigma2 scaled by 2**k searches to a finite floor. The tolerance is
-    relative to the class's norm, so at either scale the search converges in
-    approximate mode and not in exact mode (with an absolute one the tiny class
+    """sigma1/sigma2 scaled by 2**k searches to a finite floor. The search judges
+    the class's orthonormal basis, so at either scale it converges in approximate
+    mode and not in exact mode (with an absolute tolerance the tiny class
     converged at once and the huge one never did); in exact mode each ends at
-    2**k times the unscaled floor, at the same point."""
+    the unscaled floor, bit for bit, at the same point."""
     scaled = ObservableClass(X_NC.kind, tuple(Observable(np.ldexp(g.coeffs, k)) for g in X_NC.generators))
     config = SearchConfig(restarts=1, max_evals=300, seed=3)
     result = search_machine(scaled, mode, config)
@@ -662,15 +667,15 @@ def test_scaled_noncommuting_pair_keeps_its_verdict(mode, k):
     assert result.converged is (mode == "approximate")
     if mode == "exact":
         plain = search_machine(X_NC, mode, config)
-        assert result.best_defect == plain.best_defect * 2.0**k
+        assert result.best_defect == plain.best_defect
         assert result.best_point.to_dict() == plain.best_point.to_dict()
         assert abs(plain.best_defect - X_NC_DEFECT_FLOOR) <= 1e-12
 
 
 def test_the_verdict_does_not_depend_on_the_class_scale():
     """For every k = -600..600, the one-param class of (0.1, 0.7, -0.4, 0.5)
-    scaled by 2**k converges and sigma1/sigma2 scaled by 2**k does not: tol is
-    relative to the smallest generator norm. tol = 0.25 lies below sigma1/sigma2's
+    scaled by 2**k converges and sigma1/sigma2 scaled by 2**k does not: the search
+    judges the class's unit basis. tol = 0.25 lies below sigma1/sigma2's
     relative floor (sqrt(2) - 1) / sqrt(2) = 0.29, and seed 1 brings the
     one-param class below it within 20 evaluations, so a short budget decides
     each search. At the default tol, the one-param class at 1e12 converges and
@@ -691,11 +696,39 @@ def test_the_verdict_does_not_depend_on_the_class_scale():
 @pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-20])
 def test_a_small_generator_of_a_noncommuting_pair_keeps_the_search_from_converging(s):
     """No exact machine clones span{sigma3, s sigma1}: a machine that clones sigma3
-    loses s sigma1, a defect as large as its own norm. The defect is compared with
-    tol times the smallest traceless norm, so the search does not converge however
-    small s is (compared with the largest norm, it converged at once)."""
+    loses s sigma1, a defect as large as its own norm. The search judges the class's
+    unit basis, sigma3 and sigma1, so it does not converge however small s is
+    (compared with the largest norm, it converged at once)."""
     cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable([0.0, 0.0, 0.0, 1.0]), Observable([0.0, s, 0.0, 0.0])))
     assert not search_machine(cls, "exact", SearchConfig(restarts=1, max_evals=1000)).converged
+
+
+def test_a_near_parallel_noncommuting_pair_does_not_converge():
+    """span{sigma1, sigma1 + 1e-8 sigma2} is the sigma1/sigma2 plane, so no exact machine
+    clones it: the search ends at or above sigma1/sigma2's floor and does not converge.
+    Judged per generator, a sigma1 cloner lost only 1e-8 of a norm and the search converged."""
+    cls = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (Observable([0.0, 1.0, 0.0, 0.0]), Observable([0.0, 1.0, 1e-8, 0.0])))
+    result = search_machine(cls, "exact", SearchConfig(restarts=5))
+    assert not result.converged
+    assert result.best_defect >= X_NC_DEFECT_FLOOR - 1e-12
+
+
+def test_a_commuting_pair_converges_however_far_apart_its_norms_lie():
+    """span{(0.3, 0.6, 0, 0.8), 2**-k (1, -0.3, 0, -0.4)} has one line of Bloch parts,
+    whatever k, so its orthonormal basis, and with it the search, is the same for every k,
+    and the machine found verifies. Judged per generator, the search never converged at
+    k = 30 or 40: the descent's rounding on the large generator exceeded tol times the small one."""
+    config = SearchConfig(restarts=5, seed=1)
+    results = []
+    for k in (10, 20, 30, 40):
+        cls = ObservableClass(
+            ClassKind.TWO_PARAM_COMMUTING, (Observable([0.3, 0.6, 0.0, 0.8]), Observable(np.ldexp([1.0, -0.3, 0.0, -0.4], -k)))
+        )
+        result = search_machine(cls, "exact", config)
+        assert result.converged, k
+        assert verify_exact(CloningMachine(result.best_point.unitary(), KET0, cls), tol=config.tol).passed, k
+        results.append(result_to_dict(result))
+    assert all(r == results[0] for r in results)
 
 
 def unequal_classes(rng):
@@ -715,7 +748,8 @@ def unequal_classes(rng):
 def test_every_converged_search_finds_a_machine_that_verifies(seed):
     """A converged search's best point, built as cloning_defect builds it, passes
     verify at the search's tol, whatever the identity parts and however unequal the
-    generators' sizes: each generator's defect is below tol times its own norm.
+    generators' sizes: each member of the class's unit basis misses by less than
+    tol / sqrt(d), so the span defect is below tol.
     Compared with the largest norm, a pair with a small noncommuting partner converged
     with that partner lost."""
     rng = np.random.default_rng(seed)
@@ -825,10 +859,15 @@ def test_search_config_validation():
 @settings(max_examples=8, deadline=None)
 def test_no_search_falls_below_the_closed_form_floor(seed, max_evals):
     """sqrt(2) - 1 is the residual left when both branches shrink the pair
-    by 1/sqrt(2); no exact machine does better, whatever the budget."""
+    by 1/sqrt(2); no exact machine does better, whatever the budget. Nor on
+    a random noncommuting pair: the search judges its orthonormal basis, which
+    a rotation, and with it a covariant transport, carries onto sigma1/sigma2."""
     assert X_NC_DEFECT_FLOOR == np.sqrt(2.0) - 1.0
-    result = search_machine(X_NC, "exact", SearchConfig(restarts=1, max_evals=max_evals, seed=seed))
-    assert result.best_defect >= X_NC_DEFECT_FLOOR - 1e-12
+    rng = np.random.default_rng(seed)
+    pair = ObservableClass(ClassKind.TWO_PARAM_NONCOMMUTING, (random_observable(rng, 0.1), random_observable(rng, 0.1)))
+    for cls in (X_NC, pair):
+        result = search_machine(cls, "exact", SearchConfig(restarts=1, max_evals=max_evals, seed=seed))
+        assert result.best_defect >= X_NC_DEFECT_FLOOR - 1e-12
 
 
 def test_result_to_dict_fields():

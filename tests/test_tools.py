@@ -64,7 +64,7 @@ def test_step_split_prints_each_part_of_a_step():
 
 def test_compare_outputs_finds_a_tree_identical_to_itself():
     """tools/compare_outputs.py with this src as both trees runs the workloads'
-    commands, its 37 fixed commands and the criterion-5 searches, and finds
+    commands, its 39 fixed commands and the criterion-5 searches, and finds
     every output byte-identical, with no search, no verify, no compare and no scan differing.
     Its last line gives both trees' src/obsclone/*.py line count, as `wc -l` counts it."""
     src = str(ROOT / "src")
@@ -73,7 +73,7 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "740 of 740 outputs byte-identical, 0 differ" in done.stdout
+    assert "742 of 742 outputs byte-identical, 0 differ" in done.stdout
     assert "searches: 0 differ, 0 changed exit code or converged;" in done.stdout
     assert "verifies: 0 differ, 0 changed exit code or passed; largest defect change relative to its generator's norm 0\n" in done.stdout
     assert "compares: 0 differ, 0 changed exit code; largest relative change 0; keys moved: none\n" in done.stdout

@@ -11,21 +11,23 @@ plans both benchmark workloads at seeds 0-2 with `plan()` from this
 repository's perfbench/workloads.py and runs every warm-up and pool
 command in plan order through `obsclone.cli.main`, each (workload, seed)
 in a fresh work directory. No output file is removed while a run lasts,
-because `verify` reads the document that `build` wrote. It then runs 37
+because `verify` reads the document that `build` wrote. It then runs 39
 fixed commands that the workloads miss (`fixed_commands`): a scan of three
 blocks through singular angles, an all-singular scan, build then verify
 for one-param and commuting classes scaled by 2**600 and 2**-600, a
 verify at --tol 1e-30, verifies of two machine documents whose unitary is
-not unitary (2·I, and one entry of 1e308) and of CNOT on the class of
-1e12 I + sigma1, which loses sigma1, a scan at theta = 1e308,
-`compare` and `scan` at pure, maximally mixed and just-past-the-sphere states,
-and eleven single-angle scans within 1e-4 of a singular angle at the state on
-the measured axis, where the noise report cancels (ROADMAP item 19), and
+not unitary (2·I, and one entry of 1e308), of CNOT on the class of
+1e12 I + sigma1, which loses sigma1, and at --tol 1e-6 of a sigma1 cloner
+on span{sigma1, sigma1 + 1e-8 sigma2}, which loses sigma2, a scan at
+theta = 1e308, `compare` and `scan` at pure, maximally mixed and
+just-past-the-sphere states, and eleven single-angle scans within 1e-4 of
+a singular angle at the state on the measured axis, where the noise report cancels (ROADMAP item 19), and
 a compare at a pure state 1.5e-6 rad off (1, 0, 0), refused for the
-same reason, and a short search of span{sigma3, 1e-9 sigma1}, which no
-exact machine clones. Last it runs the 22 exact searches of acceptance criterion 5
-(restarts 50, seed 0, on the classes of `criterion_5_classes` in tests/support.py,
-which tests/test_acceptance.py iterates too) and records each result as the JSON
+same reason, a short search of span{sigma3, 1e-9 sigma1} and a search of
+span{sigma1, sigma1 + 1e-8 sigma2}, which no exact machine clones. Last it
+runs the 22 exact searches of acceptance criterion 5 (restarts 50, seed 0,
+on the classes of `criterion_5_classes` in tests/support.py, which
+tests/test_acceptance.py iterates too) and records each result as the JSON
 the `search` command prints.
 
 Per command, the exit code, stdout, stderr and the bytes of its --out
@@ -36,8 +38,9 @@ criterion-5 record) also says whether its exit code and `converged` are
 unchanged and whether `best_defect` went down. Each differing `verify`
 says whether its exit code and `passed` are unchanged, and gives its largest
 change of a defect relative to the Frobenius norm of that generator's traceless
-part, read off the machine document that this script wrote or that the tree's
-last `build` to that path wrote. Each
+part (the payload's defects are per generator), read off the machine
+document that this script wrote or that the tree's last `build` to that
+path wrote. Each
 differing `compare` says whether its exit code is unchanged, names the payload
 keys that moved (dotted, so `universal_report.product`) and gives the largest
 relative change among them. Each differing `scan` says whether its exit code is
@@ -133,7 +136,9 @@ def fixed_commands(run_dir: Path):
     2**-600, and a verify whose tolerance no defect meets. Then the unitarity
     rule's error text: verifies of two documents, written here (written_documents), whose
     unitary is 2·I or the identity with one entry of 1e308; a verify of CNOT on 1e12 I + sigma1,
-    whose identity part must not hide the sigma1 it loses; and a scan at the extreme angle 1e308.
+    whose identity part must not hide the sigma1 it loses; a verify at --tol 1e-6 of a sigma1
+    cloner on span{sigma1, sigma1 + 1e-8 sigma2}, the sigma1/sigma2 plane, whose sigma2 it loses
+    though neither generator loses more than 1e-8 of its norm; and a scan at the extreme angle 1e308.
     The workloads draw every noise state inside radius 0.95, so then come compares and
     scans at pure states, where an intrinsic variance of 0 clips the balancing angle, at
     the maximally mixed state, and at a state 9e-13 past the sphere, read onto it. Then
@@ -143,7 +148,8 @@ def fixed_commands(run_dir: Path):
     compare at a pure state 1.5e-6 rad off (1, 0, 0), whose balancing angle of about 1.2e-3
     gives a gain of about 830, and which is refused so too. Last, a search of one restart and
     1000 evaluations of span{sigma3, 1e-9 sigma1}, whose small noncommuting generator must keep
-    it from converging.
+    it from converging, and a search of five restarts of span{sigma1, sigma1 + 1e-8 sigma2},
+    whose nearly parallel generators must not.
     """
     yield ["scan", "--theta-min", "0", "--theta-max", repr(math.pi), "--steps", "513"], None
     yield ["scan", "--theta-min", "0", "--theta-max", "0", "--steps", "3"], None
@@ -160,7 +166,7 @@ def fixed_commands(run_dir: Path):
     for name, doc in written_documents().items():
         machine = run_dir / name
         machine.write_text(json.dumps(doc))
-        yield ["verify", str(machine)], None
+        yield ["verify", str(machine), *(["--tol", "1e-6"] if doc["class"] is NEAR_PARALLEL else [])], None
     yield ["scan", "--theta-min", "1e308", "--theta-max", "1e308", "--steps", "3"], None
     for state in ("1,0,0", "0,-1,0", "0,0,-1", "0,0,0", "0.6,0.8,0", "1.0000000000009,0,0"):
         yield ["compare", f"--state={state}"], None
@@ -176,26 +182,34 @@ def fixed_commands(run_dir: Path):
     pair = run_dir / "sigma3-and-small-sigma1.class.json"
     pair.write_text(json.dumps({"kind": "two-param-noncommuting", "generators": [[0.0, 0.0, 0.0, 1.0], [0.0, 1e-9, 0.0, 0.0]]}))
     yield ["search", str(pair), "--restarts", "1", "--max-evals", "1000"], None
+    near = run_dir / "near-parallel.class.json"
+    near.write_text(json.dumps(NEAR_PARALLEL))
+    yield ["search", str(near), "--restarts", "5"], None
+
+
+# span{sigma1, sigma1 + 1e-8 sigma2}: nearly parallel generators of the sigma1/sigma2 plane.
+NEAR_PARALLEL = {"kind": "two-param-noncommuting", "generators": [[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1e-8, 0.0]]}
 
 
 def written_documents() -> dict:
     """The machine documents that fixed_commands writes, by file name: two whose unitary is not
-    unitary (2·I, and the identity with one entry of 1e308), both on sigma3, and CNOT on 1e12 I + sigma1."""
+    unitary (2·I, and the identity with one entry of 1e308), both on sigma3, CNOT on 1e12 I + sigma1,
+    and the sigma1 cloner (H (x) H) CNOT (H (x) I) on NEAR_PARALLEL."""
     eye = [[float(i == j) for j in range(4)] for i in range(4)]
     huge = [row[:] for row in eye]
     huge[0][3] = 1e308
+    h = math.sqrt(0.5)
+    sigma1_cloner = [[h, h, 0.0, 0.0], [0.0, 0.0, h, -h], [0.0, 0.0, h, h], [h, -h, 0.0, 0.0]]
+    sigma3 = {"kind": "one-param", "generators": [[0.0, 0.0, 0.0, 1.0]]}
     machines = (
-        ("twice-identity", [[2.0 * v for v in row] for row in eye], [0.0, 0.0, 0.0, 1.0]),
-        ("huge-entry", huge, [0.0, 0.0, 0.0, 1.0]),
-        ("cnot-heavy-sigma1", [eye[0], eye[1], eye[3], eye[2]], [1e12, 1.0, 0.0, 0.0]),
+        ("twice-identity", [[2.0 * v for v in row] for row in eye], sigma3),
+        ("huge-entry", huge, sigma3),
+        ("cnot-heavy-sigma1", [eye[0], eye[1], eye[3], eye[2]], {"kind": "one-param", "generators": [[1e12, 1.0, 0.0, 0.0]]}),
+        ("sigma1-cloner-near-parallel", sigma1_cloner, NEAR_PARALLEL),
     )
     return {
-        f"{name}.json": {
-            "unitary": [[[v, 0.0] for v in row] for row in u],
-            "probe_bloch": [0.0, 0.0, 1.0],
-            "class": {"kind": "one-param", "generators": [generator]},
-        }
-        for name, u, generator in machines
+        f"{name}.json": {"unitary": [[[v, 0.0] for v in row] for row in u], "probe_bloch": [0.0, 0.0, 1.0], "class": cls}
+        for name, u, cls in machines
     }
 
 
